@@ -20,10 +20,12 @@ from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from typing import Callable, Mapping
 
-from .errors import CodecError, InvokeError, TableError
+from .errors import CodecError, InvokeError, TableError, TraError
 from .model import ServiceSignature, FieldDef
 from .records import MessageSpec, decode_record, encode_record
 from .sim import Tracer
+from .source import MISSING, Source, parse, resolve
+from .txn import TxnStatus
 
 DEFAULT_REPLY_BUDGET = 100
 
@@ -194,6 +196,24 @@ class _Completion:
     detail: str = ""
 
 
+def _check_kind(src: Source, kinds: dict, want: str, where: str) -> None:
+    kind = resolve(src, kinds)
+    if kind is MISSING:
+        raise TableError(f"{where}: source {src} does not exist")
+    if kind != want:
+        raise TableError(f"{where}: source {src} kind mismatch, want {want}")
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """A registered table ready to run: its calls in dependency stages, each
+    with its parsed request map, and the parsed sources per response field."""
+
+    service: ServiceSignature
+    stages: list[list[tuple[LegacyCall, dict[str, Source]]]]
+    aggregate: dict[str, list[Source]]
+
+
 class MessageBroker:
     """Routes service requests to legacy endpoints per registered tables."""
 
@@ -202,6 +222,7 @@ class MessageBroker:
         self.rng = rng if rng is not None else random.Random(0)
         self.adapters: dict[str, Adapter] = {}
         self.tables: dict[str, BrokerTable] = {}
+        self._plans: dict[str, _Plan] = {}
 
     # -- registration -----------------------------------------------------
 
@@ -215,15 +236,20 @@ class MessageBroker:
         ids = [c.call_id for c in table.calls]
         if len(set(ids)) != len(ids):
             raise TableError(f"{name}: duplicate call ids")
-        by_id = {c.call_id: c for c in table.calls}
-        req_fields = {f.name: f.kind for f in table.service.request}
-        resp_kinds = {}
+        # sources are checked by resolving them against the kinds of what they name
+        kinds = {
+            "req": {f.name: f.kind for f in table.service.request},
+            "call": {
+                c.call_id: {f.name: f.kind for f in c.response_spec.fields} for c in table.calls
+            },
+        }
+        maps: dict[str, dict[str, Source]] = {}
         for call in table.calls:
             where = f"{name}.{call.call_id}"
             if call.endpoint not in self.adapters:
                 raise TableError(f"{where}: no adapter for endpoint {call.endpoint}")
             for dep in call.depends_on:
-                if dep not in by_id:
+                if dep not in kinds["call"]:
                     raise TableError(f"{where}: unknown dependency {dep}")
             spec_names = set(call.request_spec.field_names)
             mapped = set(call.request_map)
@@ -232,32 +258,14 @@ class MessageBroker:
                     f"{where}: request map must cover the request spec exactly "
                     f"(missing {sorted(spec_names - mapped)}, extra {sorted(mapped - spec_names)})"
                 )
-            for fname, src in call.request_map.items():
-                fkind = call.request_spec.field(fname).kind
-                if src.startswith("req."):
-                    rf = src[4:]
-                    if rf not in req_fields:
-                        raise TableError(f"{where}: {src} is not a request field")
-                    if req_fields[rf] != fkind:
-                        raise TableError(f"{where}: {src} kind mismatch for {fname}")
-                elif src.startswith("lit:"):
-                    pass
-                elif src.startswith("call:"):
-                    ref = src[5:]
-                    if "." not in ref:
-                        raise TableError(f"{where}: bad source {src}")
-                    dep_id, dep_field = ref.split(".", 1)
-                    if dep_id not in call.depends_on:
-                        raise TableError(f"{where}: {src} must name a declared dependency")
-                    dep_call = by_id[dep_id]
-                    if dep_field not in dep_call.response_spec.field_names:
-                        raise TableError(f"{where}: {src} names an unknown reply field")
-                    if dep_call.response_spec.field(dep_field).kind != fkind:
-                        raise TableError(f"{where}: {src} kind mismatch for {fname}")
-                else:
-                    raise TableError(f"{where}: bad source {src!r} for {fname}")
-            for f in call.response_spec.fields:
-                resp_kinds[(call.call_id, f.name)] = f.kind
+            maps[call.call_id] = rmap = {}
+            for fname, text in call.request_map.items():
+                src = parse(text, ("req", "lit", "call"), TableError, f"{where}.{fname}")
+                if src.scope == "call" and src.path[0] not in call.depends_on:
+                    raise TableError(f"{where}: {src} must name a declared dependency")
+                if src.scope != "lit":
+                    _check_kind(src, kinds, call.request_spec.field(fname).kind, f"{where}.{fname}")
+                rmap[fname] = src
         # every response field must be assembled from somewhere
         service_resp = {f.name: f.kind for f in table.service.response}
         if set(table.aggregate) != set(service_resp):
@@ -266,19 +274,17 @@ class MessageBroker:
                 f"(missing {sorted(set(service_resp) - set(table.aggregate))}, "
                 f"extra {sorted(set(table.aggregate) - set(service_resp))})"
             )
-        for rfield, sources in table.aggregate.items():
-            if not sources:
-                raise TableError(f"{name}: response field {rfield} has no sources")
-            for src in sources:
-                if not src.startswith("call:") or "." not in src[5:]:
-                    raise TableError(f"{name}: bad aggregation source {src!r}")
-                cid, cfield = src[5:].split(".", 1)
-                if (cid, cfield) not in resp_kinds:
-                    raise TableError(f"{name}: aggregation source {src} does not exist")
-                if resp_kinds[(cid, cfield)] != service_resp[rfield]:
-                    raise TableError(f"{name}: aggregation source {src} kind mismatch")
-        self._stages(table)  # raises on dependency cycles
+        aggregate = {}
+        for rfield, texts in table.aggregate.items():
+            where = f"{name}.aggregate.{rfield}"
+            if not texts:
+                raise TableError(f"{where}: response field has no sources")
+            aggregate[rfield] = [parse(text, ("call",), TableError, where) for text in texts]
+            for src in aggregate[rfield]:
+                _check_kind(src, kinds, service_resp[rfield], where)
+        stages = [[(c, maps[c.call_id]) for c in stage] for stage in self._stages(table)]
         self.tables[name] = table
+        self._plans[name] = _Plan(table.service, stages, aggregate)
 
     def interface(self) -> dict[str, ServiceSignature]:
         """The aggregated operations this broker exposes."""
@@ -287,28 +293,19 @@ class MessageBroker:
     # -- dispatch -----------------------------------------------------------
 
     def _stages(self, table: BrokerTable) -> list[list[LegacyCall]]:
-        by_id = {c.call_id: c for c in table.calls}
-        depth: dict[str, int] = {}
-        visiting: set[str] = set()
-
-        def visit(cid: str) -> int:
-            if cid in depth:
-                return depth[cid]
-            if cid in visiting:
-                raise TableError(f"{table.service.name}: dependency cycle through {cid}")
-            visiting.add(cid)
-            call = by_id[cid]
-            d = 0 if not call.depends_on else 1 + max(visit(x) for x in call.depends_on)
-            visiting.discard(cid)
-            depth[cid] = d
-            return d
-
-        for cid in by_id:
-            visit(cid)
-        stages: dict[int, list[LegacyCall]] = {}
-        for cid, d in depth.items():
-            stages.setdefault(d, []).append(by_id[cid])
-        return [sorted(stages[d], key=lambda c: c.call_id) for d in sorted(stages)]
+        """Each call runs one stage after the last of its dependencies."""
+        stages: list[list[LegacyCall]] = []
+        done: set[str] = set()
+        left = list(table.calls)
+        while left:
+            ready = [c for c in left if c.depends_on <= done]
+            if not ready:
+                ids = sorted(c.call_id for c in left)
+                raise TableError(f"{table.service.name}: dependency cycle among {ids}")
+            stages.append(sorted(ready, key=lambda c: c.call_id))
+            done |= {c.call_id for c in ready}
+            left = [c for c in left if c.call_id not in done]
+        return stages
 
     def _typed_request(self, sig: ServiceSignature, request: Mapping) -> dict:
         out = {}
@@ -317,18 +314,6 @@ class MessageBroker:
                 raise InvokeError(f"{sig.name}: request missing field {f.name}")
             out[f.name] = _coerce(f.kind, request[f.name], f"{sig.name}.{f.name}")
         return out
-
-    def _resolve_map(self, call: LegacyCall, req: Mapping, results: Mapping) -> dict:
-        values = {}
-        for fname, src in call.request_map.items():
-            if src.startswith("req."):
-                values[fname] = req[src[4:]]
-            elif src.startswith("lit:"):
-                values[fname] = src[4:]
-            else:  # call:id.field, validated at registration
-                cid, cfield = src[5:].split(".", 1)
-                values[fname] = results[cid][cfield]
-        return values
 
     def _exchange(self, call: LegacyCall, record: str) -> tuple[int, str, str | None, str]:
         """Simulated wire exchange: returns (delay, kind, record, detail)."""
@@ -385,63 +370,50 @@ class MessageBroker:
 
     def invoke(self, service: str, request: Mapping) -> dict:
         """Dispatch with per-stage parallelism (the default mode)."""
-        table = self.tables.get(service)
-        if table is None:
-            raise InvokeError(f"no broker table for service {service!r}")
-        req = self._typed_request(table.service, request)
-        results: dict[str, dict] = {}
-        for stage in self._stages(table):
-            t0 = self.tracer.clock.now
-            completions = []
-            for call in stage:
-                record = self._encode_request(call, req, results)
-                self.tracer.emit(
-                    "broker_dispatch", call=call.call_id, endpoint=call.endpoint, mode="staged"
-                )
-                delay, kind, rec, detail = self._exchange(call, record)
-                completions.append(
-                    _Completion(t0 + delay, self.rng.random(), call, kind, rec, detail)
-                )
-            for comp in sorted(completions, key=lambda c: (c.at, c.tie)):
-                self._settle(comp, results)
-        return self._aggregate(table, results)
+        return self._dispatch(service, request, staged=True)
 
     def invoke_sequential(self, service: str, request: Mapping) -> dict:
         """Dispatch the same calls one at a time in topological order."""
-        table = self.tables.get(service)
-        if table is None:
-            raise InvokeError(f"no broker table for service {service!r}")
-        req = self._typed_request(table.service, request)
-        results: dict[str, dict] = {}
-        for stage in self._stages(table):
-            for call in stage:
-                record = self._encode_request(call, req, results)
-                self.tracer.emit(
-                    "broker_dispatch", call=call.call_id, endpoint=call.endpoint, mode="sequential"
-                )
-                t0 = self.tracer.clock.now
-                delay, kind, rec, detail = self._exchange(call, record)
-                self._settle(_Completion(t0 + delay, 0.0, call, kind, rec, detail), results)
-        return self._aggregate(table, results)
+        return self._dispatch(service, request, staged=False)
 
-    def _encode_request(self, call: LegacyCall, req: Mapping, results: Mapping) -> str:
-        values = self._resolve_map(call, req, results)
+    def _dispatch(self, service: str, request: Mapping, staged: bool) -> dict:
+        plan = self._plans.get(service)
+        if plan is None:
+            raise InvokeError(f"no broker table for service {service!r}")
+        scopes = {"req": self._typed_request(plan.service, request), "call": {}}
+        mode = "staged" if staged else "sequential"
+        stages = plan.stages if staged else [[entry] for stage in plan.stages for entry in stage]
+        for stage in stages:
+            t0 = self.tracer.clock.now
+            completions = []
+            for call, rmap in stage:
+                record = self._encode_request(call, rmap, scopes)
+                self.tracer.emit(
+                    "broker_dispatch", call=call.call_id, endpoint=call.endpoint, mode=mode
+                )
+                if not staged:  # a lone call starts once it is dispatched
+                    t0 = self.tracer.clock.now
+                delay, kind, rec, detail = self._exchange(call, record)
+                tie = self.rng.random() if staged else 0.0
+                completions.append(_Completion(t0 + delay, tie, call, kind, rec, detail))
+            for comp in sorted(completions, key=lambda c: (c.at, c.tie)):
+                self._settle(comp, scopes["call"])
+        out = {}
+        for f in plan.service.response:
+            for src in plan.aggregate[f.name]:
+                out[f.name] = resolve(src, scopes)
+                if out[f.name] is not MISSING:
+                    break
+            else:
+                raise InvokeError(f"{service}: no source produced {f.name}")
+        return out
+
+    def _encode_request(self, call: LegacyCall, rmap: Mapping[str, Source], scopes: dict) -> str:
+        values = {fname: resolve(src, scopes) for fname, src in rmap.items()}
         try:
             return encode_record(call.request_spec, values)
         except CodecError as exc:
             raise InvokeError(f"call {call.call_id}: request encode: {exc}") from exc
-
-    def _aggregate(self, table: BrokerTable, results: Mapping) -> dict:
-        out = {}
-        for f in table.service.response:
-            for src in table.aggregate[f.name]:
-                cid, cfield = src[5:].split(".", 1)
-                if cid in results and cfield in results[cid]:
-                    out[f.name] = results[cid][cfield]
-                    break
-            else:
-                raise InvokeError(f"{table.service.name}: no source produced {f.name}")
-        return out
 
     # -- transactional access path ---------------------------------------------
 
@@ -460,7 +432,8 @@ class MessageBroker:
     def drain(self, coordinator, queue, resolve_queue: Callable[[str], object]) -> int:
         """Serve committed request messages: each one is consumed, invoked,
         and answered in its own transaction, exactly one reply per request
-        (failed invocations reply ok=false rather than losing the request)."""
+        (failed invocations reply ok=false rather than losing the request).
+        A pass stops at the first of these transactions that does not commit."""
         processed = 0
         while True:
             ctx = coordinator.begin("broker")
@@ -468,24 +441,22 @@ class MessageBroker:
             if msg is None:
                 coordinator.rollback(ctx)
                 break
-            reply_queue = None
             try:
                 doc = json.loads(msg)
                 service = doc["service"]
                 reply_queue = resolve_queue(doc["reply_to"])
                 request = doc["request"]
-            except (ValueError, KeyError, TypeError):
-                # Undeliverable junk: consume it so it cannot wedge the queue.
+            except (ValueError, KeyError, TypeError, TraError):
+                # Junk or an unknown reply queue: consume it so it cannot wedge the queue.
                 self.tracer.emit("broker_poison", queue=queue.rm_id)
-                coordinator.commit(ctx)
-                processed += 1
-                continue
-            try:
-                response = self.invoke(service, request)
-                payload = {"service": service, "ok": True, "response": response}
-            except InvokeError as exc:
-                payload = {"service": service, "ok": False, "error": str(exc)}
-            reply_queue.send(ctx, json.dumps(payload, sort_keys=True, default=str))
-            coordinator.commit(ctx)
+            else:
+                try:
+                    response = self.invoke(service, request)
+                    payload = {"service": service, "ok": True, "response": response}
+                except InvokeError as exc:
+                    payload = {"service": service, "ok": False, "error": str(exc)}
+                reply_queue.send(ctx, json.dumps(payload, sort_keys=True, default=str))
+            if coordinator.commit(ctx) is not TxnStatus.COMMITTED:
+                break  # rolled back: the message is at the head again for the next pass
             processed += 1
         return processed

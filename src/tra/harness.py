@@ -41,6 +41,7 @@ from .process import ProcessEngine, load_definition
 from .resources import ManagedStore, TxnQueue, UnmanagedResource
 from .scenario import BindingDecl, Scenario, load_scenario_file
 from .sim import Tracer
+from .source import MISSING, resolve
 
 
 def _stringify(value):
@@ -158,59 +159,35 @@ class Runner:
     # -- service bindings --------------------------------------------------
 
     def _make_handler(self, binding: BindingDecl):
-        def resolve(src, request, regs):
-            if not isinstance(src, str):
-                raise ScenarioError(f"binding source must be a string, got {src!r}")
-            if src.startswith("req."):
-                name = src[4:]
-                if name not in request:
-                    raise ScenarioError(f"binding wants missing request field {name!r}")
-                return request[name]
-            if src.startswith("lit:"):
-                return src[4:]
-            if src.startswith("eff."):
-                path = src[4:].split(".")
-                value = regs
-                for part in path:
-                    if not isinstance(value, dict) or part not in value:
-                        raise ScenarioError(f"binding source {src!r} is unset")
-                    value = value[part]
-                return value
-            raise ScenarioError(f"bad binding source {src!r}")
-
         def handler(ctx, request):
             regs: dict = {}
+
+            def fetch(src):
+                found = resolve(src, {"req": request, "eff": regs})
+                if found is MISSING and src.scope == "req":
+                    raise ScenarioError(f"binding wants missing request field {src.path[0]!r}")
+                if found is MISSING:
+                    raise ScenarioError(f"binding source {src!r} is unset")
+                return found
+
             for eff in binding.effects:
                 do = eff["do"]
                 if do == "put":
-                    self._store(eff["store"]).put(
-                        ctx,
-                        resolve(eff["key"], request, regs),
-                        resolve(eff["value"], request, regs),
-                    )
+                    self._store(eff["store"]).put(ctx, fetch(eff["key"]), fetch(eff["value"]))
                 elif do == "delete":
-                    self._store(eff["store"]).delete(ctx, resolve(eff["key"], request, regs))
+                    self._store(eff["store"]).delete(ctx, fetch(eff["key"]))
                 elif do == "get":
-                    value = self._store(eff["store"]).get(
-                        ctx, resolve(eff["key"], request, regs)
-                    )
-                    regs[eff["into"]] = value
+                    regs[eff["into"]] = self._store(eff["store"]).get(ctx, fetch(eff["key"]))
                 elif do == "send":
-                    self._queue(eff["queue"]).send(
-                        ctx, resolve(eff["message"], request, regs)
-                    )
+                    self._queue(eff["queue"]).send(ctx, fetch(eff["message"]))
                 elif do == "call":
-                    sub_request = {
-                        f: resolve(s, request, regs) for f, s in eff.get("request", {}).items()
-                    }
+                    sub_request = {f: fetch(s) for f, s in eff["request"].items()}
                     response = self.coordinator.propagate(
                         ctx, eff["component"], eff["service"], sub_request
                     )
                     if "into" in eff:
                         regs[eff["into"]] = response
-            return {
-                f: resolve(src, request, regs) for f, src in binding.response.items()
-            }
+            return {f: fetch(src) for f, src in binding.response.items()}
 
         return handler
 
@@ -245,21 +222,14 @@ class Runner:
             try:
                 self._dispatch(action)
                 if expect_error is not None:
-                    self.asserts.append(
-                        {
-                            "desc": f"action {idx} ({op}) raises {expect_error!r}",
-                            "ok": False,
-                        }
-                    )
+                    self._assert(f"action {idx} ({op}) raises {expect_error!r}", False)
             except CoordinatorCrash:
                 self.coordinator.crash()
             except TraError as exc:
                 if expect_error is not None:
-                    self.asserts.append(
-                        {
-                            "desc": f"action {idx} ({op}) raises {expect_error!r}",
-                            "ok": expect_error in str(exc),
-                        }
+                    self._assert(
+                        f"action {idx} ({op}) raises {expect_error!r}",
+                        expect_error in str(exc),
                     )
                 else:
                     self.errors.append(f"action {idx} ({op}): {exc}")
@@ -292,11 +262,9 @@ class Runner:
     def _op_get(self, action):
         value = self._store(action["store"]).get(self._ctx(action), action["key"])
         if "expect" in action:
-            self.asserts.append(
-                {
-                    "desc": f"get {action['store']}[{action['key']}] == {action['expect']!r}",
-                    "ok": value == action["expect"],
-                }
+            self._assert(
+                f"get {action['store']}[{action['key']}] == {action['expect']!r}",
+                value == action["expect"],
             )
 
     def _op_put(self, action):
@@ -311,11 +279,9 @@ class Runner:
     def _op_receive(self, action):
         value = self._queue(action["queue"]).receive(self._ctx(action))
         if "expect" in action:
-            self.asserts.append(
-                {
-                    "desc": f"receive {action['queue']} == {action['expect']!r}",
-                    "ok": value == action["expect"],
-                }
+            self._assert(
+                f"receive {action['queue']} == {action['expect']!r}",
+                value == action["expect"],
             )
 
     def _op_propagate(self, action):
@@ -323,21 +289,17 @@ class Runner:
             self._ctx(action), action["component"], action["service"], action.get("request", {})
         )
         if "expect" in action:
-            self.asserts.append(
-                {
-                    "desc": f"propagate {action['component']}.{action['service']} response",
-                    "ok": _stringify(response) == _stringify(action["expect"]),
-                }
+            self._assert(
+                f"propagate {action['component']}.{action['service']} response",
+                _stringify(response) == _stringify(action["expect"]),
             )
 
     def _op_commit(self, action):
         status = self.coordinator.commit(self._ctx(action))
         if "expect" in action:
-            self.asserts.append(
-                {
-                    "desc": f"commit {action['txn']} -> {action['expect']}",
-                    "ok": status.value == action["expect"],
-                }
+            self._assert(
+                f"commit {action['txn']} -> {action['expect']}",
+                status.value == action["expect"],
             )
         if not self.injector.any_fired():
             self._serve_queues()
@@ -363,20 +325,16 @@ class Runner:
         self._recover_all()
 
     def _op_invoke(self, action):
-        if "expect_error" in action:
-            # surfaced through the generic expect_error handling in run()
-            self.broker.invoke(action["service"], action.get("request", {}))
-            return
         response = self.broker.invoke(action["service"], action.get("request", {}))
+        if "expect_error" in action:
+            return  # surfaced through the generic expect_error handling in run()
         self.tracer.emit(
             "invoked", service=action["service"], response=_stringify(response)
         )
         if "expect" in action:
-            self.asserts.append(
-                {
-                    "desc": f"invoke {action['service']} response",
-                    "ok": _stringify(response) == _stringify(action["expect"]),
-                }
+            self._assert(
+                f"invoke {action['service']} response",
+                _stringify(response) == _stringify(action["expect"]),
             )
 
     def _op_invoke_via_queue(self, action):
@@ -395,11 +353,9 @@ class Runner:
         self.engine.execute(instance)
         self.instances[action["process"]] = instance
         if "expect" in action:
-            self.asserts.append(
-                {
-                    "desc": f"process {action['process']} -> {action['expect']}",
-                    "ok": instance.state.value == action["expect"],
-                }
+            self._assert(
+                f"process {action['process']} -> {action['expect']}",
+                instance.state.value == action["expect"],
             )
         if not self.injector.any_fired():
             self._serve_queues()
@@ -409,51 +365,38 @@ class Runner:
         if kind == "store":
             value = self._store(action["store"]).committed_value(action["key"])
             expected = action.get("value")
-            self.asserts.append(
-                {
-                    "desc": f"store {action['store']}[{action['key']}] == {expected!r}",
-                    "ok": value == expected,
-                }
+            self._assert(
+                f"store {action['store']}[{action['key']}] == {expected!r}",
+                value == expected,
             )
         elif kind == "queue":
             messages = list(self._queue(action["queue"]).peek())
             expected = list(action.get("messages", []))
-            self.asserts.append(
-                {
-                    "desc": f"queue {action['queue']} == {expected!r}",
-                    "ok": messages == expected,
-                }
-            )
+            self._assert(f"queue {action['queue']} == {expected!r}", messages == expected)
         elif kind == "txn":
-            status = self._txn_status(action["txn"])
-            self.asserts.append(
-                {
-                    "desc": f"txn {action['txn']} is {action['status']}",
-                    "ok": status == action["status"],
-                }
-            )
+            status = self._txn_status(self._ctx(action), replay_log(self.coordinator.log_path))
+            self._assert(f"txn {action['txn']} is {action['status']}", status == action["status"])
         elif kind == "process":
             instance = self.instances.get(action["process"])
             state = instance.state.value if instance is not None else "never-ran"
-            self.asserts.append(
-                {
-                    "desc": f"process {action['process']} is {action['state']}",
-                    "ok": state == action["state"],
-                }
+            self._assert(
+                f"process {action['process']} is {action['state']}",
+                state == action["state"],
             )
         elif kind == "process_var":
             instance = self.instances.get(action["process"])
             value = instance.variables.get(action["var"]) if instance is not None else None
-            self.asserts.append(
-                {
-                    "desc": f"process {action['process']} var {action['var']} == {action.get('value')!r}",
-                    "ok": value == action.get("value"),
-                }
+            self._assert(
+                f"process {action['process']} var {action['var']} == {action.get('value')!r}",
+                value == action.get("value"),
             )
         else:
             raise ScenarioError(f"unknown assert kind {kind!r}")
 
     # -- shared plumbing -----------------------------------------------------
+
+    def _assert(self, desc: str, ok: bool) -> None:
+        self.asserts.append({"desc": desc, "ok": ok})
 
     def _serve_queues(self) -> None:
         for name in self.scenario.serve_queues:
@@ -477,13 +420,11 @@ class Runner:
         self.recovery_totals["presumed_aborted"] += outcome.presumed_aborted
         self.recovery_totals["aborts_completed"] += outcome.aborts_completed
 
-    def _txn_status(self, name: str) -> str:
+    @staticmethod
+    def _txn_status(ctx, replayed: dict) -> str:
         """Prefer the durable log's view of a transaction's outcome; fall
         back to the live context for undecided ones."""
-        if name not in self.txns:
-            raise ScenarioError(f"unknown transaction name {name!r}")
-        ctx = self.txns[name]
-        entry = replay_log(self.coordinator.log_path).get(ctx.id)
+        entry = replayed.get(ctx.id)
         if entry is not None and entry.decision is not None:
             return entry.status
         return ctx.status.value
@@ -492,12 +433,7 @@ class Runner:
         replayed = replay_log(self.coordinator.log_path)
         transactions = {}
         for name, ctx in sorted(self.txns.items()):
-            entry = replayed.get(ctx.id)
-            if entry is not None and entry.decision is not None:
-                status = entry.status
-            else:
-                status = ctx.status.value
-            transactions[name] = {"id": ctx.id, "status": status}
+            transactions[name] = {"id": ctx.id, "status": self._txn_status(ctx, replayed)}
         conservation = {name: q.conservation_holds() for name, q in sorted(self.queues.items())}
         ok = (
             not self.errors

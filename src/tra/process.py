@@ -8,17 +8,17 @@ the whole flattened instance inside one.
 
 Step inputs are mapped from instance variables ("var:NAME") or literals
 ("lit:TEXT"); outputs copy response fields ("resp.FIELD") back into
-variables.
+variables. Both maps are parsed when the definition is registered.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .errors import ProcessError, TraError
-from .faults import CoordinatorCrash
 from .model import ComponentModel, resolve_binding
+from .source import MISSING, parse, resolve
 from .txn import TxnStatus
 
 
@@ -95,6 +95,10 @@ def load_definition(doc: dict) -> ProcessDefinition:
     return ProcessDefinition(name=name, policy=policy, steps=steps)
 
 
+def _sources(texts: dict, scopes: tuple[str, ...], step: str) -> dict:
+    return {k: parse(v, scopes, ProcessError, f"step {step}") for k, v in texts.items()}
+
+
 class ProcessEngine:
     """Holds definitions and runs instances through the coordinator."""
 
@@ -111,10 +115,19 @@ class ProcessEngine:
         names = [s.name for s in definition.steps]
         if len(set(names)) != len(names):
             raise ProcessError(f"{definition.name}: duplicate step names")
+        steps = []
         for step in definition.steps:
             if step.service is not None:
                 # resolve eagerly so broken definitions fail at define time
                 resolve_binding(self.model, step.component, step.service)
+            steps.append(
+                replace(
+                    step,
+                    input_map=_sources(step.input_map, ("var", "lit"), step.name),
+                    output_map=_sources(step.output_map, ("resp",), step.name),
+                )
+            )
+        definition.steps = steps
         self.definitions[definition.name] = definition
         self._check_cycles(definition.name)
 
@@ -190,8 +203,6 @@ class ProcessEngine:
             ctx = self.coordinator.begin(f"process:{instance.definition}")
             try:
                 self._run_step(instance, ctx, step)
-            except CoordinatorCrash:
-                raise
             except TraError as exc:
                 self._quiet_rollback(ctx)
                 return self._fail(instance, step.name, str(exc))
@@ -207,8 +218,6 @@ class ProcessEngine:
         for step in steps:
             try:
                 self._run_step(instance, ctx, step)
-            except CoordinatorCrash:
-                raise
             except TraError as exc:
                 self._quiet_rollback(ctx)
                 return self._fail(instance, step.name, str(exc))
@@ -229,15 +238,9 @@ class ProcessEngine:
     def _run_step(self, instance: ProcessInstance, ctx, step: Step) -> None:
         request = {}
         for fname, src in step.input_map.items():
-            if isinstance(src, str) and src.startswith("var:"):
-                var = src[4:]
-                if var not in instance.variables:
-                    raise ProcessError(f"step {step.name}: unset variable {var!r}")
-                request[fname] = instance.variables[var]
-            elif isinstance(src, str) and src.startswith("lit:"):
-                request[fname] = src[4:]
-            else:
-                raise ProcessError(f"step {step.name}: bad input source {src!r}")
+            request[fname] = resolve(src, {"var": instance.variables})
+            if request[fname] is MISSING:
+                raise ProcessError(f"step {step.name}: unset variable {src.path[0]!r}")
         self.coordinator.tracer.emit(
             "step",
             process=instance.definition,
@@ -247,12 +250,10 @@ class ProcessEngine:
         )
         response = self.coordinator.propagate(ctx, step.component, step.service, request)
         for var, src in step.output_map.items():
-            if not (isinstance(src, str) and src.startswith("resp.")):
-                raise ProcessError(f"step {step.name}: bad output source {src!r}")
-            fname = src[5:]
-            if not isinstance(response, dict) or fname not in response:
-                raise ProcessError(f"step {step.name}: response has no field {fname!r}")
-            instance.variables[var] = response[fname]
+            value = resolve(src, {"resp": response})
+            if value is MISSING:
+                raise ProcessError(f"step {step.name}: response has no field {src.path[0]!r}")
+            instance.variables[var] = value
 
     def _fail(self, instance: ProcessInstance, step: str | None, reason: str) -> ProcessInstance:
         instance.state = InstanceState.FAILED

@@ -154,15 +154,18 @@ class ResourceManager:
         self._prepared = {}
         self._done = set()
         for rec in read_records(self.log_path):
-            if rec[0] == "PREPARED" and len(rec) == 3:
-                txn_id = int(rec[1])
-                self._prepared[txn_id] = json.loads(bytes.fromhex(rec[2]).decode("utf-8"))
-            elif rec[0] == "DONE" and len(rec) == 2:
-                txn_id = int(rec[1])
-                self._done.add(txn_id)
-                self._prepared.pop(txn_id, None)
-            else:
-                raise LogCorruptError(f"{self.log_path}: bad record {rec!r}")
+            try:
+                if rec[0] == "PREPARED" and len(rec) == 3:
+                    txn_id = int(rec[1])
+                    self._prepared[txn_id] = json.loads(bytes.fromhex(rec[2]).decode("utf-8"))
+                elif rec[0] == "DONE" and len(rec) == 2:
+                    txn_id = int(rec[1])
+                    self._done.add(txn_id)
+                    self._prepared.pop(txn_id, None)
+                else:
+                    raise ValueError("unknown record")
+            except ValueError as exc:  # bad id, hex, UTF-8 or JSON included
+                raise LogCorruptError(f"{self.log_path}: bad record {rec!r}") from exc
         for txn_id, payload in self._prepared.items():
             self._restage(txn_id, payload)
         self.tracer.emit("recover", who=self.rm_id, prepared=len(self._prepared))

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import ScenarioError
+from .source import parse
 
 KNOWN_OPS = {
     "begin",
@@ -36,7 +37,14 @@ KNOWN_OPS = {
 
 KNOWN_ASSERT_KINDS = {"store", "queue", "txn", "process", "process_var"}
 
-KNOWN_EFFECTS = {"put", "delete", "get", "send", "call"}
+# binding effect -> its fields that hold a source ("call" maps its request)
+EFFECT_SOURCES = {
+    "put": ("key", "value"),
+    "delete": ("key",),
+    "get": ("key",),
+    "send": ("message",),
+    "call": (),
+}
 
 
 @dataclass
@@ -48,6 +56,8 @@ class ResourceDecl:
 
 @dataclass
 class BindingDecl:
+    """A service binding whose effects and response hold parsed sources."""
+
     component: str
     service: str
     effects: list = field(default_factory=list)
@@ -119,6 +129,11 @@ def _inline_or_file(entry, base_dir: str, what: str) -> dict:
     raise ScenarioError(f"{what} must be inline or a file path")
 
 
+def _sources(texts: Mapping, where: str) -> dict:
+    """Parse a binding's {name: source} map."""
+    return {k: parse(v, ("req", "lit", "eff"), ScenarioError, where) for k, v in texts.items()}
+
+
 def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
     if not isinstance(doc, Mapping):
         raise ScenarioError("scenario must be a JSON object")
@@ -145,16 +160,22 @@ def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
     bindings = []
     for raw in doc.get("bindings", ()):
         try:
-            effects = list(raw.get("effects", ()))
-            for eff in effects:
-                if eff.get("do") not in KNOWN_EFFECTS:
+            where = f"binding {raw['component']}.{raw['service']}"
+            effects = []
+            for eff in raw.get("effects", ()):
+                if eff.get("do") not in EFFECT_SOURCES:
                     raise ScenarioError(f"binding effect {eff.get('do')!r} unknown")
+                sources = {k: eff[k] for k in EFFECT_SOURCES[eff["do"]]}
+                eff = {**eff, **_sources(sources, where)}
+                if eff["do"] == "call":
+                    eff["request"] = _sources(eff.get("request", {}), where)
+                effects.append(eff)
             bindings.append(
                 BindingDecl(
                     component=raw["component"],
                     service=raw["service"],
                     effects=effects,
-                    response=dict(raw.get("response", {})),
+                    response=_sources(raw.get("response", {}), where),
                 )
             )
         except KeyError as exc:

@@ -287,3 +287,76 @@ def test_drain_serves_committed_requests_one_reply_each(rig):
     assert seen[1]["ok"] is False
     assert "no broker table" in seen[1]["error"]
     assert queue.conservation_holds() and replies.conservation_holds()
+
+
+def _set_request_source(call_idx, fname, text):
+    def mutate(t):
+        t.calls[call_idx].request_map[fname] = text
+
+    return mutate
+
+
+def _set_aggregate(texts):
+    def mutate(t):
+        t.aggregate["limit"] = texts
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _set_request_source(0, "uid", "var:userId"),  # scope a request map does not allow
+        _set_request_source(0, "uid", "userId"),  # no prefix at all
+        _set_request_source(1, "acct", "call:dir"),  # call source without a field
+        _set_request_source(0, "uid", 7),  # not text
+        _set_aggregate(["req.userId"]),  # scope an aggregation does not allow
+        _set_aggregate(["call:seg.limit", "call:seg"]),  # malformed fallback source
+    ],
+    ids=["map-var", "map-bare", "map-call-no-field", "map-int", "agg-req", "agg-malformed"],
+)
+def test_bad_sources_are_refused_at_registration(mutate):
+    broker = make_broker()
+    t = profile_table()
+    mutate(t)
+    with pytest.raises(TableError, match="bad source"):
+        broker.register_table(t)
+    assert broker.interface() == {}
+    with pytest.raises(InvokeError, match="no broker table"):
+        broker.invoke("profile", {"userId": "U1"})
+
+
+def test_drain_pass_stops_when_the_reply_cannot_commit(rig):
+    coord, _, queue = rig
+    broker = make_broker()
+    broker.tracer = coord.tracer
+    broker.register_table(profile_table())
+
+    from tra.resources import TxnQueue
+    from tra.wal import read_records
+
+    # the reply queue's vote arrives after the coordinator's prepare budget
+    replies = TxnQueue("replies", queue.log_path + ".r", tracer=coord.tracer, prepare_delay=5000)
+    coord.register(replies)
+    t = coord.begin("client")
+    broker.invoke_via_queue(t, queue, "profile", {"userId": "U1"}, reply_to="replies")
+    coord.commit(t)
+
+    lookups = []
+
+    def resolve_queue(name):
+        lookups.append(name)
+        assert len(lookups) < 5, "drain keeps retrying the same request"
+        return replies
+
+    assert broker.drain(coord, queue, resolve_queue) == 0
+    assert broker.drain(coord, queue, resolve_queue) == 0
+    assert lookups == ["replies", "replies"]
+    # the request is still queued for a later pass, and nothing was lost
+    assert queue.depth() == 1
+    assert replies.depth() == 0
+    assert queue.conservation_holds() and replies.conservation_holds()
+    # every drain transaction ended with an END record
+    begun = {r[1] for r in read_records(coord.log_path) if r[0] == "BEGIN"}
+    ended = {r[1] for r in read_records(coord.log_path) if r[0] == "END"}
+    assert begun == ended

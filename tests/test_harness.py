@@ -1,6 +1,7 @@
 """Scenario runner, fault injection, the sweep, and the CLI."""
 
 import json
+import signal
 
 import pytest
 
@@ -244,3 +245,96 @@ def test_cross_component_sweep_commits_or_aborts_both_stores():
     assert commit["contract-db"] == {"ctr-77": "gold"}
     assert abort["customer-db"] == {"cust-9": "OLD"}
     assert abort["contract-db"] == {}
+
+
+def _cross_component(**binding_changes):
+    with open(tra.fixture_path("cross_component.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for path, text in binding_changes.items():
+        target = doc["bindings"][0]
+        *keys, last = path.split("__")
+        for key in keys:
+            target = target[int(key)] if key.isdigit() else target[key]
+        target[last] = text
+    return doc
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"effects__0__key": "call:x.id"},  # scope a binding does not allow
+        {"effects__1__request__terms": "var:terms"},
+        {"response__status": "resp.status"},
+        {"effects__0__value": "data"},  # no prefix at all
+        {"response__status": 42},  # not text
+    ],
+    ids=["put-key-call", "call-request-var", "response-resp", "put-value-bare", "response-int"],
+)
+def test_bad_binding_sources_are_refused_at_load(change):
+    with pytest.raises(ScenarioError, match="binding Customer.updateCustomer: bad source"):
+        load_scenario(_cross_component(**change), base_dir=tra.fixture_path(""))
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("eff.contract_reply.nope", "binding source 'eff.contract_reply.nope' is unset"),
+        ("eff.nothing", "binding source 'eff.nothing' is unset"),
+        ("req.ghost", "binding wants missing request field 'ghost'"),
+    ],
+)
+def test_binding_source_misses_fail_the_call_at_run_time(source, message):
+    scenario = load_scenario(
+        _cross_component(response__status=source), base_dir=tra.fixture_path("")
+    )
+    report = run_scenario(scenario)
+    assert report["ok"] is False
+    assert report["errors"] == [f"action 1 (propagate): {message}"]
+
+
+def _broker_demo(reply_to="replies", replies_delay=0):
+    with open(tra.fixture_path("broker_demo.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["queues"] = [{"name": "requests"}, {"name": "replies", "prepare_delay": replies_delay}]
+    doc["actions"][2]["reply_to"] = reply_to
+    return load_scenario(doc, base_dir=tra.fixture_path(""))
+
+
+def test_unknown_reply_to_is_consumed_and_every_transaction_settles():
+    report = run_scenario(_broker_demo(reply_to="nowhere"))
+    assert report["errors"] == []
+    assert set(report["log"].values()) <= {"committed", "aborted"}
+    assert any(e["ev"] == "broker_poison" for e in report["events"])
+    assert report["queues"] == {"requests": [], "replies": []}
+    assert all(report["queue_conservation"].values())
+
+
+def test_reply_queue_that_never_commits_does_not_hang_the_run():
+    def give_up(*_):
+        raise TimeoutError("the run did not finish")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(10)
+    try:
+        report = run_scenario(_broker_demo(replies_delay=5000))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert report["errors"] == []
+    assert set(report["log"].values()) <= {"committed", "aborted"}
+    # the request stays queued for a later pass; nothing is lost
+    assert len(report["queues"]["requests"]) == 1
+    assert report["queues"]["replies"] == []
+    assert all(report["queue_conservation"].values())
+
+
+def test_binding_reads_effect_registers_and_nested_replies():
+    doc = _cross_component(response__status="eff.contract_reply.status")
+    binding = doc["bindings"][0]
+    get_old = {"do": "get", "store": "customer-db", "key": "req.id", "into": "old"}
+    binding["effects"].insert(0, get_old)
+    binding["response"]["before"] = "eff.old"
+    doc["actions"][1]["expect"] = {"status": "written", "before": "OLD"}
+    report = run_scenario(load_scenario(doc, base_dir=tra.fixture_path("")))
+    assert report["errors"] == []
+    assert report["ok"] is True

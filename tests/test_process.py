@@ -262,3 +262,46 @@ def test_load_definition_matches_bundled_fixture():
         load_definition({"name": "x", "policy": "both"})
     with pytest.raises(ProcessError, match="name"):
         load_definition({"policy": "per_step"})
+
+
+@pytest.mark.parametrize(
+    "input_map, output_map",
+    [
+        ({"id": "eff.id"}, {}),  # scope a step input does not allow
+        ({"id": "resp.id"}, {}),
+        ({}, {"st": "var:status"}),  # scope a step output does not allow
+        ({"id": "id"}, {}),  # no prefix at all
+        ({"id": 42}, {}),  # not text
+    ],
+    ids=["input-eff", "input-resp", "output-var", "input-bare", "input-int"],
+)
+def test_bad_sources_are_refused_at_define(world, input_map, output_map):
+    engine, coord, _ = world
+    step = Step(
+        name="s",
+        component="Customer",
+        service="updateCustomer",
+        input_map=input_map,
+        output_map=output_map,
+    )
+    with pytest.raises(ProcessError, match="step s: bad source"):
+        engine.define(ProcessDefinition(name="p", policy=TxnPolicy.PER_STEP, steps=[step]))
+    assert "p" not in engine.definitions
+    assert read_records(coord.log_path) == []
+
+
+def test_missing_response_field_fails_the_step(world):
+    engine, _, store = world
+    step = Step(
+        name="s",
+        component="Customer",
+        service="updateCustomer",
+        input_map={"id": "lit:c9", "data": "lit:D", "contract": "lit:k", "terms": "lit:t"},
+        output_map={"st": "resp.nope"},
+    )
+    engine.define(ProcessDefinition(name="p", policy=TxnPolicy.PER_STEP, steps=[step]))
+    inst = engine.execute(engine.start("p"))
+    assert inst.state is InstanceState.FAILED
+    assert inst.reason == "step s: response has no field 'nope'"
+    assert "st" not in inst.variables
+    assert store.committed_value("c9") is None

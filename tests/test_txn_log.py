@@ -81,3 +81,19 @@ def test_txn_abort_paths():
     ctx.transition(TxnStatus.ABORTING)  # a NO vote turns prepare into abort
     ctx.transition(TxnStatus.ABORTED)
     assert ctx.status is TxnStatus.ABORTED
+
+
+@pytest.mark.parametrize(
+    "record",
+    ["PREPARED\tx1\t7b7d", "PREPARED\t1\tzz", "DONE\tq", "PREPARED\t1\tff", "PREPARED\t1\t7b"],
+    ids=["bad-txn-id", "bad-hex", "bad-done-id", "bad-utf8", "bad-json"],
+)
+def test_malformed_rm_log_record_is_log_corruption(tmp_path, record):
+    from tra.resources import TxnQueue
+
+    path = tmp_path / "q.log"
+    path.write_text(record + "\n", encoding="utf-8")
+    queue = TxnQueue("q", str(path), tracer=Tracer(SimClock()))
+    queue.crash()
+    with pytest.raises(LogCorruptError, match="bad record"):
+        queue.recover()
