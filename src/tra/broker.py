@@ -221,7 +221,6 @@ class MessageBroker:
         self.tracer = tracer if tracer is not None else Tracer()
         self.rng = rng if rng is not None else random.Random(0)
         self.adapters: dict[str, Adapter] = {}
-        self.tables: dict[str, BrokerTable] = {}
         self._plans: dict[str, _Plan] = {}
 
     # -- registration -----------------------------------------------------
@@ -231,7 +230,7 @@ class MessageBroker:
 
     def register_table(self, table: BrokerTable) -> None:
         name = table.service.name
-        if name in self.tables:
+        if name in self._plans:
             raise TableError(f"service {name} already registered")
         ids = [c.call_id for c in table.calls]
         if len(set(ids)) != len(ids):
@@ -283,12 +282,11 @@ class MessageBroker:
             for src in aggregate[rfield]:
                 _check_kind(src, kinds, service_resp[rfield], where)
         stages = [[(c, maps[c.call_id]) for c in stage] for stage in self._stages(table)]
-        self.tables[name] = table
         self._plans[name] = _Plan(table.service, stages, aggregate)
 
     def interface(self) -> dict[str, ServiceSignature]:
         """The aggregated operations this broker exposes."""
-        return {name: t.service for name, t in sorted(self.tables.items())}
+        return {name: plan.service for name, plan in sorted(self._plans.items())}
 
     # -- dispatch -----------------------------------------------------------
 
@@ -433,7 +431,8 @@ class MessageBroker:
         """Serve committed request messages: each one is consumed, invoked,
         and answered in its own transaction, exactly one reply per request
         (failed invocations reply ok=false rather than losing the request).
-        A pass stops at the first of these transactions that does not commit."""
+        A pass stops at the first of these transactions whose reply cannot be
+        sent (it is rolled back) or that does not commit."""
         processed = 0
         while True:
             ctx = coordinator.begin("broker")
@@ -455,7 +454,11 @@ class MessageBroker:
                     payload = {"service": service, "ok": True, "response": response}
                 except InvokeError as exc:
                     payload = {"service": service, "ok": False, "error": str(exc)}
-                reply_queue.send(ctx, json.dumps(payload, sort_keys=True, default=str))
+                try:
+                    reply_queue.send(ctx, json.dumps(payload, sort_keys=True, default=str))
+                except TraError:  # e.g. the reply queue is down: retry on a later pass
+                    coordinator.rollback(ctx)
+                    break
             if coordinator.commit(ctx) is not TxnStatus.COMMITTED:
                 break  # rolled back: the message is at the head again for the next pass
             processed += 1

@@ -36,7 +36,7 @@ from .faults import CrashPoint, FaultInjector
 from .model import ComponentModel, resolve_binding
 from .resources import UnmanagedResource
 from .sim import Tracer
-from .txn import TERMINAL, TransactionContext, TxnStatus, Vote
+from .txn import TransactionContext, TxnStatus, Vote
 from .wal import LogWriter, read_records
 
 DEFAULT_PREPARE_BUDGET = 1000
@@ -245,12 +245,7 @@ class Coordinator:
         self._fire(CrashPoint.AFTER_VOTE, ctx)
 
         if not all_yes:
-            self._log("ABORT", ctx.id)
-            ctx.transition(TxnStatus.ABORTING)
-            self.tracer.emit("decision", txn=ctx.id, decision="abort")
-            self._drive_rollback(ctx)
-            self._finish(ctx, TxnStatus.ABORTED)
-            return ctx.status
+            return self._abort(ctx)
 
         self._log("COMMIT", ctx.id)
         ctx.transition(TxnStatus.COMMITTING)
@@ -274,20 +269,22 @@ class Coordinator:
         self._guard()
         self._known(ctx)
         ctx.require_active("rollback")
+        return self._abort(ctx)
+
+    def _abort(self, ctx: TransactionContext) -> TxnStatus:
+        """Decide abort and roll back every participant; a crashed one is
+        left pending for recover()."""
         self._log("ABORT", ctx.id)
         ctx.transition(TxnStatus.ABORTING)
         self.tracer.emit("decision", txn=ctx.id, decision="abort")
-        self._drive_rollback(ctx)
-        self._finish(ctx, TxnStatus.ABORTED)
-        return ctx.status
-
-    def _drive_rollback(self, ctx: TransactionContext) -> None:
         for rm_id in ctx.enlisted:
             try:
                 self.registry[rm_id].rollback(ctx.id)
             except ResourceCrashed:
                 ctx.pending.add(rm_id)
                 self.tracer.emit("phase2_pending", txn=ctx.id, rm=rm_id)
+        self._finish(ctx, TxnStatus.ABORTED)
+        return ctx.status
 
     def _finish(self, ctx: TransactionContext, terminal: TxnStatus) -> None:
         # END only when every participant finished phase 2; otherwise the
@@ -344,10 +341,10 @@ class Coordinator:
     def recover(self) -> RecoveryOutcome:
         """Finish every transaction the log left undecided or half-done.
 
-        COMMIT without END is re-driven forward; ABORT without END is rolled
-        back again (participants are idempotent); a transaction with no
-        decision is presumed aborted, unless it is still live and Active in
-        this process (an rm-only crash does not doom unrelated work).
+        A transaction with no decision is presumed aborted (ABORT is logged
+        first) unless it is live and Active here: an rm-only crash does not
+        doom unrelated work. Then the decision is re-driven (participants are
+        idempotent), and END is logged once every participant answered.
         """
         self._guard()
         outcome = RecoveryOutcome()
@@ -357,30 +354,25 @@ class Coordinator:
             if entry.ended:
                 continue
             live = self.contexts.get(txn_id)
-            if entry.decision == "commit":
-                if self._redrive(txn_id, entry.enlisted, "commit"):
-                    self._log("END", txn_id)
-                    outcome.recommitted += 1
-                    if live is not None:
-                        live.status = TxnStatus.COMMITTED
-                        live.pending.clear()
-            elif entry.decision == "abort":
-                if self._redrive(txn_id, entry.enlisted, "rollback"):
-                    self._log("END", txn_id)
-                    outcome.aborts_completed += 1
-                    if live is not None:
-                        live.status = TxnStatus.ABORTED
-                        live.pending.clear()
-            else:
+            commit = entry.decision == "commit"
+            if entry.decision is None:
                 if live is not None and live.status is TxnStatus.ACTIVE:
                     continue
                 self._log("ABORT", txn_id)
-                if self._redrive(txn_id, entry.enlisted, "rollback"):
-                    self._log("END", txn_id)
+            finished = self._redrive(txn_id, entry.enlisted, "commit" if commit else "rollback")
+            if finished:
+                self._log("END", txn_id)
+            if entry.decision is None:
                 outcome.presumed_aborted += 1
-                if live is not None:
-                    live.status = TxnStatus.ABORTED
-                    live.pending.clear()
+            elif not finished:
+                continue  # a participant is still down: the next recover() retries
+            elif commit:
+                outcome.recommitted += 1
+            else:
+                outcome.aborts_completed += 1
+            if live is not None:
+                live.status = TxnStatus.COMMITTED if commit else TxnStatus.ABORTED
+                live.pending.clear()
         self.tracer.emit(
             "recovered",
             recommitted=outcome.recommitted,

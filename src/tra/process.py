@@ -129,7 +129,11 @@ class ProcessEngine:
             )
         definition.steps = steps
         self.definitions[definition.name] = definition
-        self._check_cycles(definition.name)
+        try:
+            self._check_cycles(definition.name)
+        except ProcessError:
+            del self.definitions[definition.name]
+            raise
 
     def compose(self, parent: str, position: int, child: str) -> ProcessDefinition:
         """Insert a subprocess step into an existing definition."""

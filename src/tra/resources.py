@@ -4,8 +4,8 @@ Two managed resource kinds participate in two-phase commit: a versioned
 key-value store with optimistic validation, and a message queue with
 send-at-commit staging. Both keep a small local log (PREPARED/DONE records)
 so a prepared transaction survives a crash of the manager, and both follow
-the same participant skeleton: Active workspace -> prepare votes and stages
--> commit applies / rollback reverts.
+the base class's participant skeleton: a workspace opened on first access ->
+prepare stages it and logs the vote -> commit applies / rollback reverts.
 
 UnmanagedResource marks endpoints that cannot join transactions at all; the
 coordinator refuses to enlist them.
@@ -43,13 +43,19 @@ class UnmanagedResource:
 
 
 class ResourceManager:
-    """Participant skeleton: guards, the local log, prepared bookkeeping.
+    """Participant skeleton: guards, workspaces, the local log, prepared
+    bookkeeping.
 
-    Subclasses implement the state-specific hooks. The in-memory `_data`-like
-    structures of subclasses stand in for the durable committed image; a
-    crash only wipes workspace and prepared memory, which recover() rebuilds
-    from the log.
+    A subclass names its workspace class in `_Work` and implements five
+    hooks: `_validate_and_stage` (workspace -> payload, or None to vote NO),
+    `_apply` / `_unstage` (commit / roll back a prepared payload), `_restage`
+    (re-hold one after recovery) and `_lose_memory`; it overrides `_discard`
+    when dropping an unprepared workspace must hand something back. The
+    subclasses' committed image stands in for durable state; a crash only
+    wipes workspace and prepared memory, which recover() rebuilds from the log.
     """
+
+    _Work: type
 
     def __init__(
         self,
@@ -67,6 +73,7 @@ class ResourceManager:
         self.crashed = False
         self._coordinator = None
         self._writer = LogWriter(log_path)
+        self._work: dict = {}  # txn id -> workspace, in first-access order
         self._prepared: dict[int, dict] = {}
         self._done: set[int] = set()
 
@@ -79,13 +86,17 @@ class ResourceManager:
         if self.crashed:
             raise ResourceCrashed(f"{self.rm_id} is crashed")
 
-    def _touch(self, ctx: TransactionContext) -> None:
-        """First contact with a transaction enlists this manager."""
+    def _work_for(self, ctx: TransactionContext):
+        """Every access enlists this manager; the first opens a workspace."""
         self._guard()
         if self._coordinator is not None:
             self._coordinator.enlist(ctx, self.rm_id)
         else:
             ctx.require_active(f"{self.rm_id} access")
+        ws = self._work.get(ctx.id)
+        if ws is None:
+            ws = self._work[ctx.id] = self._Work()
+        return ws
 
     # -- participant contract -------------------------------------------
 
@@ -95,7 +106,7 @@ class ResourceManager:
             raise TxnStateError(f"{self.rm_id}: txn {txn_id} already prepared or finished")
         if self.prepare_delay:
             self.tracer.clock.advance(self.prepare_delay)
-        payload = self._validate_and_stage(txn_id)
+        payload = self._validate_and_stage(txn_id, self._work.pop(txn_id, None) or self._Work())
         if payload is None:
             self.tracer.emit("rm_vote", rm=self.rm_id, txn=txn_id, vote=Vote.NO.value)
             return Vote.NO
@@ -124,16 +135,17 @@ class ResourceManager:
             self._unstage(txn_id, self._prepared.pop(txn_id))
             self._writer.append("DONE", txn_id)
             self._done.add(txn_id)
-        elif self._has_workspace(txn_id):
+        else:  # idempotent: there may be no workspace here for this txn
             self._discard(txn_id)
-        # else: nothing staged here for this txn; rollback is idempotent
         self.tracer.emit("rm_rollback", rm=self.rm_id, txn=txn_id)
 
     def crash(self) -> None:
         """Lose all volatile state. The log file and committed image stay."""
         if self.crashed:
             return
-        self._discard_all_workspaces()
+        # latest first, so a queue's earliest receive lands back at the head
+        for txn_id in reversed(list(self._work)):
+            self._discard(txn_id)
         self._prepared.clear()
         self._done.clear()
         self._lose_memory()
@@ -172,7 +184,7 @@ class ResourceManager:
 
     # -- subclass hooks --------------------------------------------------
 
-    def _validate_and_stage(self, txn_id: int) -> dict | None:
+    def _validate_and_stage(self, txn_id: int, ws) -> dict | None:
         raise NotImplementedError
 
     def _apply(self, txn_id: int, payload: dict) -> None:
@@ -184,17 +196,11 @@ class ResourceManager:
     def _restage(self, txn_id: int, payload: dict) -> None:
         raise NotImplementedError
 
-    def _has_workspace(self, txn_id: int) -> bool:
+    def _lose_memory(self) -> None:
         raise NotImplementedError
 
     def _discard(self, txn_id: int) -> None:
-        raise NotImplementedError
-
-    def _discard_all_workspaces(self) -> None:
-        raise NotImplementedError
-
-    def _lose_memory(self) -> None:
-        raise NotImplementedError
+        self._work.pop(txn_id, None)
 
 
 def _check_key(key: str) -> None:
@@ -234,13 +240,13 @@ class ManagedStore(ResourceManager):
     """
 
     kind = "store"
+    _Work = _StoreWork
 
     def __init__(self, rm_id, log_path, tracer=None, prepare_delay=0):
         super().__init__(rm_id, log_path, tracer, prepare_delay)
         self._data: dict[str, str] = {}
         self._versions: dict[str, int] = {}
         self._locks: dict[str, int] = {}
-        self._work: dict[int, _StoreWork] = {}
 
     def seed(self, initial: dict[str, str]) -> None:
         """Install committed state directly (scenario setup, no transaction)."""
@@ -250,12 +256,6 @@ class ManagedStore(ResourceManager):
             self._data[k] = v
 
     # -- transactional operations ----------------------------------------
-
-    def _work_for(self, ctx: TransactionContext) -> _StoreWork:
-        self._touch(ctx)
-        if ctx.id not in self._work:
-            self._work[ctx.id] = _StoreWork()
-        return self._work[ctx.id]
 
     def get(self, ctx: TransactionContext, key: str) -> str | None:
         _check_key(key)
@@ -290,8 +290,7 @@ class ManagedStore(ResourceManager):
 
     # -- participant hooks -------------------------------------------------
 
-    def _validate_and_stage(self, txn_id: int) -> dict | None:
-        ws = self._work.pop(txn_id, _StoreWork())
+    def _validate_and_stage(self, txn_id: int, ws: _StoreWork) -> dict | None:
         for key, seen in ws.reads.items():
             if self._versions.get(key, 0) != seen:
                 return None
@@ -317,40 +316,27 @@ class ManagedStore(ResourceManager):
             else:
                 self._data[key] = op[1]
             self._versions[key] = self._versions.get(key, 0) + 1
-        self._release_locks(txn_id, payload)
+        self._unstage(txn_id, payload)
 
     def _unstage(self, txn_id: int, payload: dict) -> None:
-        self._release_locks(txn_id, payload)
+        for key in payload["writes"]:  # release the commit locks
+            if self._locks.get(key) == txn_id:
+                del self._locks[key]
 
     def _restage(self, txn_id: int, payload: dict) -> None:
         for key in payload["writes"]:
             self._locks[key] = txn_id
-
-    def _release_locks(self, txn_id: int, payload: dict) -> None:
-        for key in payload["writes"]:
-            if self._locks.get(key) == txn_id:
-                del self._locks[key]
-
-    def _has_workspace(self, txn_id: int) -> bool:
-        return txn_id in self._work
-
-    def _discard(self, txn_id: int) -> None:
-        self._work.pop(txn_id, None)
-
-    def _discard_all_workspaces(self) -> None:
-        self._work.clear()
 
     def _lose_memory(self) -> None:
         self._locks.clear()
 
 
 class _QueueWork:
-    __slots__ = ("sends", "receives", "first_seq")
+    __slots__ = ("sends", "receives")
 
-    def __init__(self, first_seq: int) -> None:
+    def __init__(self) -> None:
         self.sends: list[str] = []
         self.receives: list[str] = []
-        self.first_seq = first_seq
 
 
 class TxnQueue(ResourceManager):
@@ -364,12 +350,11 @@ class TxnQueue(ResourceManager):
     """
 
     kind = "queue"
+    _Work = _QueueWork
 
     def __init__(self, rm_id, log_path, tracer=None, prepare_delay=0):
         super().__init__(rm_id, log_path, tracer, prepare_delay)
         self._messages: list[str] = []
-        self._work: dict[int, _QueueWork] = {}
-        self._seq = 0
         # instrumentation for the conservation invariant, not rm state
         self.initial_depth = 0
         self.committed_sends = 0
@@ -380,13 +365,6 @@ class TxnQueue(ResourceManager):
             _check_value(m)
         self._messages.extend(messages)
         self.initial_depth = len(self._messages)
-
-    def _work_for(self, ctx: TransactionContext) -> _QueueWork:
-        self._touch(ctx)
-        if ctx.id not in self._work:
-            self._seq += 1
-            self._work[ctx.id] = _QueueWork(self._seq)
-        return self._work[ctx.id]
 
     def send(self, ctx: TransactionContext, message: str) -> None:
         _check_value(message)
@@ -425,10 +403,7 @@ class TxnQueue(ResourceManager):
 
     # -- participant hooks ----------------------------------------------------
 
-    def _validate_and_stage(self, txn_id: int) -> dict | None:
-        ws = self._work.pop(txn_id, None)
-        if ws is None:
-            ws = _QueueWork(0)
+    def _validate_and_stage(self, txn_id: int, ws: _QueueWork) -> dict | None:
         return {"sends": ws.sends, "receives": ws.receives}
 
     def _apply(self, txn_id: int, payload: dict) -> None:
@@ -444,19 +419,10 @@ class TxnQueue(ResourceManager):
         # recorded in the payload; nothing to re-hold.
         pass
 
-    def _has_workspace(self, txn_id: int) -> bool:
-        return txn_id in self._work
-
     def _discard(self, txn_id: int) -> None:
         ws = self._work.pop(txn_id, None)
-        if ws is not None:
+        if ws is not None:  # hand the receives back to the head
             self._messages[0:0] = ws.receives
-
-    def _discard_all_workspaces(self) -> None:
-        # Later receivers reinsert first so the earliest receive lands back
-        # at the very front.
-        for txn_id in sorted(self._work, key=lambda t: self._work[t].first_seq, reverse=True):
-            self._discard(txn_id)
 
     def _lose_memory(self) -> None:
         pass

@@ -17,33 +17,37 @@ from typing import Mapping
 from .errors import ScenarioError
 from .source import parse
 
-KNOWN_OPS = {
-    "begin",
-    "get",
-    "put",
-    "delete",
-    "send",
-    "receive",
-    "propagate",
-    "commit",
-    "rollback",
-    "crash",
-    "recover",
-    "invoke",
-    "invoke_via_queue",
-    "run_process",
-    "assert",
+# action op (an assert by its kind) -> the fields its runner handler needs
+ACTION_FIELDS = {
+    "begin": ("txn",),
+    "get": ("txn", "store", "key"),
+    "put": ("txn", "store", "key", "value"),
+    "delete": ("txn", "store", "key"),
+    "send": ("txn", "queue", "message"),
+    "receive": ("txn", "queue"),
+    "propagate": ("txn", "component", "service"),
+    "commit": ("txn",),
+    "rollback": ("txn",),
+    "crash": ("target",),
+    "recover": (),
+    "invoke": ("service",),
+    "invoke_via_queue": ("txn", "queue", "service", "reply_to"),
+    "run_process": ("process",),
+    ("assert", "store"): ("store", "key"),
+    ("assert", "queue"): ("queue",),
+    ("assert", "txn"): ("txn", "status"),
+    ("assert", "process"): ("process", "state"),
+    ("assert", "process_var"): ("process", "var"),
 }
 
-KNOWN_ASSERT_KINDS = {"store", "queue", "txn", "process", "process_var"}
-
-# binding effect -> its fields that hold a source ("call" maps its request)
-EFFECT_SOURCES = {
-    "put": ("key", "value"),
-    "delete": ("key",),
-    "get": ("key",),
-    "send": ("message",),
-    "call": (),
+# binding effect -> the fields its handler needs; key, value and message hold
+# a source ("call" maps its optional request)
+EFFECT_FIELDS = {
+    "put": ("store", "key", "value"),
+    "delete": ("store", "key"),
+    "get": ("store", "key", "into"),
+    "send": ("queue", "message"),
+    "call": ("component", "service"),
 }
 
 
@@ -131,6 +135,8 @@ def _inline_or_file(entry, base_dir: str, what: str) -> dict:
 
 def _sources(texts: Mapping, where: str) -> dict:
     """Parse a binding's {name: source} map."""
+    if not isinstance(texts, Mapping):
+        raise ScenarioError(f"{where}: a response or request must be an object")
     return {k: parse(v, ("req", "lit", "eff"), ScenarioError, where) for k, v in texts.items()}
 
 
@@ -151,21 +157,30 @@ def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
     for i, action in enumerate(doc.get("actions", ())):
         if not isinstance(action, Mapping) or "op" not in action:
             raise ScenarioError(f"action {i}: not an object with an op")
-        if action["op"] not in KNOWN_OPS:
-            raise ScenarioError(f"action {i}: unknown op {action['op']!r}")
-        if action["op"] == "assert" and action.get("kind") not in KNOWN_ASSERT_KINDS:
-            raise ScenarioError(f"action {i}: unknown assert kind {action.get('kind')!r}")
+        op, kind = action["op"], action.get("kind")
+        key = ("assert", str(kind)) if op == "assert" else str(op)
+        if key not in ACTION_FIELDS:
+            what = f"assert kind {kind!r}" if op == "assert" else f"op {op!r}"
+            raise ScenarioError(f"action {i}: unknown {what}")
+        missing = [f for f in ACTION_FIELDS[key] if f not in action]
+        if missing:
+            raise ScenarioError(f"action {i}: {op} needs {missing}")
         actions.append(dict(action))
 
     bindings = []
     for raw in doc.get("bindings", ()):
+        if not isinstance(raw, Mapping):
+            raise ScenarioError("a binding must be an object")
         try:
             where = f"binding {raw['component']}.{raw['service']}"
             effects = []
             for eff in raw.get("effects", ()):
-                if eff.get("do") not in EFFECT_SOURCES:
+                if not isinstance(eff, Mapping):
+                    raise ScenarioError(f"{where}: effect {eff!r} is not an object")
+                if eff.get("do") not in EFFECT_FIELDS:
                     raise ScenarioError(f"binding effect {eff.get('do')!r} unknown")
-                sources = {k: eff[k] for k in EFFECT_SOURCES[eff["do"]]}
+                fields = {k: eff[k] for k in EFFECT_FIELDS[eff["do"]]}
+                sources = {k: v for k, v in fields.items() if k in ("key", "value", "message")}
                 eff = {**eff, **_sources(sources, where)}
                 if eff["do"] == "call":
                     eff["request"] = _sources(eff.get("request", {}), where)

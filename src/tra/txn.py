@@ -29,8 +29,6 @@ _TRANSITIONS = {
     TxnStatus.ABORTED: set(),
 }
 
-TERMINAL = {TxnStatus.COMMITTED, TxnStatus.ABORTED}
-
 
 class Vote(Enum):
     """A participant's answer to prepare."""

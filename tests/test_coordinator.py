@@ -10,6 +10,7 @@ from tra.errors import (
     UnknownResourceError,
     UnmanagedResourceError,
 )
+from tra.faults import CrashPoint, FaultInjector, FaultSpec
 from tra.model import load_manifest_file
 from tra.resources import ManagedStore, TxnQueue, UnmanagedResource
 from tra.sim import SimClock, Tracer
@@ -203,6 +204,64 @@ def test_recovery_skips_live_active_transactions(rig):
     # the live transaction can still commit afterwards
     assert coord.commit(live) is TxnStatus.COMMITTED
     assert store.committed_value("k") == "v"
+
+
+def test_recovery_counts_only_finished_redrives_and_writes_end_once_all_answer(tmp_path):
+    tracer = Tracer(SimClock())
+    coord = Coordinator(str(tmp_path / "c.log"), tracer=tracer)
+    a = ManagedStore("a", str(tmp_path / "a.log"), tracer=tracer)
+    b = ManagedStore("b", str(tmp_path / "b.log"), tracer=tracer)
+    coord.register(a)
+    coord.register(b)
+
+    def ended(ctx):
+        return replay_log(coord.log_path)[ctx.id].ended
+
+    def counts(outcome):
+        return outcome.recommitted, outcome.aborts_completed, outcome.presumed_aborted
+
+    committed, aborted, live = coord.begin("c"), coord.begin("r"), coord.begin("l")
+    for ctx in (committed, aborted):
+        a.put(ctx, f"a{ctx.id}", "v")
+        b.put(ctx, f"b{ctx.id}", "v")
+    a.put(live, "live", "v")
+    # b dies once a has committed: COMMIT stands, b's phase 2 is pending
+    coord.injector = FaultInjector([FaultSpec("b", CrashPoint.MID_PHASE2)])
+    assert coord.commit(committed) is TxnStatus.COMMITTED
+    assert coord.rollback(aborted) is TxnStatus.ABORTED
+    assert committed.pending == aborted.pending == {"b"}
+
+    # b still down: nothing finishes, nothing counts, no END, contexts unsettled
+    assert counts(coord.recover()) == (0, 0, 0)
+    assert not ended(committed) and not ended(aborted) and not ended(live)
+    assert committed.pending == aborted.pending == {"b"}
+    assert live.status is TxnStatus.ACTIVE
+
+    b.recover()
+    assert counts(coord.recover()) == (1, 1, 0)
+    assert ended(committed) and ended(aborted) and not ended(live)
+    assert committed.pending == aborted.pending == set()
+    assert b.committed_value(f"b{committed.id}") == "v"
+    assert b.committed_value(f"b{aborted.id}") is None
+    # the live Active transaction was skipped: no decision was logged for it
+    assert replay_log(coord.log_path)[live.id].decision is None
+
+    stuck = coord.begin("s")
+    b.put(stuck, "stuck", "v")
+    coord.crash()
+    b.crash()
+    coord.restart()
+    # no decision: presumed aborted and counted even though b is still down
+    assert counts(coord.recover()) == (0, 0, 2)
+    log = replay_log(coord.log_path)
+    assert log[live.id].status == log[stuck.id].status == "aborted"
+    assert log[live.id].ended and not log[stuck.id].ended
+    assert a.committed_value("live") is None
+
+    b.recover()
+    assert counts(coord.recover()) == (0, 1, 0)
+    assert all(entry.ended for entry in replay_log(coord.log_path).values())
+    assert kinds(coord.log_path).count("END") == 4
 
 
 def test_replay_log_shapes(tmp_path):

@@ -177,6 +177,22 @@ def test_scenario_validation():
         )
     with pytest.raises(ScenarioError, match="name"):
         load_scenario({"actions": []})
+    put_no_store = {"do": "put", "key": "req.k", "value": "req.v"}
+    get_no_into = {"do": "get", "store": "s", "key": "req.k"}
+    for binding, message in [
+        ({"component": "A", "service": "s", "effects": ["put"]}, "not an object"),
+        ({"component": "A", "service": "s", "response": ["lit:x"]}, "must be an object"),
+        ({"component": "A", "service": "s", "effects": [put_no_store]}, "missing 'store'"),
+        ({"component": "A", "service": "s", "effects": [get_no_into]}, "missing 'into'"),
+    ]:
+        with pytest.raises(ScenarioError, match=message):
+            load_scenario({"name": "x", "bindings": [binding], "actions": []})
+    put = {"op": "put", "txn": "t", "store": "s", "key": "k"}
+    with pytest.raises(ScenarioError, match=r"action 0: put needs \['value'\]"):
+        load_scenario({"name": "x", "actions": [put]})
+    assert_store = {"op": "assert", "kind": "store", "store": "s", "value": "v"}
+    with pytest.raises(ScenarioError, match=r"action 0: assert needs \['key'\]"):
+        load_scenario({"name": "x", "actions": [assert_store]})
 
 
 def test_cli_run_sweep_validate(capsys):
@@ -306,6 +322,20 @@ def test_unknown_reply_to_is_consumed_and_every_transaction_settles():
     assert set(report["log"].values()) <= {"committed", "aborted"}
     assert any(e["ev"] == "broker_poison" for e in report["events"])
     assert report["queues"] == {"requests": [], "replies": []}
+    assert all(report["queue_conservation"].values())
+
+
+def test_crashed_reply_queue_rolls_the_drain_back_and_every_transaction_settles():
+    with open(tra.fixture_path("broker_demo.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["actions"].insert(0, {"op": "crash", "target": "replies"})
+    report = run_scenario(load_scenario(doc, base_dir=tra.fixture_path("")))
+    assert set(report["log"].values()) <= {"committed", "aborted"}
+    # the serving pass after t1's commit is not blamed on the commit
+    assert not any("(commit)" in e for e in report["errors"])
+    assert report["transactions"]["t1"]["status"] == "committed"
+    # the request stays queued for a later pass; nothing is lost
+    assert len(report["queues"]["requests"]) == 1
     assert all(report["queue_conservation"].values())
 
 

@@ -183,6 +183,21 @@ def test_composition_flattening_and_cycle_guard(world):
     assert [s.name for s in engine.definitions["onboard"].steps] == ["customer", "contract"]
 
 
+def test_cyclic_define_leaves_nothing_registered(world):
+    engine, _, _ = world
+
+    def calls(name, child):
+        return ProcessDefinition(name, TxnPolicy.PER_STEP, [Step(name="s", subprocess=child)])
+
+    engine.define(calls("a", "b"))
+    with pytest.raises(ProcessError, match="cycle"):
+        engine.define(calls("b", "a"))
+    assert "b" not in engine.definitions
+    # the name is free again, and a sound definition under it registers
+    engine.define(ProcessDefinition("b", TxnPolicy.PER_STEP, []))
+    assert [s.name for s in engine.flatten("a")] == []
+
+
 def test_empty_process_completes_without_transactions(world):
     engine, coord, _ = world
     engine.define(ProcessDefinition(name="noop", policy=TxnPolicy.SPANNING, steps=[]))
