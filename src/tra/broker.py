@@ -10,6 +10,10 @@ suite leans on.
 
 Endpoints are scripted simulators: rules matched against the decoded request
 decide whether the endpoint replies, stalls, errors, or returns garbage.
+
+The broker keeps no value or signature rules of its own: service signatures
+are parsed by `model.load_signature`, and request values and script replies
+are typed by the record codec's one rule per field kind (`records.typed`).
 """
 
 from __future__ import annotations
@@ -17,44 +21,16 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
 from typing import Callable, Mapping
 
-from .errors import CodecError, InvokeError, TableError, TraError
-from .model import ServiceSignature, FieldDef
-from .records import MessageSpec, decode_record, encode_record
+from .errors import CodecError, InvokeError, ManifestError, TableError, TraError
+from .model import ServiceSignature, load_signature
+from .records import MessageSpec, decode_record, encode_record, typed
 from .sim import Tracer
 from .source import MISSING, Source, parse, resolve
 from .txn import TxnStatus
 
 DEFAULT_REPLY_BUDGET = 100
-
-
-def _coerce(kind: str, value, where: str):
-    """Type a JSON-ish value per a signature field kind."""
-    if kind == "text":
-        if isinstance(value, str):
-            return value
-        raise InvokeError(f"{where}: expected text, got {value!r}")
-    if kind == "integer":
-        if isinstance(value, bool):
-            raise InvokeError(f"{where}: expected integer, got a bool")
-        if isinstance(value, int):
-            return value
-        if isinstance(value, str):
-            try:
-                return int(value, 10)
-            except ValueError:
-                pass
-        raise InvokeError(f"{where}: expected integer, got {value!r}")
-    if kind == "decimal":
-        if isinstance(value, bool):
-            raise InvokeError(f"{where}: expected decimal, got a bool")
-        try:
-            return value if isinstance(value, Decimal) else Decimal(str(value))
-        except InvalidOperation:
-            raise InvokeError(f"{where}: expected decimal, got {value!r}") from None
-    raise InvokeError(f"{where}: unknown kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -76,23 +52,11 @@ class BrokerTable:
     aggregate: dict[str, list[str]]
 
 
-def _load_signature(doc: Mapping) -> ServiceSignature:
-    def fields(raw):
-        return tuple(FieldDef(fd["name"], fd["kind"]) for fd in raw)
-
-    return ServiceSignature(
-        name=doc["name"],
-        request=fields(doc.get("request", ())),
-        response=fields(doc.get("response", ())),
-        transactional=bool(doc.get("transactional", False)),
-    )
-
-
 def load_table(doc: Mapping) -> BrokerTable:
     """Parse a broker table document. Cross-reference checks happen at
     registration, when adapters are known."""
     try:
-        service = _load_signature(doc["service"])
+        service = load_signature(doc["service"], "service")
         calls = []
         for c in doc["calls"]:
             calls.append(
@@ -107,9 +71,7 @@ def load_table(doc: Mapping) -> BrokerTable:
             )
         aggregate = {k: list(v) for k, v in doc.get("aggregate", {}).items()}
         return BrokerTable(service=service, calls=calls, aggregate=aggregate)
-    except (KeyError, TypeError) as exc:
-        raise TableError(f"bad broker table: {exc}") from exc
-    except CodecError as exc:
+    except (KeyError, TypeError, CodecError, ManifestError) as exc:
         raise TableError(f"bad broker table: {exc}") from exc
 
 
@@ -130,9 +92,17 @@ class ScriptRule:
     garbage: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.match, dict):
+            raise TableError(f"script rule match {self.match!r} is not an object")
+        if not (self.reply is None or isinstance(self.reply, dict)):
+            raise TableError(f"script rule reply {self.reply!r} is not an object")
+        if not (self.garbage is None or isinstance(self.garbage, str)):
+            raise TableError(f"script rule garbage {self.garbage!r} is not a string")
         actions = sum((self.reply is not None, self.error, self.garbage is not None))
         if actions > 1:
             raise TableError("script rule has more than one action")
+        if type(self.delay) is not int:
+            raise TableError(f"script delay {self.delay!r} is not an integer")
         if self.delay < 0:
             raise TableError("script delay must be >= 0")
 
@@ -161,16 +131,15 @@ class LegacyEndpoint:
 
     @classmethod
     def from_doc(cls, doc: Mapping) -> "LegacyEndpoint":
-        rules = [
-            ScriptRule(
-                match=dict(r.get("match", {})),
-                delay=int(r.get("delay", 0)),
-                reply=r.get("reply"),
-                error=bool(r.get("error", False)),
-                garbage=r.get("garbage"),
-            )
-            for r in doc.get("script", ())
-        ]
+        rules = []
+        for r in doc.get("script", ()):
+            try:
+                if not isinstance(r, dict):
+                    raise TableError(f"script rule {r!r} is not an object")
+                given = {k: r[k] for k in ("match", "delay", "reply", "garbage") if k in r}
+                rules.append(ScriptRule(error=bool(r.get("error", False)), **given))
+            except TableError as exc:
+                raise TableError(f"endpoint {doc['endpoint_id']}: {exc}") from None
         return cls(doc["endpoint_id"], rules)
 
 
@@ -310,7 +279,10 @@ class MessageBroker:
         for f in sig.request:
             if f.name not in request:
                 raise InvokeError(f"{sig.name}: request missing field {f.name}")
-            out[f.name] = _coerce(f.kind, request[f.name], f"{sig.name}.{f.name}")
+            try:
+                out[f.name] = typed(f.kind, request[f.name], f.name)
+            except CodecError as exc:
+                raise InvokeError(f"{sig.name} request: {exc}") from exc
         return out
 
     def _exchange(self, call: LegacyCall, record: str) -> tuple[int, str, str | None, str]:
@@ -328,17 +300,12 @@ class MessageBroker:
         elif rule.garbage is not None:
             kind, rec, detail = "reply", rule.garbage, ""
         elif rule.reply is not None:
-            typed = {}
-            for f in call.response_spec.fields:
-                if f.name not in rule.reply:
-                    raise InvokeError(
-                        f"call {call.call_id}: script reply missing field {f.name}"
-                    )
-                typed[f.name] = _coerce(
-                    f.kind, rule.reply[f.name], f"call {call.call_id}.{f.name}"
-                )
+            names = call.response_spec.field_names
+            for name in names:
+                if name not in rule.reply:
+                    raise InvokeError(f"call {call.call_id}: script reply missing field {name}")
             try:
-                rec = encode_record(call.response_spec, typed)
+                rec = encode_record(call.response_spec, {name: rule.reply[name] for name in names})
             except CodecError as exc:
                 raise InvokeError(f"call {call.call_id}: script reply: {exc}") from exc
             kind, detail = "reply", ""
@@ -431,35 +398,40 @@ class MessageBroker:
         """Serve committed request messages: each one is consumed, invoked,
         and answered in its own transaction, exactly one reply per request
         (failed invocations reply ok=false rather than losing the request).
-        A pass stops at the first of these transactions whose reply cannot be
-        sent (it is rolled back) or that does not commit."""
+        A pass stops at the first of these transactions that cannot receive
+        or reply because a queue is down (it is rolled back) or that does not
+        commit."""
         processed = 0
         while True:
             ctx = coordinator.begin("broker")
-            msg = queue.receive(ctx)
+            try:
+                msg = queue.receive(ctx)
+                if msg is not None:
+                    self._answer(ctx, queue, msg, resolve_queue)
+            except TraError:  # e.g. a queue is down: the request waits for a later pass
+                msg = None
             if msg is None:
                 coordinator.rollback(ctx)
                 break
-            try:
-                doc = json.loads(msg)
-                service = doc["service"]
-                reply_queue = resolve_queue(doc["reply_to"])
-                request = doc["request"]
-            except (ValueError, KeyError, TypeError, TraError):
-                # Junk or an unknown reply queue: consume it so it cannot wedge the queue.
-                self.tracer.emit("broker_poison", queue=queue.rm_id)
-            else:
-                try:
-                    response = self.invoke(service, request)
-                    payload = {"service": service, "ok": True, "response": response}
-                except InvokeError as exc:
-                    payload = {"service": service, "ok": False, "error": str(exc)}
-                try:
-                    reply_queue.send(ctx, json.dumps(payload, sort_keys=True, default=str))
-                except TraError:  # e.g. the reply queue is down: retry on a later pass
-                    coordinator.rollback(ctx)
-                    break
             if coordinator.commit(ctx) is not TxnStatus.COMMITTED:
                 break  # rolled back: the message is at the head again for the next pass
             processed += 1
         return processed
+
+    def _answer(self, ctx, queue, msg: str, resolve_queue: Callable[[str], object]) -> None:
+        """Stage the reply to one request message inside its drain transaction."""
+        try:
+            doc = json.loads(msg)
+            service = doc["service"]
+            reply_queue = resolve_queue(doc["reply_to"])
+            request = doc["request"]
+        except (ValueError, KeyError, TypeError, TraError):
+            # Junk or an unknown reply queue: consume it so it cannot wedge the queue.
+            self.tracer.emit("broker_poison", queue=queue.rm_id)
+            return
+        try:
+            response = self.invoke(service, request)
+            payload = {"service": service, "ok": True, "response": response}
+        except InvokeError as exc:
+            payload = {"service": service, "ok": False, "error": str(exc)}
+        reply_queue.send(ctx, json.dumps(payload, sort_keys=True, default=str))

@@ -96,8 +96,6 @@ class Runner:
                 tracer=self.tracer,
                 prepare_delay=decl.prepare_delay,
             )
-            if not isinstance(decl.initial, dict):
-                raise ScenarioError(f"store {decl.name}: initial state must be an object")
             store.seed({str(k): str(v) for k, v in decl.initial.items()})
             self.coordinator.register(store)
             self.stores[decl.name] = store
@@ -110,8 +108,6 @@ class Runner:
                 tracer=self.tracer,
                 prepare_delay=decl.prepare_delay,
             )
-            if not isinstance(decl.initial, list):
-                raise ScenarioError(f"queue {decl.name}: initial state must be a list")
             queue.seed([str(m) for m in decl.initial])
             self.coordinator.register(queue)
             self.queues[decl.name] = queue
@@ -122,7 +118,7 @@ class Runner:
             ep = LegacyEndpoint.from_doc(doc)
             self.endpoints[ep.endpoint_id] = ep
             self.broker.register_adapter(
-                Adapter(ep, scenario.adapter_budgets.get(ep.endpoint_id, DEFAULT_REPLY_BUDGET))
+                Adapter(ep, doc.get("budget", DEFAULT_REPLY_BUDGET))
             )
             # registering the endpoint makes enlist attempts fail clearly
             self.coordinator.register(UnmanagedResource(ep.endpoint_id))
@@ -247,11 +243,8 @@ class Runner:
             rm.close()
 
     def _dispatch(self, action: dict) -> None:
-        op = action["op"]
-        handler = getattr(self, f"_op_{op}", None)
-        if handler is None:
-            raise ScenarioError(f"unknown action op {op!r}")
-        handler(action)
+        # load_scenario admits only the ops and assert kinds of scenario.ACTION_FIELDS
+        getattr(self, f"_op_{action['op']}")(action)
 
     def _op_begin(self, action):
         name = action.get("txn")
@@ -390,8 +383,6 @@ class Runner:
                 f"process {action['process']} var {action['var']} == {action.get('value')!r}",
                 value == action.get("value"),
             )
-        else:
-            raise ScenarioError(f"unknown assert kind {kind!r}")
 
     # -- shared plumbing -----------------------------------------------------
 

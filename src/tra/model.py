@@ -103,18 +103,36 @@ def _require_name(value, what: str) -> str:
 
 
 def _load_fields(raw, where: str) -> tuple[FieldDef, ...]:
-    fields = []
-    seen = set()
+    if not isinstance(raw, (list, tuple)):
+        raise ManifestError(f"{where}: fields must be a list")
+    fields: dict[str, FieldDef] = {}
     for fd in raw:
+        if not isinstance(fd, dict):
+            raise ManifestError(f"{where}: field {fd!r} is not an object")
         name = _require_name(fd.get("name"), f"{where}: field name")
         kind = fd.get("kind")
         if kind not in KINDS:
             raise ManifestError(f"{where}: field {name}: unknown kind {kind!r}")
-        if name in seen:
+        if name in fields:
             raise ManifestError(f"{where}: duplicate field {name}")
-        seen.add(name)
-        fields.append(FieldDef(name, kind))
-    return tuple(fields)
+        fields[name] = FieldDef(name, kind)
+    return tuple(fields.values())
+
+
+def load_signature(doc, where: str) -> ServiceSignature:
+    """Parse a service signature, as manifests and broker tables declare it."""
+    if not isinstance(doc, dict):
+        raise ManifestError(f"{where}: service {doc!r} is not an object")
+    sname = _require_name(doc.get("name"), f"{where}: service name")
+    transactional = doc.get("transactional", False)
+    if not isinstance(transactional, bool):
+        raise ManifestError(f"{where}.{sname}: transactional must be a bool")
+    return ServiceSignature(
+        name=sname,
+        request=_load_fields(doc.get("request", ()), f"{where}.{sname} request"),
+        response=_load_fields(doc.get("response", ()), f"{where}.{sname} response"),
+        transactional=transactional,
+    )
 
 
 def load_manifest(doc: Mapping) -> ComponentModel:
@@ -140,19 +158,10 @@ def load_manifest(doc: Mapping) -> ComponentModel:
                 ) from None
             provides: dict[str, ServiceSignature] = {}
             for svc in internal.get("provides", ()):
-                where = f"{cname}.{iname}"
-                sname = _require_name(svc.get("name"), f"{where}: service name")
-                if sname in provides:
-                    raise ManifestError(f"{where}: duplicate service {sname}")
-                transactional = svc.get("transactional", False)
-                if not isinstance(transactional, bool):
-                    raise ManifestError(f"{where}.{sname}: transactional must be a bool")
-                provides[sname] = ServiceSignature(
-                    name=sname,
-                    request=_load_fields(svc.get("request", ()), f"{where}.{sname} request"),
-                    response=_load_fields(svc.get("response", ()), f"{where}.{sname} response"),
-                    transactional=transactional,
-                )
+                sig = load_signature(svc, f"{cname}.{iname}")
+                if sig.name in provides:
+                    raise ManifestError(f"{cname}.{iname}: duplicate service {sig.name}")
+                provides[sig.name] = sig
             internals[iname] = InternalComponent(iname, layer, provides)
         exports = []
         exported_names = set()

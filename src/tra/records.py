@@ -2,9 +2,10 @@
 
 Legacy-style flat records: every field lives at a fixed offset with a fixed
 length, numerics are right-aligned, text is space-padded, decimals carry an
-implied decimal point. Encode is strict about values the padding rules could
-not round-trip (trailing spaces in left-aligned text, fractions that do not
-fit the implied scale) so that decode(encode(v)) == v always holds for values
+implied decimal point. `typed` is the one rule for what each field kind
+accepts. Encode is also strict about values the padding rules could not
+round-trip (trailing spaces in left-aligned text, fractions that do not fit
+the implied scale) so that decode(encode(v)) == v always holds for values
 encode accepts.
 """
 
@@ -12,14 +13,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from typing import Mapping
 
 from .errors import CodecError
 
 KINDS = ("text", "integer", "decimal")
 
-_INT_RE = re.compile(r"^[+-]?[0-9]+$")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+_DEC_RE = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 _KIND_DEFAULTS = {
     "text": ("space", "left"),
@@ -138,9 +140,31 @@ class MessageSpec:
         }
 
 
-def _render_text(f: FieldSpec, value) -> str:
-    if not isinstance(value, str):
-        raise CodecError(f"field {f.name}: text value must be str", f.name)
+def typed(kind: str, value, name: str):
+    """The value as a field of this kind holds it (str, int or finite Decimal),
+    or a CodecError. Numeric strings are ASCII digits with an optional sign
+    (and, for decimals, point and exponent); booleans are not numbers."""
+    if kind == "text":
+        if isinstance(value, str):
+            return value
+    elif isinstance(value, bool):
+        pass
+    elif kind == "integer":
+        if isinstance(value, int):
+            return value
+        if isinstance(value, str) and _INT_RE.fullmatch(value.strip()):
+            return int(value)
+    elif kind == "decimal":
+        if isinstance(value, str) and _DEC_RE.fullmatch(value.strip()):
+            return Decimal(value)
+        if isinstance(value, (int, float, Decimal)):
+            d = value if isinstance(value, Decimal) else Decimal(str(value))
+            if d.is_finite():
+                return d
+    raise CodecError(f"field {name}: expected {kind}, got {value!r}", name)
+
+
+def _render_text(f: FieldSpec, value: str) -> str:
     if len(value) > f.length:
         raise CodecError(f"field {f.name}: value too long for width {f.length}", f.name)
     for ch in value:
@@ -162,33 +186,18 @@ def _render_units(f: FieldSpec, n: int) -> str:
     return s.zfill(f.length) if f.pad == "zero" else s.rjust(f.length)
 
 
-def _to_int(f: FieldSpec, value) -> int:
-    if isinstance(value, bool):
-        raise CodecError(f"field {f.name}: boolean is not an integer", f.name)
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str) and _INT_RE.match(value.strip()):
-        return int(value.strip())
-    raise CodecError(f"field {f.name}: {value!r} is not an integer", f.name)
-
-
-def _to_units(f: FieldSpec, value) -> int:
+def _to_units(f: FieldSpec, d: Decimal) -> int:
     """Scale a decimal value to integer units per the field's implied scale."""
-    if isinstance(value, bool):
-        raise CodecError(f"field {f.name}: boolean is not a decimal", f.name)
-    try:
-        d = value if isinstance(value, Decimal) else Decimal(str(value))
-    except InvalidOperation as exc:
-        raise CodecError(f"field {f.name}: {value!r} is not a decimal", f.name) from exc
     scaled = d.scaleb(f.scale)
     if scaled != scaled.to_integral_value():
-        raise CodecError(f"field {f.name}: {value} does not fit scale {f.scale}", f.name)
+        raise CodecError(f"field {f.name}: {d} does not fit scale {f.scale}", f.name)
     return int(scaled)
 
 
 def encode_record(spec: MessageSpec, values: Mapping) -> str:
-    """Render a complete record. Every spec field must have a value; unknown
-    value names are rejected so mapping typos surface here."""
+    """Render a complete record. Every spec field must have a value of its
+    kind (see `typed`); unknown value names are rejected so mapping typos
+    surface here."""
     extra = set(values) - set(spec.field_names)
     if extra:
         raise CodecError(f"values for unknown fields: {sorted(extra)}")
@@ -196,11 +205,11 @@ def encode_record(spec: MessageSpec, values: Mapping) -> str:
     for f in spec.fields:
         if f.name not in values:
             raise CodecError(f"no value for field {f.name}", f.name)
-        value = values[f.name]
+        value = typed(f.kind, values[f.name], f.name)
         if f.kind == "text":
             cell = _render_text(f, value)
         elif f.kind == "integer":
-            cell = _render_units(f, _to_int(f, value))
+            cell = _render_units(f, value)
         else:
             cell = _render_units(f, _to_units(f, value))
         buf[f.offset : f.end] = cell
@@ -209,7 +218,7 @@ def encode_record(spec: MessageSpec, values: Mapping) -> str:
 
 def _parse_units(f: FieldSpec, raw: str) -> int:
     stripped = raw.strip(" ")
-    if not _INT_RE.match(stripped or ""):
+    if not _INT_RE.fullmatch(stripped):
         raise CodecError(f"field {f.name}: cannot parse {raw!r}", f.name)
     return int(stripped)
 

@@ -78,7 +78,6 @@ class Scenario:
     stores: list[ResourceDecl]
     queues: list[ResourceDecl]
     endpoints: list[dict]
-    adapter_budgets: dict[str, int]
     tables: list[dict]
     processes: list[dict]
     bindings: list[BindingDecl]
@@ -100,21 +99,33 @@ class Scenario:
 
 
 def _resource_decls(raw, what: str) -> list[ResourceDecl]:
+    """Stores start from an object of key -> value, queues from a list."""
+    initial_type, shape = (dict, "an object") if what == "store" else (list, "a list")
     out = []
     for entry in raw:
         if isinstance(entry, str):
-            out.append(ResourceDecl(entry, {} if what == "store" else []))
-            continue
-        if not isinstance(entry, Mapping) or "name" not in entry:
+            entry = {"name": entry}
+        if not isinstance(entry, Mapping) or not isinstance(entry.get("name"), str):
             raise ScenarioError(f"{what} declaration must be a name or an object with one")
-        default = {} if what == "store" else []
-        out.append(
-            ResourceDecl(
-                name=entry["name"],
-                initial=entry.get("initial", default),
-                prepare_delay=int(entry.get("prepare_delay", 0)),
-            )
+        decl = ResourceDecl(
+            entry["name"], entry.get("initial", initial_type()), entry.get("prepare_delay", 0)
         )
+        if not isinstance(decl.initial, initial_type):
+            raise ScenarioError(f"{what} {decl.name}: initial state must be {shape}")
+        if type(decl.prepare_delay) is not int:
+            raise ScenarioError(f"{what} {decl.name}: prepare_delay must be an integer")
+        out.append(decl)
+    return out
+
+
+def _endpoint_decls(raw) -> list[dict]:
+    out = []
+    for entry in raw:
+        if not isinstance(entry, Mapping) or not isinstance(entry.get("endpoint_id"), str):
+            raise ScenarioError("an endpoint must be an object with an endpoint_id")
+        if type(entry.get("budget", 0)) is not int:
+            raise ScenarioError(f"endpoint {entry['endpoint_id']}: budget must be an integer")
+        out.append(dict(entry))
     return out
 
 
@@ -196,18 +207,24 @@ def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
         except KeyError as exc:
             raise ScenarioError(f"binding missing {exc}") from exc
 
+    stores = _resource_decls(doc.get("stores", ()), "store")
+    queues = _resource_decls(doc.get("queues", ()), "queue")
+    endpoints = _endpoint_decls(doc.get("endpoints", ()))
+    # stores, queues and endpoints all register with the coordinator by name
+    names = [d.name for d in stores + queues] + [e["endpoint_id"] for e in endpoints]
+    for i, n in enumerate(names):
+        if n in names[:i]:
+            raise ScenarioError(f"resource name {n!r} is declared twice")
+
     return Scenario(
         name=name,
         seed=int(doc.get("seed", 0)),
         base_dir=base_dir,
         prepare_budget=int(doc["prepare_budget"]) if "prepare_budget" in doc else None,
         model_doc=model_doc,
-        stores=_resource_decls(doc.get("stores", ()), "store"),
-        queues=_resource_decls(doc.get("queues", ()), "queue"),
-        endpoints=[dict(e) for e in doc.get("endpoints", ())],
-        adapter_budgets={
-            e["endpoint_id"]: int(e["budget"]) for e in doc.get("endpoints", ()) if "budget" in e
-        },
+        stores=stores,
+        queues=queues,
+        endpoints=endpoints,
         tables=[_inline_or_file(t, base_dir, "broker table") for t in doc.get("tables", ())],
         processes=[_inline_or_file(p, base_dir, "process") for p in doc.get("processes", ())],
         bindings=bindings,

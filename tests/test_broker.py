@@ -15,7 +15,8 @@ from tra.broker import (
     load_table,
     load_table_file,
 )
-from tra.errors import InvokeError, TableError
+from tra.errors import CodecError, InvokeError, TableError
+from tra.records import FieldSpec, MessageSpec, encode_record
 from tra.sim import SimClock, Tracer
 
 
@@ -360,3 +361,73 @@ def test_drain_pass_stops_when_the_reply_cannot_commit(rig):
     begun = {r[1] for r in read_records(coord.log_path) if r[0] == "BEGIN"}
     ended = {r[1] for r in read_records(coord.log_path) if r[0] == "END"}
     assert begun == ended
+
+
+def quote_broker(reply_total="1.50"):
+    broker = MessageBroker(tracer=Tracer(SimClock()), rng=random.Random(1))
+    rule = ScriptRule(match={}, delay=1, reply={"total": reply_total})
+    broker.register_adapter(Adapter(LegacyEndpoint("Q", [rule])))
+    decimal_field = {"name": "v", "offset": 0, "length": 8, "kind": "decimal", "scale": 2}
+    broker.register_table(
+        load_table(
+            {
+                "service": {
+                    "name": "quote",
+                    "request": [{"name": "amount", "kind": "decimal"}, {"name": "n", "kind": "integer"}],
+                    "response": [{"name": "total", "kind": "decimal"}],
+                },
+                "calls": [
+                    {
+                        "call_id": "q",
+                        "endpoint": "Q",
+                        "request_spec": {
+                            "record_length": 16,
+                            "fields": [
+                                {**decimal_field, "name": "amount"},
+                                {"name": "n", "offset": 8, "length": 8, "kind": "integer"},
+                            ],
+                        },
+                        "request_map": {"amount": "req.amount", "n": "req.n"},
+                        "response_spec": {"record_length": 8, "fields": [{**decimal_field, "name": "total"}]},
+                    }
+                ],
+                "aggregate": {"total": ["call:q.total"]},
+            }
+        )
+    )
+    return broker
+
+
+@pytest.mark.parametrize("value", ["Infinity", "-inf", "NaN", "sNaN"])
+def test_non_finite_decimals_are_refused_in_requests_and_script_replies(value):
+    assert quote_broker().invoke("quote", {"amount": "2.25", "n": 1}) == {"total": Decimal("1.50")}
+    with pytest.raises(InvokeError, match="quote request: field amount: expected decimal"):
+        quote_broker().invoke("quote", {"amount": value, "n": 1})
+    with pytest.raises(InvokeError, match="call q: script reply: field total: expected decimal"):
+        quote_broker(reply_total=value).invoke("quote", {"amount": "2.25", "n": 1})
+
+
+@pytest.mark.parametrize("value", ["1_000", "١٢"])
+def test_request_typing_refuses_what_the_codec_refuses(value):
+    spec = MessageSpec(record_length=8, fields=(FieldSpec("n", 0, 8, "integer"),))
+    with pytest.raises(CodecError) as codec:
+        encode_record(spec, {"n": value})
+    with pytest.raises(InvokeError) as broker:
+        quote_broker().invoke("quote", {"amount": "2.25", "n": value})
+    assert str(broker.value) == f"quote request: {codec.value}"
+
+
+@pytest.mark.parametrize(
+    "service, message",
+    [
+        ({"request": [{"name": "x", "kind": "float"}]}, "unknown kind 'float'"),
+        ({"request": [{"name": "x", "kind": "text"}] * 2}, "duplicate field x"),
+        ({"response": ["x"]}, "field 'x' is not an object"),
+        ({"transactional": "yes"}, "transactional must be a bool"),
+    ],
+    ids=["unknown-kind", "duplicate-field", "field-not-object", "transactional-not-bool"],
+)
+def test_load_table_checks_the_service_signature(service, message):
+    doc = {"service": {"name": "s", **service}, "calls": []}
+    with pytest.raises(TableError, match=message):
+        load_table(doc)

@@ -7,7 +7,7 @@ import pytest
 
 import tra
 from tra.cli import main
-from tra.errors import ScenarioError
+from tra.errors import ScenarioError, TableError
 from tra.faults import FaultSpec
 from tra.harness import Runner, crash_sweep, render_report, run_scenario
 from tra.scenario import load_scenario, load_scenario_file
@@ -193,6 +193,16 @@ def test_scenario_validation():
     assert_store = {"op": "assert", "kind": "store", "store": "s", "value": "v"}
     with pytest.raises(ScenarioError, match=r"action 0: assert needs \['key'\]"):
         load_scenario({"name": "x", "actions": [assert_store]})
+    for resources, message in [
+        ({"stores": ["a"], "queues": ["a"]}, "'a' is declared twice"),
+        ({"queues": ["a"], "endpoints": [{"endpoint_id": "a"}]}, "'a' is declared twice"),
+        ({"stores": [{"name": "a", "prepare_delay": "5x"}]}, "prepare_delay must be an integer"),
+        ({"stores": [{"name": "a", "initial": ["k"]}]}, "initial state must be an object"),
+        ({"queues": [{"name": "a", "initial": {"k": "v"}}]}, "initial state must be a list"),
+        ({"endpoints": ["a"]}, "an endpoint must be an object with an endpoint_id"),
+    ]:
+        with pytest.raises(ScenarioError, match=message):
+            load_scenario({"name": "x", **resources, "actions": []})
 
 
 def test_cli_run_sweep_validate(capsys):
@@ -337,6 +347,53 @@ def test_crashed_reply_queue_rolls_the_drain_back_and_every_transaction_settles(
     # the request stays queued for a later pass; nothing is lost
     assert len(report["queues"]["requests"]) == 1
     assert all(report["queue_conservation"].values())
+
+
+def test_crashed_request_queue_rolls_the_drain_back_and_every_transaction_settles():
+    with open(tra.fixture_path("broker_demo.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["actions"].insert(0, {"op": "crash", "target": "requests"})
+    report = run_scenario(load_scenario(doc, base_dir=tra.fixture_path("")))
+    assert set(report["log"].values()) <= {"committed", "aborted"}
+    # the serving passes after each commit are not blamed on the commit
+    assert not any("(commit)" in e for e in report["errors"])
+    assert all(report["queue_conservation"].values())
+
+
+def test_script_reply_with_an_infinite_decimal_is_an_action_error(tmp_path, capsys):
+    with open(tra.fixture_path("broker_demo.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["endpoints"][1]["script"][0]["reply"]["balance"] = "Infinity"
+    doc["tables"] = [tra.fixture_path("broker_table.json")]
+    path = tmp_path / "infinity.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(path)]) == 1
+    assert "error: action 0 (invoke): call bil: script reply: field balance: expected decimal" in (
+        capsys.readouterr().out
+    )
+
+
+@pytest.mark.parametrize(
+    "change, error, message",
+    [
+        (lambda ep: ep["script"].__setitem__(0, "reply"), TableError, "rule 'reply' is not an object"),
+        (lambda ep: ep["script"][0].update(match="custId"), TableError, "match 'custId' is not an object"),
+        (lambda ep: ep["script"][0].update(reply="OK"), TableError, "reply 'OK' is not an object"),
+        (lambda ep: ep["script"][0].update(delay="4"), TableError, "delay '4' is not an integer"),
+        (lambda ep: ep["script"][0].update(reply=None, garbage=7), TableError, "garbage 7 is not a string"),
+        (lambda ep: ep.update(budget="50"), ScenarioError, "budget must be an integer"),
+    ],
+    ids=[
+        "rule-not-object", "match-not-object", "reply-not-object", "delay-not-int",
+        "garbage-not-text", "budget-not-int",
+    ],
+)
+def test_malformed_endpoint_documents_are_refused(change, error, message):
+    with open(tra.fixture_path("broker_demo.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    change(doc["endpoints"][0])
+    with pytest.raises(error, match=f"endpoint POLADM: .*{message}"):
+        run_scenario(load_scenario(doc, base_dir=tra.fixture_path("")))
 
 
 def test_reply_queue_that_never_commits_does_not_hang_the_run():

@@ -183,3 +183,29 @@ def test_manifest_validation_errors():
     ]
     with pytest.raises(ManifestError):
         load_manifest(bad)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda svc: svc["request"].append("x"), "is not an object"),
+        (lambda svc: svc.update(response="x"), "must be a list"),
+    ],
+    ids=["field-not-object", "fields-not-a-list"],
+)
+def test_manifest_refuses_malformed_signature_fields(mutate, message):
+    svc = {"name": "s", "request": [], "response": []}
+    mutate(svc)
+    doc = {"components": [{"name": "A", "internals": [
+        {"name": "svc", "layer": "business_service", "provides": [svc]},
+    ]}]}
+    with pytest.raises(ManifestError, match=message):
+        load_manifest(doc)
+
+
+def test_manifest_refuses_a_service_that_is_not_an_object():
+    doc = {"components": [{"name": "A", "internals": [
+        {"name": "svc", "layer": "business_service", "provides": ["s"]},
+    ]}]}
+    with pytest.raises(ManifestError, match="is not an object"):
+        load_manifest(doc)

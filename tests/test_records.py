@@ -179,3 +179,14 @@ def test_spec_dict_round_trip():
         ),
     )
     assert MessageSpec.from_dict(spec.to_dict()) == spec
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["Infinity", "-inf", "NaN", "sNaN", Decimal("Infinity")],
+    ids=["Infinity", "-inf", "NaN", "sNaN", "Decimal-Infinity"],
+)
+def test_non_finite_decimals_are_refused(value):
+    spec = MessageSpec(record_length=6, fields=(FieldSpec("d", 0, 6, "decimal", scale=2),))
+    with pytest.raises(CodecError, match="expected decimal"):
+        encode_record(spec, {"d": value})
