@@ -19,6 +19,7 @@ import json
 import os
 import random
 import tempfile
+from dataclasses import asdict
 
 from .broker import (
     DEFAULT_REPLY_BUDGET,
@@ -29,13 +30,7 @@ from .broker import (
 )
 from .coordinator import DEFAULT_PREPARE_BUDGET, Coordinator, replay_log
 from .errors import ScenarioError, TraError
-from .faults import (
-    ALL_POINTS,
-    COORDINATOR_TARGET,
-    CoordinatorCrash,
-    FaultInjector,
-    FaultSpec,
-)
+from .faults import ALL_POINTS, COORDINATOR_TARGET, CoordinatorCrash, FaultInjector, FaultSpec
 from .model import load_manifest
 from .process import ProcessEngine, load_definition
 from .resources import ManagedStore, TxnQueue, UnmanagedResource
@@ -54,6 +49,20 @@ def _stringify(value):
     return str(value)
 
 
+# op -> how its `expect` assertion reads; the op's handler returns what it observed
+EXPECT_DESC = {
+    "get": "get {store}[{key}] == {expect!r}",
+    "receive": "receive {queue} == {expect!r}",
+    "propagate": "propagate {component}.{service} response",
+    "commit": "commit {txn} -> {expect}",
+    "invoke": "invoke {service} response",
+    "run_process": "process {process} -> {expect}",
+}
+
+# ops that commit work, after which the scenario's request queues are served
+SERVING_OPS = ("commit", "run_process")
+
+
 class Runner:
     """One scenario execution in an isolated working directory."""
 
@@ -65,6 +74,12 @@ class Runner:
         faults: list[FaultSpec] | None = None,
         arm: str = "always",
     ) -> None:
+        for spec in faults or ():
+            if scenario.names.get(spec.target) not in ("coordinator", "store", "queue"):
+                raise ScenarioError(
+                    f"fault target {spec.target!r} is not the coordinator or a declared "
+                    "store/queue (endpoint behavior is scripted in the scenario, not injected)"
+                )
         os.makedirs(workdir, exist_ok=True)
         self.scenario = scenario
         self.seed = scenario.seed if seed is None else seed
@@ -89,62 +104,41 @@ class Runner:
         )
 
         self.stores: dict[str, ManagedStore] = {}
-        for decl in scenario.stores:
-            store = ManagedStore(
-                decl.name,
-                os.path.join(workdir, f"rm-{decl.name}.log"),
-                tracer=self.tracer,
-                prepare_delay=decl.prepare_delay,
-            )
-            store.seed({str(k): str(v) for k, v in decl.initial.items()})
-            self.coordinator.register(store)
-            self.stores[decl.name] = store
-
         self.queues: dict[str, TxnQueue] = {}
-        for decl in scenario.queues:
-            queue = TxnQueue(
-                decl.name,
-                os.path.join(workdir, f"rm-{decl.name}.log"),
-                tracer=self.tracer,
-                prepare_delay=decl.prepare_delay,
-            )
-            queue.seed([str(m) for m in decl.initial])
-            self.coordinator.register(queue)
-            self.queues[decl.name] = queue
+        for decls, make, into in (
+            (scenario.stores, ManagedStore, self.stores),
+            (scenario.queues, TxnQueue, self.queues),
+        ):
+            for decl in decls:
+                rm = make(
+                    decl.name,
+                    os.path.join(workdir, f"rm-{decl.name}.log"),
+                    tracer=self.tracer,
+                    prepare_delay=decl.prepare_delay,
+                )
+                rm.seed(decl.initial)
+                self.coordinator.register(rm)
+                into[decl.name] = rm
 
         self.broker = MessageBroker(tracer=self.tracer, rng=self.rng)
         self.endpoints: dict[str, LegacyEndpoint] = {}
         for doc in scenario.endpoints:
             ep = LegacyEndpoint.from_doc(doc)
             self.endpoints[ep.endpoint_id] = ep
-            self.broker.register_adapter(
-                Adapter(ep, doc.get("budget", DEFAULT_REPLY_BUDGET))
-            )
+            self.broker.register_adapter(Adapter(ep, doc.get("budget", DEFAULT_REPLY_BUDGET)))
             # registering the endpoint makes enlist attempts fail clearly
             self.coordinator.register(UnmanagedResource(ep.endpoint_id))
         for tdoc in scenario.tables:
             self.broker.register_table(load_table(tdoc))
 
-        self.engine = None
-        if scenario.processes:
-            if model is None:
-                raise ScenarioError("processes need a component model")
-            self.engine = ProcessEngine(model, self.coordinator)
-            for pdoc in scenario.processes:
-                self.engine.define(load_definition(pdoc))
+        self.engine = ProcessEngine(model, self.coordinator)
+        for pdoc in scenario.processes:
+            self.engine.define(load_definition(pdoc))
 
         for binding in scenario.bindings:
             self.coordinator.bind_service(
                 binding.component, binding.service, self._make_handler(binding)
             )
-
-        rm_names = set(self.stores) | set(self.queues)
-        for spec in self.faults:
-            if spec.target != COORDINATOR_TARGET and spec.target not in rm_names:
-                raise ScenarioError(
-                    f"fault target {spec.target!r} is not the coordinator or a declared "
-                    "store/queue (endpoint behavior is scripted in the scenario, not injected)"
-                )
 
         self.txns: dict[str, object] = {}
         self.instances: dict[str, object] = {}
@@ -169,13 +163,13 @@ class Runner:
             for eff in binding.effects:
                 do = eff["do"]
                 if do == "put":
-                    self._store(eff["store"]).put(ctx, fetch(eff["key"]), fetch(eff["value"]))
+                    self.stores[eff["store"]].put(ctx, fetch(eff["key"]), fetch(eff["value"]))
                 elif do == "delete":
-                    self._store(eff["store"]).delete(ctx, fetch(eff["key"]))
+                    self.stores[eff["store"]].delete(ctx, fetch(eff["key"]))
                 elif do == "get":
-                    regs[eff["into"]] = self._store(eff["store"]).get(ctx, fetch(eff["key"]))
+                    regs[eff["into"]] = self.stores[eff["store"]].get(ctx, fetch(eff["key"]))
                 elif do == "send":
-                    self._queue(eff["queue"]).send(ctx, fetch(eff["message"]))
+                    self.queues[eff["queue"]].send(ctx, fetch(eff["message"]))
                 elif do == "call":
                     sub_request = {f: fetch(s) for f, s in eff["request"].items()}
                     response = self.coordinator.propagate(
@@ -187,24 +181,6 @@ class Runner:
 
         return handler
 
-    # -- lookups ----------------------------------------------------------
-
-    def _store(self, name) -> ManagedStore:
-        if name not in self.stores:
-            raise ScenarioError(f"no store declared as {name!r}")
-        return self.stores[name]
-
-    def _queue(self, name) -> TxnQueue:
-        if name not in self.queues:
-            raise ScenarioError(f"no queue declared as {name!r}")
-        return self.queues[name]
-
-    def _ctx(self, action):
-        name = action.get("txn")
-        if name not in self.txns:
-            raise ScenarioError(f"unknown transaction name {name!r}")
-        return self.txns[name]
-
     # -- the script -------------------------------------------------------------
 
     def run(self) -> dict:
@@ -213,10 +189,17 @@ class Runner:
         for idx, action in enumerate(self.scenario.actions):
             if self.arm == "final_commit":
                 self.injector.armed = idx == last_commit
-            expect_error = action.get("expect_error")
-            op = action.get("op")
+            op, expect_error = action["op"], action.get("expect_error")
             try:
-                self._dispatch(action)
+                # load_scenario admits only the ops and assert kinds of scenario.ACTION_FIELDS
+                got = getattr(self, f"_op_{op}")(action)
+                if op in EXPECT_DESC and "expect" in action:
+                    self._assert(
+                        EXPECT_DESC[op].format_map(action),
+                        _stringify(got) == _stringify(action["expect"]),
+                    )
+                if op in SERVING_OPS and not self.injector.any_fired():
+                    self._serve_queues()
                 if expect_error is not None:
                     self._assert(f"action {idx} ({op}) raises {expect_error!r}", False)
             except CoordinatorCrash:
@@ -242,9 +225,11 @@ class Runner:
         for rm in list(self.stores.values()) + list(self.queues.values()):
             rm.close()
 
-    def _dispatch(self, action: dict) -> None:
-        # load_scenario admits only the ops and assert kinds of scenario.ACTION_FIELDS
-        getattr(self, f"_op_{action['op']}")(action)
+    def _ctx(self, action):
+        name = action.get("txn")
+        if name not in self.txns:
+            raise ScenarioError(f"unknown transaction name {name!r}")
+        return self.txns[name]
 
     def _op_begin(self, action):
         name = action.get("txn")
@@ -253,117 +238,75 @@ class Runner:
         self.txns[name] = self.coordinator.begin(action.get("originator", "client"))
 
     def _op_get(self, action):
-        value = self._store(action["store"]).get(self._ctx(action), action["key"])
-        if "expect" in action:
-            self._assert(
-                f"get {action['store']}[{action['key']}] == {action['expect']!r}",
-                value == action["expect"],
-            )
+        return self.stores[action["store"]].get(self._ctx(action), action["key"])
 
     def _op_put(self, action):
-        self._store(action["store"]).put(self._ctx(action), action["key"], action["value"])
+        self.stores[action["store"]].put(self._ctx(action), action["key"], action["value"])
 
     def _op_delete(self, action):
-        self._store(action["store"]).delete(self._ctx(action), action["key"])
+        self.stores[action["store"]].delete(self._ctx(action), action["key"])
 
     def _op_send(self, action):
-        self._queue(action["queue"]).send(self._ctx(action), action["message"])
+        self.queues[action["queue"]].send(self._ctx(action), action["message"])
 
     def _op_receive(self, action):
-        value = self._queue(action["queue"]).receive(self._ctx(action))
-        if "expect" in action:
-            self._assert(
-                f"receive {action['queue']} == {action['expect']!r}",
-                value == action["expect"],
-            )
+        return self.queues[action["queue"]].receive(self._ctx(action))
 
     def _op_propagate(self, action):
-        response = self.coordinator.propagate(
+        return self.coordinator.propagate(
             self._ctx(action), action["component"], action["service"], action.get("request", {})
         )
-        if "expect" in action:
-            self._assert(
-                f"propagate {action['component']}.{action['service']} response",
-                _stringify(response) == _stringify(action["expect"]),
-            )
 
     def _op_commit(self, action):
-        status = self.coordinator.commit(self._ctx(action))
-        if "expect" in action:
-            self._assert(
-                f"commit {action['txn']} -> {action['expect']}",
-                status.value == action["expect"],
-            )
-        if not self.injector.any_fired():
-            self._serve_queues()
+        return self.coordinator.commit(self._ctx(action)).value
 
     def _op_rollback(self, action):
         self.coordinator.rollback(self._ctx(action))
 
     def _op_crash(self, action):
-        target = action.get("target")
-        if target == COORDINATOR_TARGET:
-            self.coordinator.crash()
-        elif target in self.stores:
-            self.stores[target].crash()
-        elif target in self.queues:
-            self.queues[target].crash()
-        elif target in self.endpoints:
-            self.endpoints[target].crash()
+        target = action["target"]
+        crashable = {
+            COORDINATOR_TARGET: self.coordinator, **self.stores, **self.queues, **self.endpoints
+        }
+        crashable[target].crash()
+        if target in self.endpoints:
             self.tracer.emit("crash", who=target)
-        else:
-            raise ScenarioError(f"crash target {target!r} not declared")
 
     def _op_recover(self, action):
         self._recover_all()
 
     def _op_invoke(self, action):
         response = self.broker.invoke(action["service"], action.get("request", {}))
-        if "expect_error" in action:
-            return  # surfaced through the generic expect_error handling in run()
-        self.tracer.emit(
-            "invoked", service=action["service"], response=_stringify(response)
-        )
-        if "expect" in action:
-            self._assert(
-                f"invoke {action['service']} response",
-                _stringify(response) == _stringify(action["expect"]),
-            )
+        if "expect_error" not in action:
+            self.tracer.emit("invoked", service=action["service"], response=_stringify(response))
+        return response
 
     def _op_invoke_via_queue(self, action):
         self.broker.invoke_via_queue(
             self._ctx(action),
-            self._queue(action["queue"]),
+            self.queues[action["queue"]],
             action["service"],
             action.get("request", {}),
             action["reply_to"],
         )
 
     def _op_run_process(self, action):
-        if self.engine is None:
-            raise ScenarioError("scenario defines no processes")
         instance = self.engine.start(action["process"], action.get("variables", {}))
         self.engine.execute(instance)
         self.instances[action["process"]] = instance
-        if "expect" in action:
-            self._assert(
-                f"process {action['process']} -> {action['expect']}",
-                instance.state.value == action["expect"],
-            )
-        if not self.injector.any_fired():
-            self._serve_queues()
+        return instance.state.value
 
     def _op_assert(self, action):
         kind = action["kind"]
         if kind == "store":
-            value = self._store(action["store"]).committed_value(action["key"])
+            value = self.stores[action["store"]].committed_value(action["key"])
             expected = action.get("value")
             self._assert(
                 f"store {action['store']}[{action['key']}] == {expected!r}",
                 value == expected,
             )
         elif kind == "queue":
-            messages = list(self._queue(action["queue"]).peek())
+            messages = list(self.queues[action["queue"]].peek())
             expected = list(action.get("messages", []))
             self._assert(f"queue {action['queue']} == {expected!r}", messages == expected)
         elif kind == "txn":
@@ -391,7 +334,7 @@ class Runner:
 
     def _serve_queues(self) -> None:
         for name in self.scenario.serve_queues:
-            self.broker.drain(self.coordinator, self._queue(name), self._queue)
+            self.broker.drain(self.coordinator, self.queues[name], self.queues.__getitem__)
 
     def _recover_all(self) -> None:
         for ep in self.endpoints.values():
@@ -400,16 +343,9 @@ class Runner:
             rm.recover()
         if self.coordinator.crashed:
             self.coordinator.restart()
-        outcome = self.coordinator.recover()
-        if self.recovery_totals is None:
-            self.recovery_totals = {
-                "recommitted": 0,
-                "presumed_aborted": 0,
-                "aborts_completed": 0,
-            }
-        self.recovery_totals["recommitted"] += outcome.recommitted
-        self.recovery_totals["presumed_aborted"] += outcome.presumed_aborted
-        self.recovery_totals["aborts_completed"] += outcome.aborts_completed
+        totals = self.recovery_totals or {}
+        outcome = asdict(self.coordinator.recover())
+        self.recovery_totals = {k: totals.get(k, 0) + n for k, n in outcome.items()}
 
     @staticmethod
     def _txn_status(ctx, replayed: dict) -> str:

@@ -102,6 +102,20 @@ def _require_name(value, what: str) -> str:
     return value
 
 
+def _entries(doc: Mapping, key: str, where: str) -> list:
+    """A manifest list (components, internals, provides, exports); absent is empty."""
+    raw = doc.get(key, ())
+    if not isinstance(raw, (list, tuple)):
+        raise ManifestError(f"{where}: {key} must be a list, got {raw!r}")
+    return raw
+
+
+def _object(raw, what: str) -> Mapping:
+    if not isinstance(raw, Mapping):
+        raise ManifestError(f"{what} {raw!r} is not an object")
+    return raw
+
+
 def _load_fields(raw, where: str) -> tuple[FieldDef, ...]:
     if not isinstance(raw, (list, tuple)):
         raise ManifestError(f"{where}: fields must be a list")
@@ -140,12 +154,13 @@ def load_manifest(doc: Mapping) -> ComponentModel:
     if not isinstance(doc, Mapping) or "components" not in doc:
         raise ManifestError("manifest must be an object with a components list")
     components: dict[str, LogicalComponent] = {}
-    for comp in doc["components"]:
-        cname = _require_name(comp.get("name"), "component name")
+    for comp in _entries(doc, "components", "manifest"):
+        cname = _require_name(_object(comp, "component").get("name"), "component name")
         if cname in components:
             raise ManifestError(f"duplicate component {cname}")
         internals: dict[str, InternalComponent] = {}
-        for internal in comp.get("internals", ()):
+        for internal in _entries(comp, "internals", cname):
+            internal = _object(internal, f"{cname}: internal")
             iname = _require_name(internal.get("name"), f"{cname}: internal name")
             if iname in internals:
                 raise ManifestError(f"{cname}: duplicate internal {iname}")
@@ -157,7 +172,7 @@ def load_manifest(doc: Mapping) -> ComponentModel:
                     f"{cname}.{iname}: unknown layer {layer_raw!r}"
                 ) from None
             provides: dict[str, ServiceSignature] = {}
-            for svc in internal.get("provides", ()):
+            for svc in _entries(internal, "provides", f"{cname}.{iname}"):
                 sig = load_signature(svc, f"{cname}.{iname}")
                 if sig.name in provides:
                     raise ManifestError(f"{cname}.{iname}: duplicate service {sig.name}")
@@ -165,7 +180,7 @@ def load_manifest(doc: Mapping) -> ComponentModel:
             internals[iname] = InternalComponent(iname, layer, provides)
         exports = []
         exported_names = set()
-        for entry in comp.get("exports", ()):
+        for entry in _entries(comp, "exports", cname):
             if not isinstance(entry, str) or "." not in entry:
                 raise ManifestError(f"{cname}: export {entry!r} must be 'internal.service'")
             internal, service = entry.split(".", 1)
@@ -185,7 +200,11 @@ def load_manifest(doc: Mapping) -> ComponentModel:
 
 def load_manifest_file(path: str) -> ComponentModel:
     with open(path, "r", encoding="utf-8") as fh:
-        return load_manifest(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ManifestError(f"manifest {path!r} is not valid JSON: {exc}") from exc
+    return load_manifest(doc)
 
 
 def resolve_binding(
@@ -239,6 +258,8 @@ def load_edges(doc: Sequence) -> list[CallEdge]:
     """Parse an edge list document: [{caller: {component, internal},
     callee: {component, internal, service}}, ...]. Extra keys (notes) are
     ignored."""
+    if not isinstance(doc, (list, tuple)):
+        raise EdgeError(f"an edge list must be a list, got {type(doc).__name__}")
     edges = []
     for i, raw in enumerate(doc):
         try:
@@ -260,7 +281,11 @@ def load_edges(doc: Sequence) -> list[CallEdge]:
 
 def load_edges_file(path: str) -> list[CallEdge]:
     with open(path, "r", encoding="utf-8") as fh:
-        return load_edges(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise EdgeError(f"edge list {path!r} is not valid JSON: {exc}") from exc
+    return load_edges(doc)
 
 
 @dataclass(frozen=True)

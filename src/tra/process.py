@@ -67,7 +67,7 @@ class ProcessInstance:
     definition: str
     variables: dict
     state: InstanceState = InstanceState.RUNNING
-    completed_steps: int = 0
+    completed_steps: int = 0  # steps whose transaction committed
     failed_step: str | None = None
     reason: str | None = None
 
@@ -190,46 +190,28 @@ class ProcessEngine:
         return ProcessInstance(definition=name, variables=dict(variables or {}))
 
     def execute(self, instance: ProcessInstance) -> ProcessInstance:
+        """Run the flattened steps in transaction groups: one step per group
+        under PER_STEP, all of them in one group under SPANNING."""
         defn = self.definitions[instance.definition]
         try:
             steps = self.flatten(instance.definition)
         except ProcessError as exc:
             return self._fail(instance, None, str(exc))
-        if not steps:
-            instance.state = InstanceState.COMPLETED
-            return instance
-        if defn.policy is TxnPolicy.SPANNING:
-            return self._run_spanning(instance, steps)
-        return self._run_per_step(instance, steps)
-
-    def _run_per_step(self, instance: ProcessInstance, steps: list[Step]) -> ProcessInstance:
-        for step in steps:
+        spanning = defn.policy is TxnPolicy.SPANNING
+        groups = [steps] if spanning and steps else [[step] for step in steps]
+        for group in groups:
             ctx = self.coordinator.begin(f"process:{instance.definition}")
-            try:
-                self._run_step(instance, ctx, step)
-            except TraError as exc:
-                self._quiet_rollback(ctx)
-                return self._fail(instance, step.name, str(exc))
-            status = self.coordinator.commit(ctx)
-            if status is not TxnStatus.COMMITTED:
-                return self._fail(instance, step.name, "transaction aborted")
-            instance.completed_steps += 1
-        instance.state = InstanceState.COMPLETED
-        return instance
-
-    def _run_spanning(self, instance: ProcessInstance, steps: list[Step]) -> ProcessInstance:
-        ctx = self.coordinator.begin(f"process:{instance.definition}")
-        for step in steps:
-            try:
-                self._run_step(instance, ctx, step)
-            except TraError as exc:
-                self._quiet_rollback(ctx)
-                return self._fail(instance, step.name, str(exc))
-            instance.completed_steps += 1
-        status = self.coordinator.commit(ctx)
-        if status is not TxnStatus.COMMITTED:
-            # every step ran; the transaction itself was refused
-            return self._fail(instance, None, "transaction aborted")
+            for step in group:
+                try:
+                    self._run_step(instance, ctx, step)
+                except TraError as exc:
+                    self._quiet_rollback(ctx)
+                    return self._fail(instance, step.name, str(exc))
+            if self.coordinator.commit(ctx) is not TxnStatus.COMMITTED:
+                # a spanning transaction is refused as a whole, not at one step
+                failed = None if spanning else group[0].name
+                return self._fail(instance, failed, "transaction aborted")
+            instance.completed_steps += len(group)
         instance.state = InstanceState.COMPLETED
         return instance
 

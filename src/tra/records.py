@@ -153,7 +153,10 @@ def typed(kind: str, value, name: str):
         if isinstance(value, int):
             return value
         if isinstance(value, str) and _INT_RE.fullmatch(value.strip()):
-            return int(value)
+            try:
+                return int(value)
+            except ValueError:  # more digits than int() parses
+                raise CodecError(f"field {name}: integer has too many digits", name) from None
     elif kind == "decimal":
         if isinstance(value, str) and _DEC_RE.fullmatch(value.strip()):
             return Decimal(value)
@@ -180,14 +183,23 @@ def _render_text(f: FieldSpec, value: str) -> str:
 
 
 def _render_units(f: FieldSpec, n: int) -> str:
-    s = str(n)
+    try:
+        s = str(n)
+    except ValueError:  # more digits than str() prints, so far wider than any field
+        raise CodecError(f"field {f.name}: integer overflows width {f.length}", f.name) from None
     if len(s) > f.length:
         raise CodecError(f"field {f.name}: {s} overflows width {f.length}", f.name)
     return s.zfill(f.length) if f.pad == "zero" else s.rjust(f.length)
 
 
 def _to_units(f: FieldSpec, d: Decimal) -> int:
-    """Scale a decimal value to integer units per the field's implied scale."""
+    """Scale a decimal value to integer units per the field's implied scale.
+    The leading digit's exponent is checked first, so a value too large or
+    too small for the field is refused without scaling it."""
+    if d and not -f.scale <= d.adjusted() < f.length - f.scale:
+        if d.adjusted() > 0:
+            raise CodecError(f"field {f.name}: {d} overflows width {f.length}", f.name)
+        raise CodecError(f"field {f.name}: {d} does not fit scale {f.scale}", f.name)
     scaled = d.scaleb(f.scale)
     if scaled != scaled.to_integral_value():
         raise CodecError(f"field {f.name}: {d} does not fit scale {f.scale}", f.name)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import ScenarioError
+from .faults import COORDINATOR_TARGET
 from .source import parse
 
 # action op (an assert by its kind) -> the fields its runner handler needs
@@ -50,6 +51,14 @@ EFFECT_FIELDS = {
     "call": ("component", "service"),
 }
 
+# a field that names part of the declared world -> the kinds it may name
+NAME_FIELDS = {
+    "store": ("store",),
+    "queue": ("queue",),
+    "target": ("coordinator", "store", "queue", "endpoint"),
+    "process": ("process",),
+}
+
 
 @dataclass
 class ResourceDecl:
@@ -70,6 +79,9 @@ class BindingDecl:
 
 @dataclass
 class Scenario:
+    """A loaded scenario. `names` maps every declared name to its kind, and
+    every field that names something has been checked against it."""
+
     name: str
     seed: int
     base_dir: str
@@ -84,6 +96,7 @@ class Scenario:
     serve_queues: list[str]
     sweep_targets: list[str]
     actions: list[dict]
+    names: dict[str, str]
 
     def with_actions(self, actions: list[dict]) -> "Scenario":
         clone = Scenario(**{**self.__dict__})
@@ -99,7 +112,8 @@ class Scenario:
 
 
 def _resource_decls(raw, what: str) -> list[ResourceDecl]:
-    """Stores start from an object of key -> value, queues from a list."""
+    """Stores start from an object of key -> value, queues from a list; both
+    hold text, so the initial state is converted once here."""
     initial_type, shape = (dict, "an object") if what == "store" else (list, "a list")
     out = []
     for entry in raw:
@@ -114,6 +128,10 @@ def _resource_decls(raw, what: str) -> list[ResourceDecl]:
             raise ScenarioError(f"{what} {decl.name}: initial state must be {shape}")
         if type(decl.prepare_delay) is not int:
             raise ScenarioError(f"{what} {decl.name}: prepare_delay must be an integer")
+        if what == "store":
+            decl.initial = {str(k): str(v) for k, v in decl.initial.items()}
+        else:
+            decl.initial = [str(m) for m in decl.initial]
         out.append(decl)
     return out
 
@@ -130,18 +148,54 @@ def _endpoint_decls(raw) -> list[dict]:
 
 
 def _inline_or_file(entry, base_dir: str, what: str) -> dict:
-    if isinstance(entry, Mapping):
-        return dict(entry)
     if isinstance(entry, str):
         path = os.path.join(base_dir, entry)
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                return json.load(fh)
+                entry = json.load(fh)
         except OSError as exc:
             raise ScenarioError(f"cannot read {what} file {entry!r}: {exc}") from exc
         except ValueError as exc:
             raise ScenarioError(f"{what} file {entry!r} is not valid JSON: {exc}") from exc
-    raise ScenarioError(f"{what} must be inline or a file path")
+    if isinstance(entry, Mapping):
+        return dict(entry)
+    raise ScenarioError(f"{what} must be an object, inline or in a file")
+
+
+def _name_table(stores, queues, endpoints, processes) -> dict[str, str]:
+    """Map every declared name to its kind. Stores, queues and endpoints
+    register with the coordinator by name, and crash targets and fault
+    targets are looked up by name, so one name means one thing."""
+    names = {COORDINATOR_TARGET: "coordinator"}
+    declared = (
+        [(d.name, "store") for d in stores]
+        + [(d.name, "queue") for d in queues]
+        + [(e["endpoint_id"], "endpoint") for e in endpoints]
+        + [(p["name"], "process") for p in processes]
+    )
+    for name, kind in declared:
+        if name == COORDINATOR_TARGET:
+            raise ScenarioError(f"{kind} name {name!r} is reserved for the coordinator")
+        if name in names:
+            raise ScenarioError(f"{kind} name {name!r} is declared twice")
+        names[name] = kind
+    return names
+
+
+def _check_name(names: dict, value, kinds: tuple, where: str) -> None:
+    kind = names.get(value) if isinstance(value, str) else None
+    if kind not in kinds:
+        wanted = "/".join(kinds)
+        if kind is None:
+            raise ScenarioError(f"{where}: no {wanted} is declared as {value!r}")
+        raise ScenarioError(f"{where}: {value!r} is declared as {kind}, not as {wanted}")
+
+
+def _check_fields(names: dict, fields: Mapping, where: str) -> None:
+    """Check every field of an action or effect that names something."""
+    for f, value in fields.items():
+        if f in NAME_FIELDS:
+            _check_name(names, value, NAME_FIELDS[f], f"{where} {f}")
 
 
 def _sources(texts: Mapping, where: str) -> dict:
@@ -164,6 +218,16 @@ def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
     elif "manifest" in doc:
         model_doc = _inline_or_file(doc["manifest"], base_dir, "manifest")
 
+    stores = _resource_decls(doc.get("stores", ()), "store")
+    queues = _resource_decls(doc.get("queues", ()), "queue")
+    endpoints = _endpoint_decls(doc.get("endpoints", ()))
+    processes = [_inline_or_file(p, base_dir, "process") for p in doc.get("processes", ())]
+    if any(not isinstance(p.get("name"), str) for p in processes):
+        raise ScenarioError("a process must be an object with a name")
+    if processes and model_doc is None:
+        raise ScenarioError("processes need a component model")
+    names = _name_table(stores, queues, endpoints, processes)
+
     actions = []
     for i, action in enumerate(doc.get("actions", ())):
         if not isinstance(action, Mapping) or "op" not in action:
@@ -176,6 +240,7 @@ def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
         missing = [f for f in ACTION_FIELDS[key] if f not in action]
         if missing:
             raise ScenarioError(f"action {i}: {op} needs {missing}")
+        _check_fields(names, {f: action[f] for f in ACTION_FIELDS[key]}, f"action {i} ({op})")
         actions.append(dict(action))
 
     bindings = []
@@ -191,6 +256,7 @@ def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
                 if eff.get("do") not in EFFECT_FIELDS:
                     raise ScenarioError(f"binding effect {eff.get('do')!r} unknown")
                 fields = {k: eff[k] for k in EFFECT_FIELDS[eff["do"]]}
+                _check_fields(names, fields, f"{where}: {eff['do']}")
                 sources = {k: v for k, v in fields.items() if k in ("key", "value", "message")}
                 eff = {**eff, **_sources(sources, where)}
                 if eff["do"] == "call":
@@ -207,14 +273,9 @@ def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
         except KeyError as exc:
             raise ScenarioError(f"binding missing {exc}") from exc
 
-    stores = _resource_decls(doc.get("stores", ()), "store")
-    queues = _resource_decls(doc.get("queues", ()), "queue")
-    endpoints = _endpoint_decls(doc.get("endpoints", ()))
-    # stores, queues and endpoints all register with the coordinator by name
-    names = [d.name for d in stores + queues] + [e["endpoint_id"] for e in endpoints]
-    for i, n in enumerate(names):
-        if n in names[:i]:
-            raise ScenarioError(f"resource name {n!r} is declared twice")
+    for listed, kinds in (("serve_queues", ("queue",)), ("sweep_targets", ("store", "queue"))):
+        for value in doc.get(listed, ()):
+            _check_name(names, value, kinds, listed)
 
     return Scenario(
         name=name,
@@ -226,11 +287,12 @@ def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
         queues=queues,
         endpoints=endpoints,
         tables=[_inline_or_file(t, base_dir, "broker table") for t in doc.get("tables", ())],
-        processes=[_inline_or_file(p, base_dir, "process") for p in doc.get("processes", ())],
+        processes=processes,
         bindings=bindings,
         serve_queues=list(doc.get("serve_queues", ())),
         sweep_targets=list(doc.get("sweep_targets", ())),
         actions=actions,
+        names=names,
     )
 
 

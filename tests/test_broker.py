@@ -431,3 +431,18 @@ def test_load_table_checks_the_service_signature(service, message):
     doc = {"service": {"name": "s", **service}, "calls": []}
     with pytest.raises(TableError, match=message):
         load_table(doc)
+
+
+@pytest.mark.parametrize(
+    "request_change, reply_total, message",
+    [
+        ({"amount": "1e999999999"}, "1.50", "call q: .*field amount: 1E\\+999999999 overflows width 8"),
+        ({"n": "9" * 5000}, "1.50", "quote request: field n: integer has too many digits"),
+        ({}, "1e999999999", "call q: script reply: field total: 1E\\+999999999 overflows width 8"),
+    ],
+    ids=["huge-decimal-request", "huge-integer-request", "huge-decimal-reply"],
+)
+def test_oversized_numbers_fail_the_invoke(request_change, reply_total, message):
+    request = {"amount": "2.25", "n": 1, **request_change}
+    with pytest.raises(InvokeError, match=message):
+        quote_broker(reply_total=reply_total).invoke("quote", request)

@@ -425,3 +425,145 @@ def test_binding_reads_effect_registers_and_nested_replies():
     report = run_scenario(load_scenario(doc, base_dir=tra.fixture_path("")))
     assert report["errors"] == []
     assert report["ok"] is True
+
+
+def _world(**changes):
+    doc = {
+        "name": "names",
+        "stores": [{"name": "s", "initial": {"k": "v"}}],
+        "queues": ["q"],
+        "endpoints": [{"endpoint_id": "ep", "script": []}],
+        "actions": [],
+    }
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (
+            {"actions": [{"op": "put", "txn": "t", "store": "ghost", "key": "k", "value": "v"}]},
+            r"action 0 \(put\) store: no store is declared as 'ghost'",
+        ),
+        (
+            {"actions": [{"op": "send", "txn": "t", "queue": "s", "message": "m"}]},
+            r"action 0 \(send\) queue: 's' is declared as store, not as queue",
+        ),
+        (
+            {"actions": [{"op": "assert", "kind": "queue", "queue": "ghost"}]},
+            r"action 0 \(assert\) queue: no queue is declared as 'ghost'",
+        ),
+        (
+            {"actions": [{"op": "crash", "target": "ghost"}]},
+            r"action 0 \(crash\) target: no coordinator/store/queue/endpoint is declared",
+        ),
+        (
+            {"actions": [{"op": "run_process", "process": "ghost"}]},
+            r"action 0 \(run_process\) process: no process is declared as 'ghost'",
+        ),
+        (
+            {"actions": [{"op": "assert", "kind": "process", "process": "q", "state": "x"}]},
+            r"action 0 \(assert\) process: 'q' is declared as queue, not as process",
+        ),
+        (
+            {"bindings": [{"component": "A", "service": "s", "effects": [
+                {"do": "put", "store": "ghost", "key": "req.k", "value": "req.v"}
+            ]}]},
+            r"binding A.s: put store: no store is declared as 'ghost'",
+        ),
+        (
+            {"bindings": [{"component": "A", "service": "s", "effects": [
+                {"do": "send", "queue": "ghost", "message": "req.m"}
+            ]}]},
+            r"binding A.s: send queue: no queue is declared as 'ghost'",
+        ),
+        ({"serve_queues": ["ghost"]}, "serve_queues: no queue is declared as 'ghost'"),
+        ({"sweep_targets": ["ghost"]}, "sweep_targets: no store/queue is declared as 'ghost'"),
+        ({"sweep_targets": ["ep"]}, "sweep_targets: 'ep' is declared as endpoint, not as store/queue"),
+        ({"sweep_targets": ["coordinator"]}, "'coordinator' is declared as coordinator"),
+        ({"stores": ["coordinator"]}, "store name 'coordinator' is reserved for the coordinator"),
+        (
+            {"endpoints": [{"endpoint_id": "coordinator"}]},
+            "endpoint name 'coordinator' is reserved",
+        ),
+        ({"processes": [{"name": "p", "steps": []}]}, "processes need a component model"),
+        ({"processes": [{"steps": []}], "model": {}}, "a process must be an object with a name"),
+        (
+            {"processes": [{"name": "s", "steps": []}], "model": {"components": []}},
+            "process name 's' is declared twice",
+        ),
+    ],
+    ids=[
+        "put-undeclared-store", "send-to-a-store", "assert-undeclared-queue",
+        "crash-undeclared", "run-undeclared-process", "assert-process-names-a-queue",
+        "effect-undeclared-store", "effect-undeclared-queue", "serve-undeclared-queue",
+        "sweep-undeclared", "sweep-an-endpoint", "sweep-the-coordinator",
+        "store-named-coordinator", "endpoint-named-coordinator", "processes-without-model",
+        "process-without-name", "process-shares-a-store-name",
+    ],
+)
+def test_every_name_a_scenario_uses_is_checked_at_load(changes, message):
+    with pytest.raises(ScenarioError, match=message):
+        load_scenario(_world(**changes))
+
+
+def test_sweep_with_an_undeclared_target_fails_before_any_run(tmp_path, monkeypatch):
+    with open(transfer_path(), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["sweep_targets"].append("ghost")
+    path = tmp_path / "ghost.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    runs = []
+    monkeypatch.setattr(Runner, "run", lambda self: runs.append(self))
+    with pytest.raises(ScenarioError, match="sweep_targets: no store/queue is declared as 'ghost'"):
+        crash_sweep(str(path))
+    assert runs == []
+
+
+@pytest.mark.parametrize("target", ["ghost", "ep"])
+def test_fault_targets_read_the_name_table(tmp_path, target):
+    scenario = load_scenario(_world())
+    with pytest.raises(ScenarioError, match=f"fault target '{target}'"):
+        Runner(scenario, str(tmp_path), faults=[FaultSpec.parse(f"{target}@before_prepare")])
+    assert list(tmp_path.iterdir()) == []  # refused before any log is opened
+
+
+def test_every_crash_target_kind_is_crashed_by_name():
+    doc = _world(
+        actions=[
+            {"op": "crash", "target": "s"},
+            {"op": "crash", "target": "q"},
+            {"op": "crash", "target": "ep"},
+            {"op": "crash", "target": "coordinator"},
+            {"op": "recover"},
+        ]
+    )
+    report = run_scenario(load_scenario(doc))
+    assert report["errors"] == []
+    assert [e["who"] for e in report["events"] if e["ev"] == "crash"] == [
+        "s", "q", "ep", "coordinator"
+    ]
+    assert report["recovery"] is not None
+
+
+def test_expect_is_one_rule_over_what_each_op_observed():
+    doc = _world(
+        actions=[
+            {"op": "begin", "txn": "t1"},
+            {"op": "send", "txn": "t1", "queue": "q", "message": "m"},
+            {"op": "commit", "txn": "t1", "expect": "committed"},
+            {"op": "begin", "txn": "t2"},
+            {"op": "get", "txn": "t2", "store": "s", "key": "k", "expect": "v"},
+            {"op": "receive", "txn": "t2", "queue": "q", "expect": "other"},
+            {"op": "commit", "txn": "t2", "expect": "aborted"},
+        ]
+    )
+    report = run_scenario(load_scenario(doc))
+    assert report["errors"] == []
+    assert report["asserts"] == [
+        {"desc": "commit t1 -> committed", "ok": True},
+        {"desc": "get s[k] == 'v'", "ok": True},
+        {"desc": "receive q == 'other'", "ok": False},
+        {"desc": "commit t2 -> aborted", "ok": False},
+    ]

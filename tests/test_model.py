@@ -1,10 +1,12 @@
 """Layering rules, checked against an independently written rule table."""
 
 import json
+import re
 
 import pytest
 
 import tra
+from tra.cli import main
 from tra.errors import BindingError, EdgeError, ManifestError
 from tra.model import (
     CallEdge,
@@ -209,3 +211,54 @@ def test_manifest_refuses_a_service_that_is_not_an_object():
     ]}]}
     with pytest.raises(ManifestError, match="is not an object"):
         load_manifest(doc)
+
+
+def _one_internal(**changes):
+    internal = {"name": "svc", "layer": "business_service", "provides": []}
+    internal.update(changes)
+    return {"components": [{"name": "A", "internals": [internal]}]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"components": ["x"]}, "component 'x' is not an object"),
+        ({"components": [{"name": "A", "internals": ["x"]}]}, "A: internal 'x' is not an object"),
+        ({"components": {"A": {}}}, "manifest: components must be a list"),
+        ({"components": [{"name": "A", "internals": {}}]}, "A: internals must be a list"),
+        (_one_internal(provides={"s": {}}), r"A.svc: provides must be a list"),
+        ({"components": [{"name": "A", "exports": "svc.s"}]}, "A: exports must be a list"),
+    ],
+    ids=[
+        "component-not-object", "internal-not-object", "components-not-a-list",
+        "internals-not-a-list", "provides-not-a-list", "exports-not-a-list",
+    ],
+)
+def test_manifest_refuses_entries_of_the_wrong_shape(doc, message):
+    with pytest.raises(ManifestError, match=message):
+        load_manifest(doc)
+
+
+@pytest.mark.parametrize(
+    "manifest, edges, message",
+    [
+        ("{bad", "[]", "manifest .* is not valid JSON"),
+        ('{"components": ["x"]}', "[]", "component 'x' is not an object"),
+        (None, "{bad", "edge list .* is not valid JSON"),
+        (None, "{}", "an edge list must be a list, got dict"),
+    ],
+    ids=["manifest-not-json", "component-not-object", "edges-not-json", "edges-not-a-list"],
+)
+def test_cli_validate_exits_two_on_malformed_files(tmp_path, capsys, manifest, edges, message):
+    model_path = tmp_path / "model.json"
+    if manifest is None:
+        model_path = tra.fixture_path("model.json")
+    else:
+        model_path.write_text(manifest, encoding="utf-8")
+    edges_path = tmp_path / "edges.json"
+    edges_path.write_text(edges, encoding="utf-8")
+    assert main(["validate", str(model_path), str(edges_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert re.search(message, captured.err)

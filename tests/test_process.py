@@ -320,3 +320,41 @@ def test_missing_response_field_fails_the_step(world):
     assert inst.reason == "step s: response has no field 'nope'"
     assert "st" not in inst.variables
     assert store.committed_value("c9") is None
+
+
+def _refusing_second_commit(coord):
+    from tra.txn import TxnStatus
+
+    orig_commit = coord.commit
+    commits = []
+
+    def commit(ctx):
+        commits.append(ctx.id)
+        if len(commits) == 2:
+            coord.rollback(ctx)
+            return TxnStatus.ABORTED
+        return orig_commit(ctx)
+
+    return commit
+
+
+def test_per_step_commit_refusal_names_the_step(world):
+    engine, coord, store = world
+    engine.define(two_step(TxnPolicy.PER_STEP))
+    coord.commit = _refusing_second_commit(coord)
+    inst = engine.execute(engine.start("onboard", VARS))
+    assert inst.state is InstanceState.FAILED
+    assert inst.failed_step == "contract"
+    assert inst.reason == "transaction aborted"
+    assert inst.completed_steps == 1
+    assert store.committed_value("c1") == "D"
+    assert store.committed_value("k1") is None
+
+
+def test_spanning_step_failure_completes_no_steps(world):
+    # completed_steps counts committed steps, and the spanning rollback undid both
+    engine, coord, _ = world
+    engine.define(two_step(TxnPolicy.SPANNING))
+    inst = engine.execute(engine.start("onboard", {**VARS, "terms": "poison"}))
+    assert inst.failed_step == "contract"
+    assert inst.completed_steps == 0

@@ -190,3 +190,33 @@ def test_non_finite_decimals_are_refused(value):
     spec = MessageSpec(record_length=6, fields=(FieldSpec("d", 0, 6, "decimal", scale=2),))
     with pytest.raises(CodecError, match="expected decimal"):
         encode_record(spec, {"d": value})
+
+
+@pytest.mark.parametrize(
+    "kind, value, message",
+    [
+        ("decimal", "1e999999999", "overflows width 8"),
+        ("decimal", "-1e999999999", "overflows width 8"),
+        ("decimal", "1e999990", "overflows width 8"),
+        ("decimal", Decimal("1e999999999"), "overflows width 8"),
+        ("decimal", "1e-999999999", "does not fit scale 2"),
+        ("integer", "9" * 5000, "integer has too many digits"),
+        ("integer", 10**5000, "integer overflows width 8"),
+    ],
+    ids=[
+        "decimal-huge", "decimal-huge-negative", "decimal-past-int-digits", "decimal-object-huge",
+        "decimal-tiny", "integer-string-5000-digits", "integer-5000-digits",
+    ],
+)
+def test_oversized_numbers_are_codec_errors(kind, value, message):
+    scale = 2 if kind == "decimal" else 0
+    spec = MessageSpec(record_length=8, fields=(FieldSpec("n", 0, 8, kind, scale=scale),))
+    with pytest.raises(CodecError, match=f"field n: .*{message}"):
+        encode_record(spec, {"n": value})
+
+
+def test_zero_with_a_huge_exponent_still_fits():
+    spec = MessageSpec(record_length=8, fields=(FieldSpec("d", 0, 8, "decimal", scale=2),))
+    assert encode_record(spec, {"d": "0e999999999"}) == "00000000"
+    assert encode_record(spec, {"d": "999999.99"}) == "99999999"
+    assert decode_record(spec, "99999999") == {"d": Decimal("999999.99")}
