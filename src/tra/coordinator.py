@@ -6,22 +6,15 @@ transaction with no decision record aborts at recovery). Phase 2 tolerates
 crashed participants: the decision stands, the participant finishes the work
 when recovery re-drives it.
 
-Log records, tab separated:
-
-    BEGIN   <txn-id>
-    ENLIST  <txn-id>  <rm-id>
-    COMMIT  <txn-id>
-    ABORT   <txn-id>
-    END     <txn-id>
-
-END marks that phase 2 finished everywhere; a decision without END is
-unfinished business for recover().
+The log holds BEGIN, ENLIST (naming the participant), COMMIT, ABORT and END
+records per transaction id, declared in LOG_SCHEMA. END marks that phase 2
+finished everywhere; a decision without END is unfinished business for
+recover().
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import (
     BindingError,
@@ -37,9 +30,11 @@ from .model import ComponentModel, resolve_binding
 from .resources import UnmanagedResource
 from .sim import Tracer
 from .txn import TransactionContext, TxnStatus, Vote
-from .wal import LogWriter, read_records
+from .wal import NAME, LogWriter, read_records
 
 DEFAULT_PREPARE_BUDGET = 1000
+
+LOG_SCHEMA = {"BEGIN": None, "ENLIST": NAME, "COMMIT": None, "ABORT": None, "END": None}
 
 
 @dataclass
@@ -53,11 +48,8 @@ class TxnLogRecord:
 
     @property
     def status(self) -> str:
-        if self.decision == "commit":
-            return TxnStatus.COMMITTED.value
-        if self.decision == "abort":
-            return TxnStatus.ABORTED.value
-        return TxnStatus.ACTIVE.value
+        decided = {"commit": TxnStatus.COMMITTED, "abort": TxnStatus.ABORTED}
+        return decided.get(self.decision, TxnStatus.ACTIVE).value
 
 
 def replay_log(path: str) -> dict[int, TxnLogRecord]:
@@ -67,42 +59,29 @@ def replay_log(path: str) -> dict[int, TxnLogRecord]:
     transaction the record order must be legal.
     """
     txns: dict[int, TxnLogRecord] = {}
-    for rec in read_records(path):
-        kind = rec[0]
-        if kind == "BEGIN" and len(rec) == 2:
-            txn_id = _txn_id(rec, path)
+    for rec in read_records(path, LOG_SCHEMA):
+        kind, txn_id = rec[0], rec[1]
+        if kind == "BEGIN":
             if txn_id in txns:
                 raise LogCorruptError(f"{path}: duplicate BEGIN for txn {txn_id}")
             txns[txn_id] = TxnLogRecord(txn_id, [])
             continue
-        if kind not in ("ENLIST", "COMMIT", "ABORT", "END"):
-            raise LogCorruptError(f"{path}: unknown record {rec!r}")
-        txn_id = _txn_id(rec, path)
         entry = txns.get(txn_id)
         if entry is None:
             raise LogCorruptError(f"{path}: {kind} for txn {txn_id} before BEGIN")
         if kind == "ENLIST":
-            if len(rec) != 3:
-                raise LogCorruptError(f"{path}: malformed ENLIST {rec!r}")
             if entry.decision is not None:
                 raise LogCorruptError(f"{path}: ENLIST after decision for txn {txn_id}")
             entry.enlisted.append(rec[2])
-        elif kind in ("COMMIT", "ABORT"):
-            if len(rec) != 2 or entry.decision is not None:
-                raise LogCorruptError(f"{path}: duplicate decision for txn {txn_id}")
-            entry.decision = kind.lower()
-        else:  # END
-            if len(rec) != 2 or entry.decision is None or entry.ended:
+        elif kind == "END":
+            if entry.decision is None or entry.ended:
                 raise LogCorruptError(f"{path}: stray END for txn {txn_id}")
             entry.ended = True
+        else:
+            if entry.decision is not None:
+                raise LogCorruptError(f"{path}: duplicate decision for txn {txn_id}")
+            entry.decision = kind.lower()
     return txns
-
-
-def _txn_id(rec: tuple[str, ...], path: str) -> int:
-    try:
-        return int(rec[1])
-    except (IndexError, ValueError):
-        raise LogCorruptError(f"{path}: bad txn id in {rec!r}") from None
 
 
 @dataclass
@@ -156,10 +135,7 @@ class Coordinator:
     # -- helpers --------------------------------------------------------
 
     def _scan_next_id(self) -> int:
-        if not os.path.exists(self.log_path):
-            return 1
-        txns = replay_log(self.log_path)
-        return max(txns, default=0) + 1
+        return max(replay_log(self.log_path), default=0) + 1
 
     def _guard(self) -> None:
         if self.crashed:
@@ -373,12 +349,7 @@ class Coordinator:
             if live is not None:
                 live.status = TxnStatus.COMMITTED if commit else TxnStatus.ABORTED
                 live.pending.clear()
-        self.tracer.emit(
-            "recovered",
-            recommitted=outcome.recommitted,
-            presumed_aborted=outcome.presumed_aborted,
-            aborts_completed=outcome.aborts_completed,
-        )
+        self.tracer.emit("recovered", **asdict(outcome))
         return outcome
 
     def _redrive(self, txn_id: int, rm_ids: list[str], op: str) -> bool:

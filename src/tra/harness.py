@@ -21,18 +21,12 @@ import random
 import tempfile
 from dataclasses import asdict
 
-from .broker import (
-    DEFAULT_REPLY_BUDGET,
-    Adapter,
-    LegacyEndpoint,
-    MessageBroker,
-    load_table,
-)
+from .broker import DEFAULT_REPLY_BUDGET, Adapter, LegacyEndpoint, MessageBroker
 from .coordinator import DEFAULT_PREPARE_BUDGET, Coordinator, replay_log
 from .errors import ScenarioError, TraError
 from .faults import ALL_POINTS, COORDINATOR_TARGET, CoordinatorCrash, FaultInjector, FaultSpec
 from .model import load_manifest
-from .process import ProcessEngine, load_definition
+from .process import ProcessEngine
 from .resources import ManagedStore, TxnQueue, UnmanagedResource
 from .scenario import BindingDecl, Scenario, load_scenario_file
 from .sim import Tracer
@@ -128,12 +122,12 @@ class Runner:
             self.broker.register_adapter(Adapter(ep, doc.get("budget", DEFAULT_REPLY_BUDGET)))
             # registering the endpoint makes enlist attempts fail clearly
             self.coordinator.register(UnmanagedResource(ep.endpoint_id))
-        for tdoc in scenario.tables:
-            self.broker.register_table(load_table(tdoc))
+        for table in scenario.tables:
+            self.broker.register_table(table)
 
         self.engine = ProcessEngine(model, self.coordinator)
-        for pdoc in scenario.processes:
-            self.engine.define(load_definition(pdoc))
+        for definition in scenario.processes:
+            self.engine.define(definition)
 
         for binding in scenario.bindings:
             self.coordinator.bind_service(

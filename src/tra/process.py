@@ -77,8 +77,16 @@ def load_definition(doc: dict) -> ProcessDefinition:
         policy = TxnPolicy(doc.get("policy", "per_step"))
     except ValueError:
         raise ProcessError(f"unknown policy {doc.get('policy')!r}") from None
+    raw_steps = doc.get("steps", [])
+    if not isinstance(raw_steps, list):
+        raise ProcessError(f"steps must be a list, got {raw_steps!r}")
     steps = []
-    for raw in doc.get("steps", ()):
+    for i, raw in enumerate(raw_steps):
+        if not isinstance(raw, dict):
+            raise ProcessError(f"step {i} is not an object: {raw!r}")
+        for key in ("input", "output"):
+            if not isinstance(raw.get(key, {}), dict):
+                raise ProcessError(f"step {i}: {key} must be an object, got {raw[key]!r}")
         steps.append(
             Step(
                 name=raw.get("name", ""),
@@ -127,7 +135,7 @@ class ProcessEngine:
                     output_map=_sources(step.output_map, ("resp",), step.name),
                 )
             )
-        definition.steps = steps
+        definition = replace(definition, steps=steps)  # the caller's copy stays as it was
         self.definitions[definition.name] = definition
         try:
             self._check_cycles(definition.name)

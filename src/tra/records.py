@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import MAX_PREC, Context, Decimal
 from typing import Mapping
 
 from .errors import CodecError
@@ -22,6 +22,9 @@ KINDS = ("text", "integer", "decimal")
 
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 _DEC_RE = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+# scaling under this context never rounds, however many digits a value has
+_EXACT = Context(prec=MAX_PREC)
 
 _KIND_DEFAULTS = {
     "text": ("space", "left"),
@@ -200,7 +203,7 @@ def _to_units(f: FieldSpec, d: Decimal) -> int:
         if d.adjusted() > 0:
             raise CodecError(f"field {f.name}: {d} overflows width {f.length}", f.name)
         raise CodecError(f"field {f.name}: {d} does not fit scale {f.scale}", f.name)
-    scaled = d.scaleb(f.scale)
+    scaled = d.scaleb(f.scale, _EXACT)
     if scaled != scaled.to_integral_value():
         raise CodecError(f"field {f.name}: {d} does not fit scale {f.scale}", f.name)
     return int(scaled)
@@ -249,5 +252,5 @@ def decode_record(spec: MessageSpec, record: str) -> dict:
         elif f.kind == "integer":
             out[f.name] = _parse_units(f, raw)
         else:
-            out[f.name] = Decimal(_parse_units(f, raw)).scaleb(-f.scale)
+            out[f.name] = Decimal(_parse_units(f, raw)).scaleb(-f.scale, _EXACT)
     return out

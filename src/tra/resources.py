@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import LogCorruptError, ResourceCrashed, StoreLimitError, TxnStateError
+from .errors import ResourceCrashed, StoreLimitError, TxnStateError
 from .sim import Tracer
 from .txn import TransactionContext, Vote
 from .wal import LogWriter, read_records
@@ -25,6 +25,9 @@ MAX_KEY_LEN = 256
 MAX_VALUE_BYTES = 64 * 1024
 
 _TOMBSTONE = object()
+
+# compact JSON: never holds a tab or a newline, so it is one log field
+_to_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 @dataclass(frozen=True)
@@ -46,16 +49,18 @@ class ResourceManager:
     """Participant skeleton: guards, workspaces, the local log, prepared
     bookkeeping.
 
-    A subclass names its workspace class in `_Work` and implements five
-    hooks: `_validate_and_stage` (workspace -> payload, or None to vote NO),
-    `_apply` / `_unstage` (commit / roll back a prepared payload), `_restage`
-    (re-hold one after recovery) and `_lose_memory`; it overrides `_discard`
-    when dropping an unprepared workspace must hand something back. The
+    A subclass names its workspace class in `_Work` and the keys its prepare
+    payload must hold, with their JSON types, in `_payload`. It implements
+    three hooks: `_validate_and_stage` (workspace -> payload, or None to vote
+    NO) and `_apply` / `_unstage` (commit / roll back a prepared payload). It
+    overrides `_restage` (re-hold a payload after recovery), `_lose_memory`
+    and `_discard` where it holds something they must handle. The
     subclasses' committed image stands in for durable state; a crash only
     wipes workspace and prepared memory, which recover() rebuilds from the log.
     """
 
     _Work: type
+    _payload: dict
 
     def __init__(
         self,
@@ -110,8 +115,7 @@ class ResourceManager:
         if payload is None:
             self.tracer.emit("rm_vote", rm=self.rm_id, txn=txn_id, vote=Vote.NO.value)
             return Vote.NO
-        blob = json.dumps(payload, sort_keys=True).encode("utf-8").hex()
-        self._writer.append("PREPARED", txn_id, blob)
+        self._writer.append("PREPARED", txn_id, _to_json(payload))
         self._prepared[txn_id] = payload
         self.tracer.emit("rm_vote", rm=self.rm_id, txn=txn_id, vote=Vote.YES.value)
         return Vote.YES
@@ -163,21 +167,12 @@ class ResourceManager:
             return
         self.crashed = False
         self._writer = LogWriter(self.log_path)
-        self._prepared = {}
-        self._done = set()
-        for rec in read_records(self.log_path):
-            try:
-                if rec[0] == "PREPARED" and len(rec) == 3:
-                    txn_id = int(rec[1])
-                    self._prepared[txn_id] = json.loads(bytes.fromhex(rec[2]).decode("utf-8"))
-                elif rec[0] == "DONE" and len(rec) == 2:
-                    txn_id = int(rec[1])
-                    self._done.add(txn_id)
-                    self._prepared.pop(txn_id, None)
-                else:
-                    raise ValueError("unknown record")
-            except ValueError as exc:  # bad id, hex, UTF-8 or JSON included
-                raise LogCorruptError(f"{self.log_path}: bad record {rec!r}") from exc
+        for rec in read_records(self.log_path, {"PREPARED": self._payload, "DONE": None}):
+            if rec[0] == "PREPARED":
+                self._prepared[rec[1]] = rec[2]
+            else:
+                self._done.add(rec[1])
+                self._prepared.pop(rec[1], None)
         for txn_id, payload in self._prepared.items():
             self._restage(txn_id, payload)
         self.tracer.emit("recover", who=self.rm_id, prepared=len(self._prepared))
@@ -194,10 +189,10 @@ class ResourceManager:
         raise NotImplementedError
 
     def _restage(self, txn_id: int, payload: dict) -> None:
-        raise NotImplementedError
+        """Re-hold what a prepared payload holds, after recovery."""
 
     def _lose_memory(self) -> None:
-        raise NotImplementedError
+        """Drop memory, other than workspaces, that a crash loses."""
 
     def _discard(self, txn_id: int) -> None:
         self._work.pop(txn_id, None)
@@ -241,6 +236,7 @@ class ManagedStore(ResourceManager):
 
     kind = "store"
     _Work = _StoreWork
+    _payload = {"writes": dict}
 
     def __init__(self, rm_id, log_path, tracer=None, prepare_delay=0):
         super().__init__(rm_id, log_path, tracer, prepare_delay)
@@ -351,6 +347,7 @@ class TxnQueue(ResourceManager):
 
     kind = "queue"
     _Work = _QueueWork
+    _payload = {"sends": list, "receives": list}
 
     def __init__(self, rm_id, log_path, tracer=None, prepare_delay=0):
         super().__init__(rm_id, log_path, tracer, prepare_delay)
@@ -414,15 +411,7 @@ class TxnQueue(ResourceManager):
     def _unstage(self, txn_id: int, payload: dict) -> None:
         self._messages[0:0] = payload["receives"]
 
-    def _restage(self, txn_id: int, payload: dict) -> None:
-        # Prepared receives are already absent from the committed list and
-        # recorded in the payload; nothing to re-hold.
-        pass
-
     def _discard(self, txn_id: int) -> None:
         ws = self._work.pop(txn_id, None)
         if ws is not None:  # hand the receives back to the head
             self._messages[0:0] = ws.receives
-
-    def _lose_memory(self) -> None:
-        pass

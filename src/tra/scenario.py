@@ -14,8 +14,10 @@ import os
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from .broker import BrokerTable, load_table
 from .errors import ScenarioError
 from .faults import COORDINATOR_TARGET
+from .process import ProcessDefinition, load_definition
 from .source import parse
 
 # action op (an assert by its kind) -> the fields its runner handler needs
@@ -90,8 +92,8 @@ class Scenario:
     stores: list[ResourceDecl]
     queues: list[ResourceDecl]
     endpoints: list[dict]
-    tables: list[dict]
-    processes: list[dict]
+    tables: list[BrokerTable]
+    processes: list[ProcessDefinition]
     bindings: list[BindingDecl]
     serve_queues: list[str]
     sweep_targets: list[str]
@@ -109,6 +111,19 @@ class Scenario:
             if a.get("op") == "commit":
                 last = i
         return last
+
+
+_TYPE_NAMES = {dict: "an object", list: "a list", int: "an integer"}
+
+
+def _field(doc: Mapping, key: str, kind: type, default):
+    """A top-level field, refused unless its JSON type is `kind` (so a bool
+    is not an integer)."""
+    if key not in doc:
+        return default
+    if type(doc[key]) is not kind:
+        raise ScenarioError(f"{key} must be {_TYPE_NAMES[kind]}, got {doc[key]!r}")
+    return doc[key]
 
 
 def _resource_decls(raw, what: str) -> list[ResourceDecl]:
@@ -171,7 +186,7 @@ def _name_table(stores, queues, endpoints, processes) -> dict[str, str]:
         [(d.name, "store") for d in stores]
         + [(d.name, "queue") for d in queues]
         + [(e["endpoint_id"], "endpoint") for e in endpoints]
-        + [(p["name"], "process") for p in processes]
+        + [(p.name, "process") for p in processes]
     )
     for name, kind in declared:
         if name == COORDINATOR_TARGET:
@@ -212,24 +227,25 @@ def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
     if not name or not isinstance(name, str):
         raise ScenarioError("scenario needs a name")
 
-    model_doc = None
-    if "model" in doc:
-        model_doc = dict(doc["model"])
-    elif "manifest" in doc:
+    model_doc = _field(doc, "model", dict, None)
+    if model_doc is None and "manifest" in doc:
         model_doc = _inline_or_file(doc["manifest"], base_dir, "manifest")
 
-    stores = _resource_decls(doc.get("stores", ()), "store")
-    queues = _resource_decls(doc.get("queues", ()), "queue")
-    endpoints = _endpoint_decls(doc.get("endpoints", ()))
-    processes = [_inline_or_file(p, base_dir, "process") for p in doc.get("processes", ())]
+    stores = _resource_decls(_field(doc, "stores", list, []), "store")
+    queues = _resource_decls(_field(doc, "queues", list, []), "queue")
+    endpoints = _endpoint_decls(_field(doc, "endpoints", list, []))
+    processes = [
+        _inline_or_file(p, base_dir, "process") for p in _field(doc, "processes", list, [])
+    ]
     if any(not isinstance(p.get("name"), str) for p in processes):
         raise ScenarioError("a process must be an object with a name")
     if processes and model_doc is None:
         raise ScenarioError("processes need a component model")
+    processes = [load_definition(p) for p in processes]
     names = _name_table(stores, queues, endpoints, processes)
 
     actions = []
-    for i, action in enumerate(doc.get("actions", ())):
+    for i, action in enumerate(_field(doc, "actions", list, [])):
         if not isinstance(action, Mapping) or "op" not in action:
             raise ScenarioError(f"action {i}: not an object with an op")
         op, kind = action["op"], action.get("kind")
@@ -244,7 +260,7 @@ def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
         actions.append(dict(action))
 
     bindings = []
-    for raw in doc.get("bindings", ()):
+    for raw in _field(doc, "bindings", list, []):
         if not isinstance(raw, Mapping):
             raise ScenarioError("a binding must be an object")
         try:
@@ -274,23 +290,26 @@ def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
             raise ScenarioError(f"binding missing {exc}") from exc
 
     for listed, kinds in (("serve_queues", ("queue",)), ("sweep_targets", ("store", "queue"))):
-        for value in doc.get(listed, ()):
+        for value in _field(doc, listed, list, []):
             _check_name(names, value, kinds, listed)
 
     return Scenario(
         name=name,
-        seed=int(doc.get("seed", 0)),
+        seed=_field(doc, "seed", int, 0),
         base_dir=base_dir,
-        prepare_budget=int(doc["prepare_budget"]) if "prepare_budget" in doc else None,
+        prepare_budget=_field(doc, "prepare_budget", int, None),
         model_doc=model_doc,
         stores=stores,
         queues=queues,
         endpoints=endpoints,
-        tables=[_inline_or_file(t, base_dir, "broker table") for t in doc.get("tables", ())],
+        tables=[
+            load_table(_inline_or_file(t, base_dir, "broker table"))
+            for t in _field(doc, "tables", list, [])
+        ],
         processes=processes,
         bindings=bindings,
-        serve_queues=list(doc.get("serve_queues", ())),
-        sweep_targets=list(doc.get("sweep_targets", ())),
+        serve_queues=list(_field(doc, "serve_queues", list, [])),
+        sweep_targets=list(_field(doc, "sweep_targets", list, [])),
         actions=actions,
         names=names,
     )

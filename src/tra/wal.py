@@ -1,50 +1,89 @@
-"""Append-only tab-separated log files.
+"""Append-only write-ahead logs and their one reader.
 
-Both the coordinator log and each resource manager's local log use the same
-physical format: one record per line, fields joined by tabs, flushed before the
-writer acts on the record. Readers return raw field tuples; record structure is
-validated by the consumer that knows the schema.
+Every log holds one record per line, `KIND<tab>txn-id[<tab>field]`. Each log
+declares a schema, record kind -> what follows the id: nothing (None), a
+non-empty name (NAME), or a JSON object ({key: type} for the keys its reader
+relies on). A last line with no newline is a record whose write a crash tore,
+so it was never written: the reader skips it and the writer cuts it off. Any
+other malformed line is corruption.
 """
 
 from __future__ import annotations
 
+import gc
+import json
 import os
 
 from .errors import LogCorruptError
 
+NAME = "name"
+
 
 class LogWriter:
-    """Flush-on-append writer. Reopening after a simulated crash appends."""
+    """Unbuffered, so a record is in the file before its caller acts on it. A
+    crash loses memory, not the OS, so that is durable without an fsync."""
 
     def __init__(self, path: str) -> None:
         self.path = path
-        self._fh = open(path, "a", encoding="utf-8")
+        self._fh = open(path, "ab+", buffering=0)
+        fd, end = self._fh.fileno(), self._fh.seek(0, os.SEEK_END)
+        if end and os.pread(fd, 1, end - 1) != b"\n":  # cut a torn last record off
+            self._fh.truncate(os.pread(fd, end, 0).rfind(b"\n") + 1)
 
     def append(self, *fields: object) -> None:
-        parts = [str(f) for f in fields]
-        for p in parts:
-            if "\t" in p or "\n" in p:
-                raise ValueError("log fields must not contain tabs or newlines")
-        self._fh.write("\t".join(parts) + "\n")
-        # Flush so the record is in the file before the caller acts on it.
-        # The crash model kills in-memory state, not the OS, so flush (without
-        # fsync) is durable for our purposes.
-        self._fh.flush()
+        line = "\t".join([str(f) for f in fields])
+        if line.count("\t") != len(fields) - 1 or "\n" in line:
+            raise ValueError("log fields must not contain tabs or newlines")
+        data = (line + "\n").encode("utf-8")
+        if self._fh.write(data) != len(data):  # unbuffered: nothing retries a short write
+            raise OSError(f"{self.path}: short write")
 
     def close(self) -> None:
         if not self._fh.closed:
             self._fh.close()
 
 
-def read_records(path: str) -> list[tuple[str, ...]]:
-    """Read every record from a log file. Missing file reads as empty."""
-    if not os.path.exists(path):
+def read_records(path: str, schema: dict) -> list[tuple]:
+    """Decode a log's records against its schema; a missing log reads as empty."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
         return []
+    data = data[: data.rfind(b"\n") + 1]  # drop a torn last record
+    try:
+        lines = data.decode("utf-8").split("\n")[:-1]
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise LogCorruptError(f"{path}:{lineno}: bad record: {exc.reason}") from None
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                raise LogCorruptError(f"{path}:{lineno}: empty record")
-            records.append(tuple(line.split("\t")))
+    collecting = gc.isenabled()
+    gc.disable()  # the records hold no cycles: spare the heap rescans as they pile up
+    try:
+        for line in lines:
+            rec = line.split("\t")
+            try:
+                field = schema[rec[0]]
+                if field is None:
+                    kind, txn_id = rec
+                    records.append((kind, int(txn_id)))
+                    continue
+                kind, txn_id, value = rec
+                if field is not NAME:
+                    value = json.loads(value)
+                    if type(value) is not dict:
+                        raise ValueError("payload is not an object")
+                    for key, vtype in field.items():
+                        if type(value.get(key)) is not vtype:
+                            raise ValueError(f"payload {key!r} is not a {vtype.__name__}")
+                elif not value:
+                    raise ValueError("empty name")
+                records.append((kind, int(txn_id), value))
+            except (KeyError, ValueError) as exc:
+                why = "unknown kind" if type(exc) is KeyError else exc
+                lineno = lines.index(line) + 1  # the first line with this text failed first
+                raise LogCorruptError(f"{path}:{lineno}: bad record {line!r}: {why}") from None
+    finally:
+        if collecting:
+            gc.enable()
     return records

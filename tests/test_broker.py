@@ -334,6 +334,7 @@ def test_drain_pass_stops_when_the_reply_cannot_commit(rig):
     broker.register_table(profile_table())
 
     from tra.resources import TxnQueue
+    from tra.coordinator import LOG_SCHEMA
     from tra.wal import read_records
 
     # the reply queue's vote arrives after the coordinator's prepare budget
@@ -358,8 +359,8 @@ def test_drain_pass_stops_when_the_reply_cannot_commit(rig):
     assert replies.depth() == 0
     assert queue.conservation_holds() and replies.conservation_holds()
     # every drain transaction ended with an END record
-    begun = {r[1] for r in read_records(coord.log_path) if r[0] == "BEGIN"}
-    ended = {r[1] for r in read_records(coord.log_path) if r[0] == "END"}
+    begun = {r[1] for r in read_records(coord.log_path, LOG_SCHEMA) if r[0] == "BEGIN"}
+    ended = {r[1] for r in read_records(coord.log_path, LOG_SCHEMA) if r[0] == "END"}
     assert begun == ended
 
 

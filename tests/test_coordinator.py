@@ -2,7 +2,7 @@
 
 import pytest
 
-from tra.coordinator import Coordinator, replay_log
+from tra.coordinator import LOG_SCHEMA, Coordinator, replay_log
 from tra.errors import (
     CoordinatorDown,
     LogCorruptError,
@@ -21,17 +21,17 @@ import tra
 
 
 def kinds(path):
-    return [rec[0] for rec in read_records(path)]
+    return [rec[0] for rec in read_records(path, LOG_SCHEMA)]
 
 
 def test_zero_participant_commit_logs_no_enlist(rig):
     coord, _, _ = rig
     t = coord.begin("c")
     assert coord.commit(t) is TxnStatus.COMMITTED
-    assert read_records(coord.log_path) == [
-        ("BEGIN", "1"),
-        ("COMMIT", "1"),
-        ("END", "1"),
+    assert read_records(coord.log_path, LOG_SCHEMA) == [
+        ("BEGIN", 1),
+        ("COMMIT", 1),
+        ("END", 1),
     ]
 
 
@@ -41,12 +41,12 @@ def test_log_sequence_for_a_full_commit(rig):
     store.put(t, "k", "v")
     queue.send(t, "m")
     coord.commit(t)
-    assert read_records(coord.log_path) == [
-        ("BEGIN", "1"),
-        ("ENLIST", "1", "store"),
-        ("ENLIST", "1", "queue"),
-        ("COMMIT", "1"),
-        ("END", "1"),
+    assert read_records(coord.log_path, LOG_SCHEMA) == [
+        ("BEGIN", 1),
+        ("ENLIST", 1, "store"),
+        ("ENLIST", 1, "queue"),
+        ("COMMIT", 1),
+        ("END", 1),
     ]
 
 
@@ -274,6 +274,31 @@ def test_replay_log_shapes(tmp_path):
     assert txns[1].status == "committed" and txns[1].ended
     assert txns[1].enlisted == ["store"]
     assert txns[2].status == "aborted" and not txns[2].ended
+
+
+def test_a_log_with_a_torn_last_record_restarts_and_recovers(rig):
+    coord, store, queue = rig
+    done = coord.begin("c")
+    store.put(done, "k", "v")
+    coord.commit(done)
+    undecided = coord.begin("c")
+    queue.send(undecided, "m")
+    coord.crash()
+    queue.crash()
+    with open(coord.log_path, "a", encoding="utf-8") as fh:
+        fh.write("EN")  # the crash tore the next record
+
+    coord.restart()
+    queue.recover()
+    outcome = coord.recover()
+
+    assert outcome.presumed_aborted == 1
+    txns = replay_log(coord.log_path)
+    assert txns[done.id].status == "committed"
+    assert txns[undecided.id].status == "aborted"
+    assert all(entry.ended for entry in txns.values())
+    assert coord.begin("c").id == undecided.id + 1
+    assert kinds(coord.log_path)[-4:] == ["ENLIST", "ABORT", "END", "BEGIN"]
 
 
 @pytest.mark.parametrize(

@@ -567,3 +567,43 @@ def test_expect_is_one_rule_over_what_each_op_observed():
         {"desc": "receive q == 'other'", "ok": False},
         {"desc": "commit t2 -> aborted", "ok": False},
     ]
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"model": "abc"}, "model must be an object, got 'abc'"),
+        ({"seed": "abc"}, "seed must be an integer, got 'abc'"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"prepare_budget": 1.5}, "prepare_budget must be an integer, got 1.5"),
+        ({"stores": "ab"}, "stores must be a list, got 'ab'"),
+        ({"queues": {"q": []}}, "queues must be a list"),
+        ({"actions": "ab"}, "actions must be a list"),
+        ({"model": {}, "processes": [{"name": "p", "steps": "ab"}]}, "steps must be a list"),
+    ],
+    ids=[
+        "model-a-string", "seed-a-string", "seed-a-bool", "budget-a-float",
+        "stores-a-string", "queues-an-object", "actions-a-string", "process-steps-a-string",
+    ],
+)
+def test_wrongly_typed_scenario_fields_end_in_exit_2(tmp_path, capsys, changes, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_world(**changes)), encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_processes_and_tables_are_parsed_once_at_load():
+    from tra.broker import BrokerTable
+    from tra.process import ProcessDefinition
+
+    for fixture, parsed, kind in [
+        ("process_demo.json", "processes", ProcessDefinition),
+        ("broker_demo.json", "tables", BrokerTable),
+    ]:
+        scenario = load_scenario_file(tra.fixture_path(fixture))
+        objects = getattr(scenario, parsed)
+        assert objects and all(isinstance(o, kind) for o in objects)
+        # runs share the parsed objects, so a second run must report the same
+        first = run_scenario(scenario)
+        assert first["ok"] and run_scenario(scenario) == first

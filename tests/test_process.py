@@ -3,7 +3,7 @@
 import pytest
 
 import tra
-from tra.coordinator import Coordinator
+from tra.coordinator import LOG_SCHEMA, Coordinator
 from tra.errors import ProcessError
 from tra.model import load_manifest_file
 from tra.process import (
@@ -83,7 +83,7 @@ def test_per_step_runs_each_step_in_its_own_transaction(world):
     assert inst.variables["cust_status"] == "ok"
     assert inst.variables["ctr_status"] == "created"
     assert store.committed_value("c1") == "D"
-    kinds = [r[0] for r in read_records(coord.log_path)]
+    kinds = [r[0] for r in read_records(coord.log_path, LOG_SCHEMA)]
     assert kinds.count("BEGIN") == 2 and kinds.count("COMMIT") == 2
 
 
@@ -92,7 +92,7 @@ def test_spanning_runs_one_transaction(world):
     engine.define(two_step(TxnPolicy.SPANNING))
     inst = engine.execute(engine.start("onboard", VARS))
     assert inst.state is InstanceState.COMPLETED
-    kinds = [r[0] for r in read_records(coord.log_path)]
+    kinds = [r[0] for r in read_records(coord.log_path, LOG_SCHEMA)]
     assert kinds.count("BEGIN") == 1 and kinds.count("COMMIT") == 1
 
 
@@ -203,7 +203,7 @@ def test_empty_process_completes_without_transactions(world):
     engine.define(ProcessDefinition(name="noop", policy=TxnPolicy.SPANNING, steps=[]))
     inst = engine.execute(engine.start("noop"))
     assert inst.state is InstanceState.COMPLETED
-    assert read_records(coord.log_path) == []
+    assert read_records(coord.log_path, LOG_SCHEMA) == []
 
 
 def test_definition_validation(world):
@@ -302,7 +302,7 @@ def test_bad_sources_are_refused_at_define(world, input_map, output_map):
     with pytest.raises(ProcessError, match="step s: bad source"):
         engine.define(ProcessDefinition(name="p", policy=TxnPolicy.PER_STEP, steps=[step]))
     assert "p" not in engine.definitions
-    assert read_records(coord.log_path) == []
+    assert read_records(coord.log_path, LOG_SCHEMA) == []
 
 
 def test_missing_response_field_fails_the_step(world):
@@ -358,3 +358,18 @@ def test_spanning_step_failure_completes_no_steps(world):
     inst = engine.execute(engine.start("onboard", {**VARS, "terms": "poison"}))
     assert inst.failed_step == "contract"
     assert inst.completed_steps == 0
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"name": "p", "steps": "ab"}, "steps must be a list"),
+        ({"name": "p", "steps": ["s1"]}, "step 0 is not an object"),
+        ({"name": "p", "steps": [{"name": "s", "input": ["id"]}]}, "step 0: input must be an object"),
+        ({"name": "p", "steps": [{"name": "s", "output": "x"}]}, "step 0: output must be an object"),
+    ],
+    ids=["steps-a-string", "step-a-string", "input-a-list", "output-a-string"],
+)
+def test_load_definition_refuses_wrong_shapes(doc, message):
+    with pytest.raises(ProcessError, match=message):
+        load_definition(doc)

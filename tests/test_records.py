@@ -220,3 +220,12 @@ def test_zero_with_a_huge_exponent_still_fits():
     assert encode_record(spec, {"d": "0e999999999"}) == "00000000"
     assert encode_record(spec, {"d": "999999.99"}) == "99999999"
     assert decode_record(spec, "99999999") == {"d": Decimal("999999.99")}
+
+
+def test_decimals_past_28_digits_are_exact_or_refused():
+    spec = MessageSpec(record_length=30, fields=(FieldSpec("d", 0, 30, "decimal", scale=2),))
+    wide = Decimal("123456789012345678901234567.89")  # 29 significant digits
+    assert decode_record(spec, encode_record(spec, {"d": wide}))["d"] == wide
+    narrow = MessageSpec(record_length=12, fields=(FieldSpec("d", 0, 12, "decimal", scale=2),))
+    with pytest.raises(CodecError, match="does not fit scale 2"):
+        encode_record(narrow, {"d": "1234567.0000000000000000000000000001"})

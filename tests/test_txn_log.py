@@ -5,6 +5,7 @@ import pytest
 from tra.errors import LogCorruptError, TxnStateError
 from tra.sim import SimClock, Tracer
 from tra.txn import TransactionContext, TxnStatus
+from tra.coordinator import LOG_SCHEMA
 from tra.wal import LogWriter, read_records
 
 
@@ -34,10 +35,10 @@ def test_tracer_stamps_then_ticks():
 def test_log_round_trip(tmp_path):
     path = str(tmp_path / "x.log")
     w = LogWriter(path)
-    w.append("BEGIN", 1, "client")
+    w.append("ENLIST", 1, "client")
     w.append("COMMIT", 1)
     w.close()
-    assert read_records(path) == [("BEGIN", "1", "client"), ("COMMIT", "1")]
+    assert read_records(path, LOG_SCHEMA) == [("ENLIST", 1, "client"), ("COMMIT", 1)]
 
 
 def test_log_rejects_separator_bytes(tmp_path):
@@ -50,11 +51,11 @@ def test_log_rejects_separator_bytes(tmp_path):
 
 
 def test_log_missing_and_corrupt(tmp_path):
-    assert read_records(str(tmp_path / "absent.log")) == []
+    assert read_records(str(tmp_path / "absent.log"), LOG_SCHEMA) == []
     bad = tmp_path / "bad.log"
     bad.write_text("BEGIN\t1\n\nCOMMIT\t1\n", encoding="utf-8")
     with pytest.raises(LogCorruptError):
-        read_records(str(bad))
+        read_records(str(bad), LOG_SCHEMA)
 
 
 def test_txn_state_machine():
@@ -84,16 +85,62 @@ def test_txn_abort_paths():
 
 
 @pytest.mark.parametrize(
-    "record",
-    ["PREPARED\tx1\t7b7d", "PREPARED\t1\tzz", "DONE\tq", "PREPARED\t1\tff", "PREPARED\t1\t7b"],
-    ids=["bad-txn-id", "bad-hex", "bad-done-id", "bad-utf8", "bad-json"],
+    "rm, record",
+    [
+        pytest.param("queue", "PREPARED\tx1\t7b7d", id="bad-txn-id"),
+        pytest.param("queue", "PREPARED\t1\tzz", id="bad-hex"),
+        pytest.param("queue", "DONE\tq", id="bad-done-id"),
+        pytest.param("queue", "PREPARED\t1\tff", id="bad-utf8"),
+        pytest.param("queue", "PREPARED\t1\t7b", id="bad-json"),
+        pytest.param("queue", "PREPARED\t1\t7", id="queue-payload-not-an-object"),
+        pytest.param("queue", 'PREPARED\t1\t{"sends": []}', id="queue-payload-without-receives"),
+        pytest.param("store", "PREPARED\t1\t7", id="store-payload-not-an-object"),
+        pytest.param("store", "PREPARED\t1\t[]", id="store-payload-a-list"),
+        pytest.param("store", 'PREPARED\t1\t{"writes": 3}', id="store-writes-not-an-object"),
+    ],
 )
-def test_malformed_rm_log_record_is_log_corruption(tmp_path, record):
-    from tra.resources import TxnQueue
+def test_malformed_rm_log_record_is_log_corruption(tmp_path, rm, record):
+    from tra.resources import ManagedStore, TxnQueue
 
     path = tmp_path / "q.log"
     path.write_text(record + "\n", encoding="utf-8")
-    queue = TxnQueue("q", str(path), tracer=Tracer(SimClock()))
-    queue.crash()
+    manager = {"queue": TxnQueue, "store": ManagedStore}[rm]("q", str(path), tracer=Tracer(SimClock()))
+    manager.crash()
     with pytest.raises(LogCorruptError, match="bad record"):
-        queue.recover()
+        manager.recover()
+
+
+def test_a_torn_last_line_was_never_written(tmp_path):
+    path = tmp_path / "x.log"
+    path.write_bytes("BEGIN\t1\nENLIST\t1\tst\u00f6".encode("utf-8")[:-1])  # tears inside the ö
+    assert read_records(str(path), LOG_SCHEMA) == [("BEGIN", 1)]
+    w = LogWriter(str(path))  # cuts the torn record off, so the next one starts its own line
+    w.append("COMMIT", 1)
+    w.close()
+    assert path.read_text(encoding="utf-8") == "BEGIN\t1\nCOMMIT\t1\n"
+    # only the last line may be torn: a finished malformed line is corruption
+    path.write_text("BEGIN\t1\nEN\nBEGIN\t2", encoding="utf-8")
+    with pytest.raises(LogCorruptError, match=r"x\.log:2: bad record 'EN': unknown kind"):
+        read_records(str(path), LOG_SCHEMA)
+
+
+def test_a_torn_prepared_record_recovers_with_nothing_prepared(tmp_path):
+    from tra.resources import ManagedStore
+
+    store = ManagedStore("s", str(tmp_path / "s.log"), tracer=Tracer(SimClock()))
+    t = TransactionContext(id=1, originator="t")
+    store.put(t, "k", "v")
+    assert store.prepare(1).value == "yes"
+    store.crash()
+    with open(store.log_path, "r+b") as fh:  # the crash tore the PREPARED write
+        fh.truncate(fh.seek(0, 2) - 3)
+    store.recover()
+    assert read_records(store.log_path, {"PREPARED": {"writes": dict}, "DONE": None}) == []
+    # k is not locked by a prepared txn 1, and txn 1 is unknown here
+    t2 = TransactionContext(id=2, originator="t")
+    store.put(t2, "k", "w")
+    assert store.prepare(2).value == "yes"
+    store.commit(2)
+    assert store.committed_value("k") == "w"
+    with pytest.raises(TxnStateError, match="without prepare"):
+        store.commit(1)
