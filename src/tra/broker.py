@@ -23,9 +23,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from .errors import CodecError, InvokeError, ManifestError, TableError, TraError
-from .model import ServiceSignature, load_signature
-from .records import MessageSpec, decode_record, encode_record, typed
+from .errors import CodecError, InvokeError, TableError, TraError
+from .model import SIGNATURE, ServiceSignature, load_signature
+from .records import MESSAGE_SPEC, MessageSpec, decode_record, encode_record, typed
+from .shape import BOOL, INT, LIST, NAME, NULL, OBJECT, STR, Each, Either, Obj, check, read_json
 from .sim import Tracer
 from .source import MISSING, Source, parse, resolve
 from .txn import TxnStatus
@@ -52,32 +53,38 @@ class BrokerTable:
     aggregate: dict[str, list[str]]
 
 
+# request maps and aggregate lists hold sources, which registration parses
+TABLE = Obj({"service": SIGNATURE, "calls": Each(LIST, Obj(
+    {"call_id": NAME, "endpoint": NAME, "request_spec": MESSAGE_SPEC, "request_map": OBJECT,
+     "response_spec": MESSAGE_SPEC},
+    {"depends_on": Each(LIST, NAME)},
+))}, {"aggregate": Each(OBJECT, LIST)})
+
+
 def load_table(doc: Mapping) -> BrokerTable:
     """Parse a broker table document. Cross-reference checks happen at
     registration, when adapters are known."""
+    check(TABLE, doc, TableError, "broker table")
     try:
-        service = load_signature(doc["service"], "service")
-        calls = []
-        for c in doc["calls"]:
-            calls.append(
-                LegacyCall(
-                    call_id=c["call_id"],
-                    endpoint=c["endpoint"],
-                    request_spec=MessageSpec.from_dict(c["request_spec"]),
-                    request_map=dict(c["request_map"]),
-                    response_spec=MessageSpec.from_dict(c["response_spec"]),
-                    depends_on=frozenset(c.get("depends_on", ())),
-                )
+        calls = [
+            LegacyCall(
+                c["call_id"], c["endpoint"], MessageSpec.from_checked(c["request_spec"]),
+                dict(c["request_map"]), MessageSpec.from_checked(c["response_spec"]),
+                frozenset(c.get("depends_on", ())),
             )
-        aggregate = {k: list(v) for k, v in doc.get("aggregate", {}).items()}
-        return BrokerTable(service=service, calls=calls, aggregate=aggregate)
-    except (KeyError, TypeError, CodecError, ManifestError) as exc:
-        raise TableError(f"bad broker table: {exc}") from exc
+            for c in doc["calls"]
+        ]
+    except CodecError as exc:  # a record layout the codec cannot hold
+        raise TableError(f"bad broker table: {exc}") from None
+    return BrokerTable(
+        service=load_signature(doc["service"], "service", TableError),
+        calls=calls,
+        aggregate={k: list(v) for k, v in doc.get("aggregate", {}).items()},
+    )
 
 
 def load_table_file(path: str) -> BrokerTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_table(json.load(fh))
+    return load_table(read_json(path, TableError, "broker table"))
 
 
 @dataclass
@@ -92,19 +99,19 @@ class ScriptRule:
     garbage: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.match, dict):
-            raise TableError(f"script rule match {self.match!r} is not an object")
-        if not (self.reply is None or isinstance(self.reply, dict)):
-            raise TableError(f"script rule reply {self.reply!r} is not an object")
-        if not (self.garbage is None or isinstance(self.garbage, str)):
-            raise TableError(f"script rule garbage {self.garbage!r} is not a string")
         actions = sum((self.reply is not None, self.error, self.garbage is not None))
         if actions > 1:
             raise TableError("script rule has more than one action")
-        if type(self.delay) is not int:
-            raise TableError(f"script delay {self.delay!r} is not an integer")
         if self.delay < 0:
             raise TableError("script delay must be >= 0")
+
+
+_RULE = {
+    "match": OBJECT, "delay": INT, "reply": Either(OBJECT, NULL), "error": BOOL,
+    "garbage": Either(STR, NULL),
+}
+SCRIPT = Each(LIST, Obj({}, _RULE, error=TableError))  # also declared by a scenario's endpoints
+_ENDPOINT = Obj({"endpoint_id": NAME}, {"script": SCRIPT})
 
 
 class LegacyEndpoint:
@@ -131,13 +138,14 @@ class LegacyEndpoint:
 
     @classmethod
     def from_doc(cls, doc: Mapping) -> "LegacyEndpoint":
+        check(_ENDPOINT, doc, TableError, "endpoint")
         rules = []
         for r in doc.get("script", ()):
             try:
-                if not isinstance(r, dict):
-                    raise TableError(f"script rule {r!r} is not an object")
-                given = {k: r[k] for k in ("match", "delay", "reply", "garbage") if k in r}
-                rules.append(ScriptRule(error=bool(r.get("error", False)), **given))
+                rules.append(ScriptRule(
+                    r.get("match", {}), r.get("delay", 0), r.get("reply"), r.get("error", False),
+                    r.get("garbage"),
+                ))
             except TableError as exc:
                 raise TableError(f"endpoint {doc['endpoint_id']}: {exc}") from None
         return cls(doc["endpoint_id"], rules)

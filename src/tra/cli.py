@@ -83,10 +83,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TraError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (TraError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -21,7 +21,7 @@ import random
 import tempfile
 from dataclasses import asdict
 
-from .broker import DEFAULT_REPLY_BUDGET, Adapter, LegacyEndpoint, MessageBroker
+from .broker import Adapter, LegacyEndpoint, MessageBroker
 from .coordinator import DEFAULT_PREPARE_BUDGET, Coordinator, replay_log
 from .errors import ScenarioError, TraError
 from .faults import ALL_POINTS, COORDINATOR_TARGET, CoordinatorCrash, FaultInjector, FaultSpec
@@ -116,10 +116,10 @@ class Runner:
 
         self.broker = MessageBroker(tracer=self.tracer, rng=self.rng)
         self.endpoints: dict[str, LegacyEndpoint] = {}
-        for doc in scenario.endpoints:
-            ep = LegacyEndpoint.from_doc(doc)
+        for template in scenario.endpoints:
+            ep = LegacyEndpoint(template.endpoint_id, template.endpoint.script)
             self.endpoints[ep.endpoint_id] = ep
-            self.broker.register_adapter(Adapter(ep, doc.get("budget", DEFAULT_REPLY_BUDGET)))
+            self.broker.register_adapter(Adapter(ep, template.budget))
             # registering the endpoint makes enlist attempts fail clearly
             self.coordinator.register(UnmanagedResource(ep.endpoint_id))
         for table in scenario.tables:

@@ -10,13 +10,13 @@ a whole.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
 from .errors import BindingError, EdgeError, ManifestError
 from .records import KINDS
+from .shape import BOOL, LIST, NAME, STR, Each, Obj, check, one_of, read_json
 
 
 class LayerKind(Enum):
@@ -96,92 +96,60 @@ class ComponentModel:
     components: dict[str, LogicalComponent]
 
 
-def _require_name(value, what: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise ManifestError(f"{what} must be a non-empty string, got {value!r}")
-    return value
+_FIELDS = Each(LIST, Obj({"name": NAME, "kind": one_of(*KINDS)}))
+# a service signature, as manifests and broker tables declare it
+SIGNATURE = Obj({"name": NAME}, {"request": _FIELDS, "response": _FIELDS, "transactional": BOOL})
+_LAYER = one_of(*(k.value for k in LayerKind))
+_INTERNAL = Obj({"name": NAME, "layer": _LAYER}, {"provides": Each(LIST, SIGNATURE)})
+MANIFEST = Obj({"components": Each(LIST, Obj(
+    {"name": NAME}, {"internals": Each(LIST, _INTERNAL), "exports": Each(LIST, STR)}
+))})
 
 
-def _entries(doc: Mapping, key: str, where: str) -> list:
-    """A manifest list (components, internals, provides, exports); absent is empty."""
-    raw = doc.get(key, ())
-    if not isinstance(raw, (list, tuple)):
-        raise ManifestError(f"{where}: {key} must be a list, got {raw!r}")
-    return raw
-
-
-def _object(raw, what: str) -> Mapping:
-    if not isinstance(raw, Mapping):
-        raise ManifestError(f"{what} {raw!r} is not an object")
-    return raw
-
-
-def _load_fields(raw, where: str) -> tuple[FieldDef, ...]:
-    if not isinstance(raw, (list, tuple)):
-        raise ManifestError(f"{where}: fields must be a list")
+def _load_fields(raw: list, where: str, error: type[Exception]) -> tuple[FieldDef, ...]:
     fields: dict[str, FieldDef] = {}
     for fd in raw:
-        if not isinstance(fd, dict):
-            raise ManifestError(f"{where}: field {fd!r} is not an object")
-        name = _require_name(fd.get("name"), f"{where}: field name")
-        kind = fd.get("kind")
-        if kind not in KINDS:
-            raise ManifestError(f"{where}: field {name}: unknown kind {kind!r}")
-        if name in fields:
-            raise ManifestError(f"{where}: duplicate field {name}")
-        fields[name] = FieldDef(name, kind)
+        if fd["name"] in fields:
+            raise error(f"{where}: duplicate field {fd['name']}")
+        fields[fd["name"]] = FieldDef(fd["name"], fd["kind"])
     return tuple(fields.values())
 
 
-def load_signature(doc, where: str) -> ServiceSignature:
-    """Parse a service signature, as manifests and broker tables declare it."""
-    if not isinstance(doc, dict):
-        raise ManifestError(f"{where}: service {doc!r} is not an object")
-    sname = _require_name(doc.get("name"), f"{where}: service name")
-    transactional = doc.get("transactional", False)
-    if not isinstance(transactional, bool):
-        raise ManifestError(f"{where}.{sname}: transactional must be a bool")
+def load_signature(doc: dict, where: str, error: type[Exception]) -> ServiceSignature:
+    """Parse a service signature whose shape was checked against SIGNATURE."""
+    where = f"{where}.{doc['name']}"
     return ServiceSignature(
-        name=sname,
-        request=_load_fields(doc.get("request", ()), f"{where}.{sname} request"),
-        response=_load_fields(doc.get("response", ()), f"{where}.{sname} response"),
-        transactional=transactional,
+        name=doc["name"],
+        request=_load_fields(doc.get("request", ()), f"{where} request", error),
+        response=_load_fields(doc.get("response", ()), f"{where} response", error),
+        transactional=doc.get("transactional", False),
     )
 
 
 def load_manifest(doc: Mapping) -> ComponentModel:
     """Parse and validate a manifest document (already JSON-decoded)."""
-    if not isinstance(doc, Mapping) or "components" not in doc:
-        raise ManifestError("manifest must be an object with a components list")
+    check(MANIFEST, doc, ManifestError, "manifest")
     components: dict[str, LogicalComponent] = {}
-    for comp in _entries(doc, "components", "manifest"):
-        cname = _require_name(_object(comp, "component").get("name"), "component name")
+    for comp in doc["components"]:
+        cname = comp["name"]
         if cname in components:
             raise ManifestError(f"duplicate component {cname}")
         internals: dict[str, InternalComponent] = {}
-        for internal in _entries(comp, "internals", cname):
-            internal = _object(internal, f"{cname}: internal")
-            iname = _require_name(internal.get("name"), f"{cname}: internal name")
+        for internal in comp.get("internals", ()):
+            iname = internal["name"]
             if iname in internals:
                 raise ManifestError(f"{cname}: duplicate internal {iname}")
-            layer_raw = internal.get("layer")
-            try:
-                layer = LayerKind(layer_raw)
-            except ValueError:
-                raise ManifestError(
-                    f"{cname}.{iname}: unknown layer {layer_raw!r}"
-                ) from None
             provides: dict[str, ServiceSignature] = {}
-            for svc in _entries(internal, "provides", f"{cname}.{iname}"):
-                sig = load_signature(svc, f"{cname}.{iname}")
+            for svc in internal.get("provides", ()):
+                sig = load_signature(svc, f"{cname}.{iname}", ManifestError)
                 if sig.name in provides:
                     raise ManifestError(f"{cname}.{iname}: duplicate service {sig.name}")
                 provides[sig.name] = sig
-            internals[iname] = InternalComponent(iname, layer, provides)
+            internals[iname] = InternalComponent(iname, LayerKind(internal["layer"]), provides)
         exports = []
         exported_names = set()
-        for entry in _entries(comp, "exports", cname):
-            if not isinstance(entry, str) or "." not in entry:
+        for entry in comp.get("exports", ()):
+            if "." not in entry:
                 raise ManifestError(f"{cname}: export {entry!r} must be 'internal.service'")
             internal, service = entry.split(".", 1)
             if internal not in internals:
@@ -199,12 +167,7 @@ def load_manifest(doc: Mapping) -> ComponentModel:
 
 
 def load_manifest_file(path: str) -> ComponentModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:
-            raise ManifestError(f"manifest {path!r} is not valid JSON: {exc}") from exc
-    return load_manifest(doc)
+    return load_manifest(read_json(path, ManifestError, "manifest"))
 
 
 def resolve_binding(
@@ -254,38 +217,26 @@ class CallEdge:
         )
 
 
+_END = {"component": NAME, "internal": NAME}
+EDGES = Each(LIST, Obj({"caller": Obj(_END), "callee": Obj({**_END, "service": NAME})}))
+
+
 def load_edges(doc: Sequence) -> list[CallEdge]:
     """Parse an edge list document: [{caller: {component, internal},
     callee: {component, internal, service}}, ...]. Extra keys (notes) are
     ignored."""
-    if not isinstance(doc, (list, tuple)):
-        raise EdgeError(f"an edge list must be a list, got {type(doc).__name__}")
-    edges = []
-    for i, raw in enumerate(doc):
-        try:
-            caller = raw["caller"]
-            callee = raw["callee"]
-            edges.append(
-                CallEdge(
-                    caller_component=_require_name(caller["component"], "caller component"),
-                    caller_internal=_require_name(caller["internal"], "caller internal"),
-                    callee_component=_require_name(callee["component"], "callee component"),
-                    callee_internal=_require_name(callee["internal"], "callee internal"),
-                    service=_require_name(callee["service"], "callee service"),
-                )
-            )
-        except (KeyError, TypeError, ManifestError) as exc:
-            raise EdgeError(f"edge {i}: {exc}") from exc
-    return edges
+    check(EDGES, doc, EdgeError, "edges")
+    return [
+        CallEdge(
+            raw["caller"]["component"], raw["caller"]["internal"],
+            raw["callee"]["component"], raw["callee"]["internal"], raw["callee"]["service"],
+        )
+        for raw in doc
+    ]
 
 
 def load_edges_file(path: str) -> list[CallEdge]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:
-            raise EdgeError(f"edge list {path!r} is not valid JSON: {exc}") from exc
-    return load_edges(doc)
+    return load_edges(read_json(path, EdgeError, "edge list"))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from enum import Enum
 
 from .errors import ProcessError, TraError
 from .model import ComponentModel, resolve_binding
+from .shape import LIST, NAME, OBJECT, Each, Obj, check, one_of
 from .source import MISSING, parse, resolve
 from .txn import TxnStatus
 
@@ -43,8 +44,6 @@ class Step:
     output_map: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.name:
-            raise ProcessError("step name must be non-empty")
         is_call = self.component is not None or self.service is not None
         if is_call and (self.component is None or self.service is None):
             raise ProcessError(f"step {self.name}: component and service go together")
@@ -72,35 +71,24 @@ class ProcessInstance:
     reason: str | None = None
 
 
+_STEP = Obj({"name": NAME}, {
+    "component": NAME, "service": NAME, "subprocess": NAME, "input": OBJECT, "output": OBJECT,
+})
+PROCESS = Obj(
+    {"name": NAME}, {"policy": one_of(*(p.value for p in TxnPolicy)), "steps": Each(LIST, _STEP)}
+)
+
+
 def load_definition(doc: dict) -> ProcessDefinition:
-    try:
-        policy = TxnPolicy(doc.get("policy", "per_step"))
-    except ValueError:
-        raise ProcessError(f"unknown policy {doc.get('policy')!r}") from None
-    raw_steps = doc.get("steps", [])
-    if not isinstance(raw_steps, list):
-        raise ProcessError(f"steps must be a list, got {raw_steps!r}")
-    steps = []
-    for i, raw in enumerate(raw_steps):
-        if not isinstance(raw, dict):
-            raise ProcessError(f"step {i} is not an object: {raw!r}")
-        for key in ("input", "output"):
-            if not isinstance(raw.get(key, {}), dict):
-                raise ProcessError(f"step {i}: {key} must be an object, got {raw[key]!r}")
-        steps.append(
-            Step(
-                name=raw.get("name", ""),
-                component=raw.get("component"),
-                service=raw.get("service"),
-                subprocess=raw.get("subprocess"),
-                input_map=dict(raw.get("input", {})),
-                output_map=dict(raw.get("output", {})),
-            )
+    check(PROCESS, doc, ProcessError, "process")
+    steps = [
+        Step(
+            s["name"], s.get("component"), s.get("service"), s.get("subprocess"),
+            dict(s.get("input", {})), dict(s.get("output", {})),
         )
-    name = doc.get("name")
-    if not name:
-        raise ProcessError("process name must be non-empty")
-    return ProcessDefinition(name=name, policy=policy, steps=steps)
+        for s in doc.get("steps", ())
+    ]
+    return ProcessDefinition(doc["name"], TxnPolicy(doc.get("policy", "per_step")), steps)
 
 
 def _sources(texts: dict, scopes: tuple[str, ...], step: str) -> dict:

@@ -17,6 +17,7 @@ from decimal import MAX_PREC, Context, Decimal
 from typing import Mapping
 
 from .errors import CodecError
+from .shape import INT, LIST, NAME, Each, Obj, check, one_of
 
 KINDS = ("text", "integer", "decimal")
 
@@ -31,6 +32,11 @@ _KIND_DEFAULTS = {
     "integer": ("zero", "right"),
     "decimal": ("zero", "right"),
 }
+
+MESSAGE_SPEC = Obj({"record_length": INT}, {"fields": Each(LIST, Obj(
+    {"name": NAME, "offset": INT, "length": INT, "kind": one_of(*KINDS)},
+    {"pad": one_of("space", "zero"), "align": one_of("left", "right"), "scale": INT},
+))})
 
 
 @dataclass(frozen=True)
@@ -108,22 +114,20 @@ class MessageSpec:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "MessageSpec":
-        try:
-            fields = tuple(
-                FieldSpec(
-                    name=fd["name"],
-                    offset=int(fd["offset"]),
-                    length=int(fd["length"]),
-                    kind=fd["kind"],
-                    pad=fd.get("pad", ""),
-                    align=fd.get("align", ""),
-                    scale=int(fd.get("scale", 0)),
-                )
-                for fd in doc.get("fields", ())
+        check(MESSAGE_SPEC, doc, CodecError, "message spec")
+        return cls.from_checked(doc)
+
+    @classmethod
+    def from_checked(cls, doc: Mapping) -> "MessageSpec":
+        """The spec of a document that MESSAGE_SPEC has passed."""
+        fields = tuple(
+            FieldSpec(
+                fd["name"], fd["offset"], fd["length"], fd["kind"],
+                fd.get("pad", ""), fd.get("align", ""), fd.get("scale", 0),
             )
-            return cls(record_length=int(doc["record_length"]), fields=fields)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CodecError(f"bad message spec: {exc}") from exc
+            for fd in doc.get("fields", ())
+        )
+        return cls(record_length=doc["record_length"], fields=fields)
 
     def to_dict(self) -> dict:
         return {

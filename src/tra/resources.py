@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import ResourceCrashed, StoreLimitError, TxnStateError
+from .shape import NAME, check
 from .sim import Tracer
 from .txn import TransactionContext, Vote
 from .wal import LogWriter, read_records
@@ -69,8 +70,7 @@ class ResourceManager:
         tracer: Tracer | None = None,
         prepare_delay: int = 0,
     ) -> None:
-        if not rm_id:
-            raise ValueError("rm_id must be non-empty")
+        check(NAME, rm_id, ValueError, "rm_id")  # it names a log file and is a log field
         self.rm_id = rm_id
         self.log_path = log_path
         self.tracer = tracer if tracer is not None else Tracer()

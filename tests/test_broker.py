@@ -418,20 +418,62 @@ def test_request_typing_refuses_what_the_codec_refuses(value):
     assert str(broker.value) == f"quote request: {codec.value}"
 
 
+_FIELD = {"name": "f", "offset": 0, "length": 2, "kind": "text"}
+_CALL = {
+    "call_id": "c",
+    "endpoint": "E",
+    "request_spec": {"record_length": 2, "fields": [_FIELD]},
+    "request_map": {"f": "lit:x"},
+    "response_spec": {"record_length": 0},
+}
+
+
+def _spec_field(**changes):
+    return {**_CALL, "request_spec": {"record_length": 2, "fields": [{**_FIELD, **changes}]}}
+
+
 @pytest.mark.parametrize(
-    "service, message",
+    "service, table, message",
     [
-        ({"request": [{"name": "x", "kind": "float"}]}, "unknown kind 'float'"),
-        ({"request": [{"name": "x", "kind": "text"}] * 2}, "duplicate field x"),
-        ({"response": ["x"]}, "field 'x' is not an object"),
-        ({"transactional": "yes"}, "transactional must be a bool"),
+        (
+            {"request": [{"name": "x", "kind": "float"}]},
+            {},
+            r"service.request\[0\].kind must be one of 'text', 'integer', 'decimal', got 'float'",
+        ),
+        ({"request": [{"name": "x", "kind": "text"}] * 2}, {}, "duplicate field x"),
+        ({"response": ["x"]}, {}, r"service.response\[0\] must be an object, got 'x'"),
+        ({"transactional": "yes"}, {}, "transactional must be a bool"),
+        ({}, {"calls": [{**_CALL, "call_id": ["x"]}]}, r"calls\[0\]\.call_id must be a name .*, got \['x'\]"),
+        ({}, {"aggregate": [1]}, r"aggregate must be an object, got \[1\]"),
+        (
+            {},
+            {"calls": [_spec_field(offset=1.9)]},
+            r"calls\[0\]\.request_spec\.fields\[0\]\.offset must be an integer, got 1\.9",
+        ),
+        (
+            {},
+            {"calls": [_spec_field(offset=True)]},
+            r"calls\[0\]\.request_spec\.fields\[0\]\.offset must be an integer, got True",
+        ),
+        ({}, {"calls": [{**_CALL, "depends_on": "abc"}]}, r"calls\[0\]\.depends_on must be a list, got 'abc'"),
     ],
-    ids=["unknown-kind", "duplicate-field", "field-not-object", "transactional-not-bool"],
+    ids=[
+        "unknown-kind", "duplicate-field", "field-not-object", "transactional-not-bool",
+        "call-id-a-list", "aggregate-a-list", "offset-a-float", "offset-a-bool", "depends-on-a-string",
+    ],
 )
-def test_load_table_checks_the_service_signature(service, message):
-    doc = {"service": {"name": "s", **service}, "calls": []}
+def test_load_table_checks_the_service_signature(service, table, message):
+    doc = {"service": {"name": "s", **service}, "calls": [], **table}
     with pytest.raises(TableError, match=message):
         load_table(doc)
+
+
+def test_load_table_file_refuses_a_file_that_is_not_json(tmp_path):
+    path = tmp_path / "table.json"
+    path.write_text("{bad", encoding="utf-8")
+    with pytest.raises(TableError, match="broker table .* is not valid JSON"):
+        load_table_file(str(path))
+    assert load_table({"service": {"name": "s"}, "calls": [_CALL]}).calls[0].call_id == "c"
 
 
 @pytest.mark.parametrize(

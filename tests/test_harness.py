@@ -1,13 +1,14 @@
 """Scenario runner, fault injection, the sweep, and the CLI."""
 
 import json
+import re
 import signal
 
 import pytest
 
 import tra
 from tra.cli import main
-from tra.errors import ScenarioError, TableError
+from tra.errors import ScenarioError, TableError, TraError
 from tra.faults import FaultSpec
 from tra.harness import Runner, crash_sweep, render_report, run_scenario
 from tra.scenario import load_scenario, load_scenario_file
@@ -157,9 +158,9 @@ def test_sweep_requires_a_commit():
 
 
 def test_scenario_validation():
-    with pytest.raises(ScenarioError, match="unknown op"):
+    with pytest.raises(ScenarioError, match=r"actions\[0\]\.op must be one of .*, got 'frobnicate'"):
         load_scenario({"name": "x", "actions": [{"op": "frobnicate"}]})
-    with pytest.raises(ScenarioError, match="assert kind"):
+    with pytest.raises(ScenarioError, match=r"actions\[0\]\.kind must be one of .*, got 'magic'"):
         load_scenario({"name": "x", "actions": [{"op": "assert", "kind": "magic"}]})
     with pytest.raises(ScenarioError, match="effect"):
         load_scenario(
@@ -180,7 +181,7 @@ def test_scenario_validation():
     put_no_store = {"do": "put", "key": "req.k", "value": "req.v"}
     get_no_into = {"do": "get", "store": "s", "key": "req.k"}
     for binding, message in [
-        ({"component": "A", "service": "s", "effects": ["put"]}, "not an object"),
+        ({"component": "A", "service": "s", "effects": ["put"]}, r"bindings\[0\]\.effects\[0\] must be an object, got 'put'"),
         ({"component": "A", "service": "s", "response": ["lit:x"]}, "must be an object"),
         ({"component": "A", "service": "s", "effects": [put_no_store]}, "missing 'store'"),
         ({"component": "A", "service": "s", "effects": [get_no_into]}, "missing 'into'"),
@@ -188,18 +189,18 @@ def test_scenario_validation():
         with pytest.raises(ScenarioError, match=message):
             load_scenario({"name": "x", "bindings": [binding], "actions": []})
     put = {"op": "put", "txn": "t", "store": "s", "key": "k"}
-    with pytest.raises(ScenarioError, match=r"action 0: put needs \['value'\]"):
+    with pytest.raises(ScenarioError, match=r"actions\[0\]: missing 'value'"):
         load_scenario({"name": "x", "actions": [put]})
     assert_store = {"op": "assert", "kind": "store", "store": "s", "value": "v"}
-    with pytest.raises(ScenarioError, match=r"action 0: assert needs \['key'\]"):
+    with pytest.raises(ScenarioError, match=r"actions\[0\]: missing 'key'"):
         load_scenario({"name": "x", "actions": [assert_store]})
     for resources, message in [
         ({"stores": ["a"], "queues": ["a"]}, "'a' is declared twice"),
         ({"queues": ["a"], "endpoints": [{"endpoint_id": "a"}]}, "'a' is declared twice"),
         ({"stores": [{"name": "a", "prepare_delay": "5x"}]}, "prepare_delay must be an integer"),
-        ({"stores": [{"name": "a", "initial": ["k"]}]}, "initial state must be an object"),
-        ({"queues": [{"name": "a", "initial": {"k": "v"}}]}, "initial state must be a list"),
-        ({"endpoints": ["a"]}, "an endpoint must be an object with an endpoint_id"),
+        ({"stores": [{"name": "a", "initial": ["k"]}]}, r"stores\[0\]\.initial must be an object, got \['k'\]"),
+        ({"queues": [{"name": "a", "initial": {"k": "v"}}]}, r"queues\[0\]\.initial must be a list, got \{'k': 'v'\}"),
+        ({"endpoints": ["a"]}, r"endpoints\[0\] must be an object, got 'a'"),
     ]:
         with pytest.raises(ScenarioError, match=message):
             load_scenario({"name": "x", **resources, "actions": []})
@@ -376,12 +377,12 @@ def test_script_reply_with_an_infinite_decimal_is_an_action_error(tmp_path, caps
 @pytest.mark.parametrize(
     "change, error, message",
     [
-        (lambda ep: ep["script"].__setitem__(0, "reply"), TableError, "rule 'reply' is not an object"),
-        (lambda ep: ep["script"][0].update(match="custId"), TableError, "match 'custId' is not an object"),
-        (lambda ep: ep["script"][0].update(reply="OK"), TableError, "reply 'OK' is not an object"),
-        (lambda ep: ep["script"][0].update(delay="4"), TableError, "delay '4' is not an integer"),
-        (lambda ep: ep["script"][0].update(reply=None, garbage=7), TableError, "garbage 7 is not a string"),
-        (lambda ep: ep.update(budget="50"), ScenarioError, "budget must be an integer"),
+        (lambda ep: ep["script"].__setitem__(0, "reply"), TableError, "script[0] must be an object, got 'reply'"),
+        (lambda ep: ep["script"][0].update(match="custId"), TableError, "script[0].match must be an object, got 'custId'"),
+        (lambda ep: ep["script"][0].update(reply="OK"), TableError, "script[0].reply must be an object or null, got 'OK'"),
+        (lambda ep: ep["script"][0].update(delay="4"), TableError, "script[0].delay must be an integer, got '4'"),
+        (lambda ep: ep["script"][0].update(reply=None, garbage=7), TableError, "script[0].garbage must be a string or null, got 7"),
+        (lambda ep: ep.update(budget="50"), ScenarioError, "budget must be an integer, got '50'"),
     ],
     ids=[
         "rule-not-object", "match-not-object", "reply-not-object", "delay-not-int",
@@ -392,8 +393,8 @@ def test_malformed_endpoint_documents_are_refused(change, error, message):
     with open(tra.fixture_path("broker_demo.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
     change(doc["endpoints"][0])
-    with pytest.raises(error, match=f"endpoint POLADM: .*{message}"):
-        run_scenario(load_scenario(doc, base_dir=tra.fixture_path("")))
+    with pytest.raises(error, match=re.escape(f"endpoints[0].{message}")):
+        load_scenario(doc, base_dir=tra.fixture_path(""))
 
 
 def test_reply_queue_that_never_commits_does_not_hang_the_run():
@@ -488,11 +489,16 @@ def _world(**changes):
             "endpoint name 'coordinator' is reserved",
         ),
         ({"processes": [{"name": "p", "steps": []}]}, "processes need a component model"),
-        ({"processes": [{"steps": []}], "model": {}}, "a process must be an object with a name"),
+        ({"processes": [{"steps": []}], "model": {}}, r"processes\[0\]: missing 'name'"),
         (
             {"processes": [{"name": "s", "steps": []}], "model": {"components": []}},
             "process name 's' is declared twice",
         ),
+        ({"stores": ["a\tb"]}, r"stores\[0\] must be a name .*, got 'a\\tb'"),
+        ({"queues": ["a\nb"]}, r"queues\[0\] must be a name .*, got 'a\\nb'"),
+        ({"stores": [""]}, r"stores\[0\] must be a name .*, got ''"),
+        ({"stores": [{"name": "a/b"}]}, r"stores\[0\]\.name must be a name .*, got 'a/b'"),
+        ({"endpoints": [{"endpoint_id": "e\tp"}]}, r"endpoints\[0\]\.endpoint_id must be a name .*, got 'e\\tp'"),
     ],
     ids=[
         "put-undeclared-store", "send-to-a-store", "assert-undeclared-queue",
@@ -500,7 +506,9 @@ def _world(**changes):
         "effect-undeclared-store", "effect-undeclared-queue", "serve-undeclared-queue",
         "sweep-undeclared", "sweep-an-endpoint", "sweep-the-coordinator",
         "store-named-coordinator", "endpoint-named-coordinator", "processes-without-model",
-        "process-without-name", "process-shares-a-store-name",
+        "process-without-name", "process-shares-a-store-name", "store-name-with-a-tab",
+        "queue-name-with-a-newline", "store-name-empty", "store-name-with-a-slash",
+        "endpoint-name-with-a-tab",
     ],
 )
 def test_every_name_a_scenario_uses_is_checked_at_load(changes, message):
@@ -580,10 +588,29 @@ def test_expect_is_one_rule_over_what_each_op_observed():
         ({"queues": {"q": []}}, "queues must be a list"),
         ({"actions": "ab"}, "actions must be a list"),
         ({"model": {}, "processes": [{"name": "p", "steps": "ab"}]}, "steps must be a list"),
+        ({"bindings": [{"component": [1], "service": "s"}]}, "bindings[0].component must be a name"),
+        ({"bindings": [{"component": "A", "service": "s", "effects": 5}]}, "bindings[0].effects must be a list, got 5"),
+        ({"actions": [{"op": "begin", "txn": ["t"]}]}, "actions[0].txn must be a string, got ['t']"),
+        ({"endpoints": [{"endpoint_id": "ep", "script": 5}]}, "endpoints[0].script must be a list, got 5"),
+        (
+            {"actions": [{"op": "run_process", "process": "p", "variables": [1]}]},
+            "actions[0].variables must be an object, got [1]",
+        ),
+        (
+            {"actions": [{"op": "begin", "txn": "t", "expect_error": 5}]},
+            "actions[0].expect_error must be a string, got 5",
+        ),
+        (
+            {"endpoints": [{"endpoint_id": "ep", "script": [{"error": "no"}]}]},
+            "endpoints[0].script[0].error must be a bool, got 'no'",
+        ),
     ],
     ids=[
         "model-a-string", "seed-a-string", "seed-a-bool", "budget-a-float",
         "stores-a-string", "queues-an-object", "actions-a-string", "process-steps-a-string",
+        "binding-component-a-list", "binding-effects-an-int", "begin-txn-a-list",
+        "endpoint-script-an-int", "process-variables-a-list", "expect-error-an-int",
+        "script-error-a-string",
     ],
 )
 def test_wrongly_typed_scenario_fields_end_in_exit_2(tmp_path, capsys, changes, message):
@@ -591,6 +618,8 @@ def test_wrongly_typed_scenario_fields_end_in_exit_2(tmp_path, capsys, changes, 
     path.write_text(json.dumps(_world(**changes)), encoding="utf-8")
     assert main(["run", str(path)]) == 2
     assert message in capsys.readouterr().err
+    with pytest.raises(TraError, match=re.escape(message)):  # refused at load, not mid-run
+        load_scenario_file(str(path))
 
 
 def test_processes_and_tables_are_parsed_once_at_load():

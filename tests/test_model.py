@@ -190,7 +190,7 @@ def test_manifest_validation_errors():
 @pytest.mark.parametrize(
     "mutate, message",
     [
-        (lambda svc: svc["request"].append("x"), "is not an object"),
+        (lambda svc: svc["request"].append("x"), r"provides\[0\]\.request\[0\] must be an object, got 'x'"),
         (lambda svc: svc.update(response="x"), "must be a list"),
     ],
     ids=["field-not-object", "fields-not-a-list"],
@@ -209,7 +209,7 @@ def test_manifest_refuses_a_service_that_is_not_an_object():
     doc = {"components": [{"name": "A", "internals": [
         {"name": "svc", "layer": "business_service", "provides": ["s"]},
     ]}]}
-    with pytest.raises(ManifestError, match="is not an object"):
+    with pytest.raises(ManifestError, match=r"provides\[0\] must be an object, got 's'"):
         load_manifest(doc)
 
 
@@ -222,12 +222,12 @@ def _one_internal(**changes):
 @pytest.mark.parametrize(
     "doc, message",
     [
-        ({"components": ["x"]}, "component 'x' is not an object"),
-        ({"components": [{"name": "A", "internals": ["x"]}]}, "A: internal 'x' is not an object"),
-        ({"components": {"A": {}}}, "manifest: components must be a list"),
-        ({"components": [{"name": "A", "internals": {}}]}, "A: internals must be a list"),
-        (_one_internal(provides={"s": {}}), r"A.svc: provides must be a list"),
-        ({"components": [{"name": "A", "exports": "svc.s"}]}, "A: exports must be a list"),
+        ({"components": ["x"]}, r"components\[0\] must be an object, got 'x'"),
+        ({"components": [{"name": "A", "internals": ["x"]}]}, r"components\[0\]\.internals\[0\] must be an object, got 'x'"),
+        ({"components": {"A": {}}}, r"components must be a list, got \{'A': \{\}\}"),
+        ({"components": [{"name": "A", "internals": {}}]}, r"components\[0\]\.internals must be a list, got \{\}"),
+        (_one_internal(provides={"s": {}}), r"components\[0\]\.internals\[0\]\.provides must be a list, got \{'s': \{\}\}"),
+        ({"components": [{"name": "A", "exports": "svc.s"}]}, r"components\[0\]\.exports must be a list, got 'svc.s'"),
     ],
     ids=[
         "component-not-object", "internal-not-object", "components-not-a-list",
@@ -243,9 +243,9 @@ def test_manifest_refuses_entries_of_the_wrong_shape(doc, message):
     "manifest, edges, message",
     [
         ("{bad", "[]", "manifest .* is not valid JSON"),
-        ('{"components": ["x"]}', "[]", "component 'x' is not an object"),
+        ('{"components": ["x"]}', "[]", r"components\[0\] must be an object, got 'x'"),
         (None, "{bad", "edge list .* is not valid JSON"),
-        (None, "{}", "an edge list must be a list, got dict"),
+        (None, "{}", r"edges must be a list, got \{\}"),
     ],
     ids=["manifest-not-json", "component-not-object", "edges-not-json", "edges-not-a-list"],
 )

@@ -364,11 +364,12 @@ def test_spanning_step_failure_completes_no_steps(world):
     "doc, message",
     [
         ({"name": "p", "steps": "ab"}, "steps must be a list"),
-        ({"name": "p", "steps": ["s1"]}, "step 0 is not an object"),
-        ({"name": "p", "steps": [{"name": "s", "input": ["id"]}]}, "step 0: input must be an object"),
-        ({"name": "p", "steps": [{"name": "s", "output": "x"}]}, "step 0: output must be an object"),
+        ({"name": "p", "steps": ["s1"]}, r"steps\[0\] must be an object, got 's1'"),
+        ({"name": "p", "steps": [{"name": "s", "input": ["id"]}]}, r"steps\[0\]\.input must be an object, got \['id'\]"),
+        ({"name": "p", "steps": [{"name": "s", "output": "x"}]}, r"steps\[0\]\.output must be an object, got 'x'"),
+        ({"name": "p", "steps": [{"name": ["s"]}]}, r"steps\[0\]\.name must be a name .*, got \['s'\]"),
     ],
-    ids=["steps-a-string", "step-a-string", "input-a-list", "output-a-string"],
+    ids=["steps-a-string", "step-a-string", "input-a-list", "output-a-string", "step-name-a-list"],
 )
 def test_load_definition_refuses_wrong_shapes(doc, message):
     with pytest.raises(ProcessError, match=message):
