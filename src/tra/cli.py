@@ -19,16 +19,24 @@ from .harness import crash_sweep, render_report, render_sweep, run_scenario
 from .model import load_edges_file, load_manifest_file, validate_layering
 
 
+def _write(stream, text: str) -> None:
+    """Write text that may hold anything a JSON string can, such as a lone
+    surrogate from a scenario: what the stream cannot encode is written as a
+    backslash escape instead of raising."""
+    encoding = stream.encoding or "utf-8"
+    stream.write(text.encode(encoding, "backslashreplace").decode(encoding))
+
+
 def _cmd_run(args) -> int:
     faults = [FaultSpec.parse(f) for f in args.fault]
     report = run_scenario(args.scenario, seed=args.seed, faults=faults)
-    sys.stdout.write(render_report(report, mode=args.report))
+    _write(sys.stdout, render_report(report, mode=args.report))
     return 0 if report["ok"] else 1
 
 
 def _cmd_sweep(args) -> int:
     result = crash_sweep(args.scenario)
-    sys.stdout.write(render_sweep(result))
+    _write(sys.stdout, render_sweep(result))
     return 0 if result["ok"] else 1
 
 
@@ -37,10 +45,8 @@ def _cmd_validate(args) -> int:
     edges = load_edges_file(args.edges)
     violations = validate_layering(model, edges)
     for v in violations:
-        sys.stdout.write(f"{v.rule}: {v.edge} ({v.reason})\n")
-    sys.stdout.write(
-        f"{len(edges)} edge(s) checked, {len(violations)} violation(s)\n"
-    )
+        _write(sys.stdout, f"{v.rule}: {v.edge} ({v.reason})\n")
+    _write(sys.stdout, f"{len(edges)} edge(s) checked, {len(violations)} violation(s)\n")
     return 0 if not violations else 1
 
 
@@ -84,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (TraError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        _write(sys.stderr, f"error: {exc}\n")
         return 2
 
 

@@ -25,7 +25,7 @@ from .broker import Adapter, LegacyEndpoint, MessageBroker
 from .coordinator import DEFAULT_PREPARE_BUDGET, Coordinator, replay_log
 from .errors import ScenarioError, TraError
 from .faults import ALL_POINTS, COORDINATOR_TARGET, CoordinatorCrash, FaultInjector, FaultSpec
-from .model import load_manifest
+from .model import load_manifest  # noqa: F401 -- unused; bench/spans.py wraps this name here
 from .process import ProcessEngine
 from .resources import ManagedStore, TxnQueue, UnmanagedResource
 from .scenario import BindingDecl, Scenario, load_scenario_file
@@ -87,7 +87,7 @@ class Runner:
         elif arm != "always":
             raise ScenarioError(f"unknown arm policy {arm!r}")
 
-        model = load_manifest(scenario.model_doc) if scenario.model_doc is not None else None
+        model = scenario.model
         budget = scenario.prepare_budget
         self.coordinator = Coordinator(
             os.path.join(workdir, "coordinator.log"),

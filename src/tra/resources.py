@@ -14,6 +14,7 @@ coordinator refuses to enlist them.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import ResourceCrashed, StoreLimitError, TxnStateError
@@ -351,7 +352,7 @@ class TxnQueue(ResourceManager):
 
     def __init__(self, rm_id, log_path, tracer=None, prepare_delay=0):
         super().__init__(rm_id, log_path, tracer, prepare_delay)
-        self._messages: list[str] = []
+        self._messages: deque[str] = deque()
         # instrumentation for the conservation invariant, not rm state
         self.initial_depth = 0
         self.committed_sends = 0
@@ -378,7 +379,7 @@ class TxnQueue(ResourceManager):
         if not self._messages:
             self.tracer.emit("receive", rm=self.rm_id, txn=ctx.id, empty=True)
             return None
-        msg = self._messages.pop(0)
+        msg = self._messages.popleft()
         ws.receives.append(msg)
         self.tracer.emit("receive", rm=self.rm_id, txn=ctx.id, empty=False)
         return msg
@@ -409,9 +410,9 @@ class TxnQueue(ResourceManager):
         self.committed_receives += len(payload["receives"])
 
     def _unstage(self, txn_id: int, payload: dict) -> None:
-        self._messages[0:0] = payload["receives"]
+        self._messages.extendleft(reversed(payload["receives"]))
 
     def _discard(self, txn_id: int) -> None:
         ws = self._work.pop(txn_id, None)
         if ws is not None:  # hand the receives back to the head
-            self._messages[0:0] = ws.receives
+            self._messages.extendleft(reversed(ws.receives))

@@ -13,9 +13,12 @@ import os
 from dataclasses import dataclass
 from typing import Mapping
 
+# load_manifest is called through its module, where bench/spans.py wraps it
+from . import model as component_model
 from .broker import DEFAULT_REPLY_BUDGET, SCRIPT, Adapter, BrokerTable, LegacyEndpoint, load_table
 from .errors import ScenarioError
 from .faults import COORDINATOR_TARGET
+from .model import ComponentModel
 from .process import ProcessDefinition, load_definition
 from .shape import INT, LIST, NAME, OBJECT, STR, Each, Either, Kind, Obj, Tagged, check, read_json
 from .source import parse
@@ -121,7 +124,7 @@ class Scenario:
     name: str
     seed: int
     prepare_budget: int | None
-    model_doc: dict | None
+    model: ComponentModel | None  # read-only during a run, so every run shares it
     stores: list[ResourceDecl]
     queues: list[ResourceDecl]
     endpoints: list[Adapter]  # templates: each run builds endpoints of its own from them
@@ -224,6 +227,7 @@ def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
     if processes and model_doc is None:
         raise ScenarioError("processes need a component model")
     processes = [load_definition(p) for p in processes]
+    model = component_model.load_manifest(model_doc) if model_doc is not None else None
     names = _name_table(stores, queues, endpoints, processes)
 
     actions = []
@@ -254,7 +258,7 @@ def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
         name=doc["name"],
         seed=doc.get("seed", 0),
         prepare_budget=doc.get("prepare_budget"),
-        model_doc=model_doc,
+        model=model,
         stores=stores,
         queues=queues,
         endpoints=endpoints,

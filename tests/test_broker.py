@@ -5,6 +5,7 @@ import random
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, strategies as st
 
 import tra
 from tra.broker import (
@@ -489,3 +490,142 @@ def test_oversized_numbers_fail_the_invoke(request_change, reply_total, message)
     request = {"amount": "2.25", "n": 1, **request_change}
     with pytest.raises(InvokeError, match=message):
         quote_broker(reply_total=reply_total).invoke("quote", request)
+
+
+def trio_broker():
+    """Three calls, one per endpoint: two in the first stage and one that
+    takes the first call's reply, so an invoke encodes three requests and
+    meets three script replies."""
+    text8 = {"record_length": 8, "fields": [{"name": "v", "offset": 0, "length": 8, "kind": "text"}]}
+    broker = MessageBroker(tracer=Tracer(SimClock()), rng=random.Random(3))
+    for ep_id in ("E0", "E1", "E2"):
+        script = [
+            ScriptRule(match={"v": "U1"}, delay=2, reply={"v": f"{ep_id}-U1"}),
+            ScriptRule(match={"v": "E0-U1"}, delay=1, reply={"v": f"{ep_id}-E0"}),
+            ScriptRule(match={}, delay=3, reply={"v": f"{ep_id}-any"}),
+        ]
+        broker.register_adapter(Adapter(LegacyEndpoint(ep_id, script)))
+    calls = [
+        {"call_id": "c0", "endpoint": "E0", "request_map": {"v": "req.userId"}},
+        {"call_id": "c1", "endpoint": "E1", "request_map": {"v": "req.userId"}},
+        {"call_id": "c2", "endpoint": "E2", "request_map": {"v": "call:c0.v"}, "depends_on": ["c0"]},
+    ]
+    broker.register_table(load_table({
+        "service": {
+            "name": "trio",
+            "request": [{"name": "userId", "kind": "text"}],
+            "response": [{"name": f"r{i}", "kind": "text"} for i in range(3)],
+        },
+        "calls": [{**c, "request_spec": text8, "response_spec": text8} for c in calls],
+        "aggregate": {f"r{i}": [f"call:c{i}.v"] for i in range(3)},
+    }))
+    return broker
+
+
+@pytest.fixture
+def encodes(monkeypatch):
+    """Count the broker's calls of the record encoder."""
+    import tra.broker
+
+    calls = []
+
+    def counting(spec, values):
+        calls.append(dict(values))
+        return encode_record(spec, values)
+
+    monkeypatch.setattr(tra.broker, "encode_record", counting)
+    return calls
+
+
+def test_each_script_reply_is_encoded_once_per_call(encodes):
+    broker = trio_broker()
+    first = broker.invoke("trio", {"userId": "U1"})
+    assert first == {"r0": "E0-U1", "r1": "E1-U1", "r2": "E2-E0"}
+    assert len(encodes) == 6  # three requests, three replies
+    del encodes[:]
+    assert broker.invoke("trio", {"userId": "U1"}) == first
+    assert len(encodes) == 3  # the requests only
+    del encodes[:]
+    # the sequential mode runs the same plan, so it reuses the same records
+    assert broker.invoke_sequential("trio", {"userId": "U1"}) == first
+    assert len(encodes) == 3
+    del encodes[:]
+    # another rule answers a new request, and its reply is encoded once too
+    other = {"r0": "E0-any", "r1": "E1-any", "r2": "E2-any"}
+    assert broker.invoke("trio", {"userId": "U2"}) == other
+    assert len(encodes) == 6
+    del encodes[:]
+    assert broker.invoke("trio", {"userId": "U2"}) == other
+    assert len(encodes) == 3
+
+
+def test_staged_and_sequential_agree_on_repeated_invokes():
+    broker = trio_broker()
+    for user in ("U1", "U2", "U1", "U3"):
+        staged = broker.invoke("trio", {"userId": user})
+        assert broker.invoke_sequential("trio", {"userId": user}) == staged
+        assert trio_broker().invoke_sequential("trio", {"userId": user}) == staged
+
+
+@pytest.mark.parametrize(
+    "reply, text",
+    [
+        ({"total": "NaN"}, "call q: script reply: field total: expected decimal"),
+        ({}, "call q: script reply missing field total"),
+    ],
+    ids=["unencodable", "missing-field"],
+)
+def test_a_failing_script_reply_fails_the_same_way_on_every_invoke(encodes, reply, text):
+    broker = quote_broker()
+    broker.adapters["Q"].endpoint = LegacyEndpoint("Q", [ScriptRule(match={}, delay=1, reply=reply)])
+    errors = []
+    for _ in range(3):
+        with pytest.raises(InvokeError) as exc:
+            broker.invoke("quote", {"amount": "2.25", "n": 1})
+        errors.append(str(exc.value))
+    assert errors[0].startswith(text)
+    assert errors == [errors[0]] * 3
+    # nothing was kept: the encoder is tried again on every invoke
+    assert len(encodes) == 3 * (2 if reply else 1)
+
+
+def test_script_rules_are_immutable_and_hash_by_identity():
+    a = ScriptRule(match={"k": 1}, reply={"v": "x"})
+    b = ScriptRule(match={"k": 1}, reply={"v": "x"})
+    with pytest.raises(AttributeError):
+        a.delay = 5
+    assert a != b and len({a, b}) == 2
+
+
+def _old_match(script, request):
+    """The match rule as first written, a generator per rule."""
+    for rule in script:
+        if all(str(request.get(k)) == str(v) for k, v in rule.match.items()):
+            return rule
+    return None
+
+
+_VALUES = st.sampled_from(
+    [0, 1, 10, "1", "01", "x", "", None, "None", Decimal("1"), Decimal("1.0"), Decimal("2.250"), "2.250"]
+)
+_KEYS = st.sampled_from(["a", "b", "c"])
+
+
+@given(
+    matches=st.lists(st.dictionaries(_KEYS, _VALUES, max_size=3), max_size=6),
+    requests=st.lists(st.dictionaries(_KEYS, _VALUES, max_size=3), min_size=1, max_size=5),
+)
+def test_compiled_match_picks_the_rule_the_plain_predicate_picks(matches, requests):
+    script = [ScriptRule(match=m) for m in matches]
+    ep = LegacyEndpoint("E", script)
+    for request in requests:  # compiled by the first, reused by the rest
+        assert ep.match(request) is _old_match(script, request)
+
+
+def test_first_matching_rule_wins():
+    general, specific = ScriptRule(match={}), ScriptRule(match={"a": 1})
+    assert LegacyEndpoint("E", [general, specific]).match({"a": 1}) is general
+    assert LegacyEndpoint("E", [specific, general]).match({"a": "1"}) is specific
+    assert LegacyEndpoint("E", [specific, general]).match({}) is general
+    assert LegacyEndpoint("E", [ScriptRule(match={"a": None})]).match({}) is not None
+    assert LegacyEndpoint("E", []).match({"a": 1}) is None

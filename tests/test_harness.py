@@ -636,3 +636,37 @@ def test_processes_and_tables_are_parsed_once_at_load():
         # runs share the parsed objects, so a second run must report the same
         first = run_scenario(scenario)
         assert first["ok"] and run_scenario(scenario) == first
+
+
+def test_the_manifest_is_parsed_once_at_load(monkeypatch):
+    import tra.harness
+    import tra.model
+
+    with pytest.raises(TraError, match=re.escape("components must be a list, got 5")):
+        load_scenario({"name": "x", "model": {"components": 5}})
+
+    scenario = load_scenario_file(tra.fixture_path("cross_component.json"))
+    assert isinstance(scenario.model, tra.model.ComponentModel)
+    parsed = []
+    for module in (tra.model, tra.harness):
+        monkeypatch.setattr(module, "load_manifest", lambda doc: parsed.append(doc))
+    result = crash_sweep(scenario)
+    assert result["ok"] and len(result["combinations"]) == 15
+    assert parsed == []  # every run of the sweep shares the model built at load
+
+
+def test_cli_writes_a_lone_surrogate_as_an_escape(tmp_path, capsys):
+    # valid JSON, but not encodable as UTF-8 once decoded
+    path = tmp_path / "surrogate.json"
+    path.write_text(
+        '{"name": "s", "stores": ["s"], "actions": ['
+        '{"op": "begin", "txn": "\\ud800"}, {"op": "commit", "txn": "\\ud800"}]}',
+        encoding="utf-8",
+    )
+    assert main(["run", str(path)]) == 0
+    assert "txn \\ud800 (id 1): committed" in capsys.readouterr().out
+    main(["sweep", str(path)])
+    assert "sweep s" in capsys.readouterr().out
+    path.write_text('{"name": "s", "stores": ["\\ud800"]}', encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert "\\ud800" in capsys.readouterr().err

@@ -49,6 +49,17 @@ def test_rollback_reinserts_receives_at_front_in_order(rig):
     assert queue.conservation_holds()
 
 
+def test_prepared_receives_go_back_to_the_front_in_order_on_rollback(tmp_path):
+    queue = standalone(tmp_path)
+    queue.seed(["a", "b", "c"])
+    t = TransactionContext(id=1, originator="r")
+    assert [queue.receive(t), queue.receive(t)] == ["a", "b"]
+    assert queue.prepare(1) is Vote.YES
+    queue.rollback(1)
+    assert queue.peek() == ("a", "b", "c") and queue.depth() == 3
+    assert queue.conservation_holds()
+
+
 def test_committed_receive_consumes(rig):
     coord, _, queue = rig
     queue.seed(["a", "b"])
