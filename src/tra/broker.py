@@ -91,8 +91,8 @@ def load_table_file(path: str) -> BrokerTable:
 class ScriptRule:
     """First matching rule wins. With no reply/error/garbage the endpoint
     never answers and the caller times out at its budget. A rule is
-    immutable and hashes by identity, so the broker can key the encoded
-    record of its reply on it."""
+    immutable and hashes by identity, so the broker can key the record of
+    its reply, and the fields that record decodes to, on it."""
 
     match: dict
     delay: int
@@ -191,7 +191,7 @@ class _Completion:
     tie: float
     call: LegacyCall
     kind: str  # reply | timeout | error
-    record: str | None
+    reply: dict | CodecError | None  # a reply's decoded fields, or why it did not decode
     detail: str = ""
 
 
@@ -203,9 +203,9 @@ def _check_kind(src: Source, kinds: dict, want: str, where: str) -> None:
         raise TableError(f"{where}: source {src} kind mismatch, want {want}")
 
 
-# one call of a plan: the call, its parsed request map, and the encoded reply
-# record of each script rule that has answered it so far
-_Step = tuple[LegacyCall, dict[str, Source], dict[ScriptRule, str]]
+# one call of a plan: the call, its parsed request map, and the decoded reply
+# of each script rule that has answered it so far
+_Step = tuple[LegacyCall, dict[str, Source], dict[ScriptRule, dict]]
 
 
 @dataclass(frozen=True)
@@ -321,11 +321,14 @@ class MessageBroker:
         return out
 
     def _exchange(
-        self, call: LegacyCall, record: str, replies: dict[ScriptRule, str]
-    ) -> tuple[int, str, str | None, str]:
-        """Simulated wire exchange: returns (delay, kind, record, detail).
-        A script reply is encoded on its first use for this call and kept in
-        `replies`; one that cannot be encoded raises again on every use."""
+        self, call: LegacyCall, record: str, replies: dict[ScriptRule, dict]
+    ) -> tuple[int, str, dict | CodecError | None, str]:
+        """Simulated wire exchange: returns (delay, kind, reply, detail).
+        A reply record is encoded (or, for garbage, taken as it is) and
+        decoded on its first use for this call, and its fields are kept in
+        `replies`. One that cannot be encoded raises again on every use; one
+        that cannot be decoded is not kept, and comes back as its
+        `CodecError` for `_settle` to report."""
         adapter = self.adapters[call.endpoint]
         ep = adapter.endpoint
         if ep.down:
@@ -335,19 +338,21 @@ class MessageBroker:
         if rule is None:
             return adapter.budget, "timeout", None, "no script rule matched"
         if rule.error:
-            kind, rec, detail = "error", None, "endpoint error"
-        elif rule.garbage is not None:
-            kind, rec, detail = "reply", rule.garbage, ""
-        elif rule.reply is not None:
-            rec = replies.get(rule)
-            if rec is None:
-                rec = replies[rule] = self._encode_reply(call, rule.reply)
+            kind, reply, detail = "error", None, "endpoint error"
+        elif rule.garbage is not None or rule.reply is not None:
             kind, detail = "reply", ""
+            reply = replies.get(rule)
+            if reply is None:
+                rec = rule.garbage if rule.reply is None else self._encode_reply(call, rule.reply)
+                try:
+                    reply = replies[rule] = decode_record(call.response_spec, rec)
+                except CodecError as exc:
+                    reply = exc
         else:
             return adapter.budget, "timeout", None, "endpoint never replied"
         if rule.delay > adapter.budget:
             return adapter.budget, "timeout", None, f"no reply within {adapter.budget}"
-        return rule.delay, kind, rec, detail
+        return rule.delay, kind, reply, detail
 
     def _encode_reply(self, call: LegacyCall, reply: Mapping) -> str:
         names = call.response_spec.field_names
@@ -369,13 +374,12 @@ class MessageBroker:
         if comp.kind == "error":
             self.tracer.emit("broker_error", call=call.call_id, endpoint=call.endpoint, at=comp.at)
             raise InvokeError(f"call {call.call_id}: {comp.detail}")
-        try:
-            fields = decode_record(call.response_spec, comp.record)
-        except CodecError as exc:
+        if isinstance(comp.reply, CodecError):
             self.tracer.emit("broker_bad_reply", call=call.call_id, endpoint=call.endpoint, at=comp.at)
-            raise InvokeError(f"call {call.call_id}: undecodable reply: {exc}") from exc
+            raise InvokeError(f"call {call.call_id}: undecodable reply: {comp.reply}") from comp.reply
         self.tracer.emit("broker_reply", call=call.call_id, endpoint=call.endpoint, at=comp.at)
-        results[call.call_id] = fields
+        # the kept fields are shared by every invoke, so nothing downstream writes to them
+        results[call.call_id] = comp.reply
 
     def invoke(self, service: str, request: Mapping) -> dict:
         """Dispatch with per-stage parallelism (the default mode)."""
@@ -402,9 +406,9 @@ class MessageBroker:
                 )
                 if not staged:  # a lone call starts once it is dispatched
                     t0 = self.tracer.clock.now
-                delay, kind, rec, detail = self._exchange(call, record, replies)
+                delay, kind, reply, detail = self._exchange(call, record, replies)
                 tie = self.rng.random() if staged else 0.0
-                completions.append(_Completion(t0 + delay, tie, call, kind, rec, detail))
+                completions.append(_Completion(t0 + delay, tie, call, kind, reply, detail))
             for comp in sorted(completions, key=lambda c: (c.at, c.tie)):
                 self._settle(comp, scopes["call"])
         out = {}

@@ -462,7 +462,13 @@ def crash_sweep(scenario_or_path) -> dict:
                 rundir = os.path.join(root, f"{target}-{point.value}")
                 report = _run_once(scenario, rundir, faults=[spec], arm="final_commit")
                 post = {"stores": report["stores"], "queues": report["queues"]}
-                if post == commit_state:
+                log = report["log"]
+                decided = log.get(str(swept_id)) if swept_id is not None else None
+                if post == commit_state == abort_state:
+                    # the swept transaction changes no state (it only reads, say),
+                    # so only the log's decision tells commit from abort
+                    outcome = decided if decided in ("committed", "aborted") else "undecided"
+                elif post == commit_state:
                     outcome = "committed"
                 elif post == abort_state:
                     outcome = "aborted"
@@ -470,8 +476,7 @@ def crash_sweep(scenario_or_path) -> dict:
                     outcome = "split"
                 fired = bool(report["fired"])
                 conservation = all(report["queue_conservation"].values())
-                log = report["log"]
-                log_ok = swept_id is not None and log.get(str(swept_id)) == outcome
+                log_ok = decided == outcome
                 prefix_ok = all(
                     txn_id == str(swept_id) or baseline["log"].get(txn_id) == status
                     for txn_id, status in log.items()

@@ -91,16 +91,25 @@ class MessageSpec:
     def __post_init__(self):
         if self.record_length < 0:
             raise CodecError("record_length must be >= 0")
-        names = [f.name for f in self.fields]
-        if len(set(names)) != len(names):
+        fields = self.fields
+        names = frozenset([f.name for f in fields])
+        if len(names) != len(fields):
             raise CodecError("duplicate field names")
-        ordered = sorted(self.fields, key=lambda f: f.offset)
-        for f in ordered:
-            if f.end > self.record_length:
-                raise CodecError(f"field {f.name}: extends past record end", f.name)
-        for a, b in zip(ordered, ordered[1:]):
-            if a.end > b.offset:
-                raise CodecError(f"fields {a.name} and {b.name} overlap", b.name)
+        # The layout is worked out here, once: the name set the encoder checks
+        # values against, and a template that places the cells, given in
+        # declaration order, at their offsets with the gaps and tail as spaces.
+        layout = sorted([(f.offset, i, f.offset + f.length) for i, f in enumerate(fields)])
+        template, pos = "", 0
+        for offset, i, end in layout:
+            if end > self.record_length:
+                raise CodecError(f"field {fields[i].name}: extends past record end", fields[i].name)
+            template += " " * (offset - pos) + "{%d}" % i
+            pos = end
+        for (_, a, a_end), (b_offset, b, _) in zip(layout, layout[1:]):
+            if a_end > b_offset:
+                raise CodecError(f"fields {fields[a].name} and {fields[b].name} overlap", fields[b].name)
+        object.__setattr__(self, "_names", names)
+        object.__setattr__(self, "_template", template + " " * (self.record_length - pos))
 
     def field(self, name: str) -> FieldSpec:
         for f in self.fields:
@@ -177,9 +186,9 @@ def typed(kind: str, value, name: str):
 def _render_text(f: FieldSpec, value: str) -> str:
     if len(value) > f.length:
         raise CodecError(f"field {f.name}: value too long for width {f.length}", f.name)
-    for ch in value:
-        if not (32 <= ord(ch) < 127):
-            raise CodecError(f"field {f.name}: non-printable character", f.name)
+    # printable ASCII is exactly U+0020..U+007E
+    if not (value.isascii() and value.isprintable()):
+        raise CodecError(f"field {f.name}: non-printable character", f.name)
     # Padding is stripped on decode, so values that already carry pad-side
     # spaces would not round-trip. Refuse them.
     if f.align == "left" and value.rstrip(" ") != value:
@@ -217,10 +226,10 @@ def encode_record(spec: MessageSpec, values: Mapping) -> str:
     """Render a complete record. Every spec field must have a value of its
     kind (see `typed`); unknown value names are rejected so mapping typos
     surface here."""
-    extra = set(values) - set(spec.field_names)
-    if extra:
-        raise CodecError(f"values for unknown fields: {sorted(extra)}")
-    buf = [" "] * spec.record_length
+    names = spec._names
+    if not names.issuperset(values):
+        raise CodecError(f"values for unknown fields: {sorted(set(values) - names)}")
+    cells = []  # in declaration order, so the first bad field declared is the one reported
     for f in spec.fields:
         if f.name not in values:
             raise CodecError(f"no value for field {f.name}", f.name)
@@ -231,8 +240,8 @@ def encode_record(spec: MessageSpec, values: Mapping) -> str:
             cell = _render_units(f, value)
         else:
             cell = _render_units(f, _to_units(f, value))
-        buf[f.offset : f.end] = cell
-    return "".join(buf)
+        cells.append(cell)
+    return spec._template.format(*cells)
 
 
 def _parse_units(f: FieldSpec, raw: str) -> int:

@@ -38,8 +38,8 @@ class Tracer:
         self.events: list[dict] = []
 
     def emit(self, ev: str, **fields) -> dict:
-        rec = {"t": self.clock.now, "ev": ev}
-        rec.update(fields)
+        clock = self.clock
+        rec = {"t": clock.now, "ev": ev, **fields}
         self.events.append(rec)
-        self.clock.advance(1)
+        clock.now += 1
         return rec

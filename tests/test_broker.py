@@ -17,7 +17,7 @@ from tra.broker import (
     load_table_file,
 )
 from tra.errors import CodecError, InvokeError, TableError
-from tra.records import FieldSpec, MessageSpec, encode_record
+from tra.records import FieldSpec, MessageSpec, decode_record, encode_record
 from tra.sim import SimClock, Tracer
 
 
@@ -629,3 +629,87 @@ def test_first_matching_rule_wins():
     assert LegacyEndpoint("E", [specific, general]).match({}) is general
     assert LegacyEndpoint("E", [ScriptRule(match={"a": None})]).match({}) is not None
     assert LegacyEndpoint("E", []).match({"a": 1}) is None
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """Count the broker's calls of the record decoder."""
+    import tra.broker
+
+    calls = []
+
+    def counting(spec, record):
+        calls.append(record)
+        return decode_record(spec, record)
+
+    monkeypatch.setattr(tra.broker, "decode_record", counting)
+    return calls
+
+
+def test_each_kept_reply_is_decoded_once_per_call(decodes):
+    broker = trio_broker()
+    first = broker.invoke("trio", {"userId": "U1"})
+    assert len(decodes) == 6  # three requests, three replies
+    del decodes[:]
+    assert broker.invoke("trio", {"userId": "U1"}) == first
+    assert len(decodes) == 3  # the requests only: the endpoint sees the wire record
+    del decodes[:]
+    assert broker.invoke_sequential("trio", {"userId": "U1"}) == first
+    assert len(decodes) == 3
+    del decodes[:]
+    # another rule answers a new request, and its reply is decoded once too
+    assert broker.invoke("trio", {"userId": "U2"}) == {"r0": "E0-any", "r1": "E1-any", "r2": "E2-any"}
+    assert len(decodes) == 6
+    del decodes[:]
+    broker.invoke("trio", {"userId": "U2"})
+    assert len(decodes) == 3
+
+
+def test_a_garbage_reply_that_decodes_is_decoded_once(decodes):
+    broker = make_broker(script_overrides={"DIR": [ScriptRule(match={}, delay=3, garbage="A42   OK")]})
+    broker.register_table(profile_table())
+    answers = [broker.invoke("profile", {"userId": "U1"}) for _ in range(3)]
+    assert answers == [{"segment": "GOLD", "limit": 9}] * 3
+    # two requests per invoke, and each call's reply on the first invoke only
+    assert len(decodes) == 2 * 3 + 2
+
+
+def test_an_undecodable_reply_fails_the_same_way_on_every_invoke(decodes):
+    broker = make_broker(script_overrides={"DIR": [ScriptRule(match={}, garbage="?!")]})
+    broker.register_table(profile_table())
+    errors = []
+    for _ in range(3):
+        with pytest.raises(InvokeError) as exc:
+            broker.invoke("profile", {"userId": "U1"})
+        assert isinstance(exc.value.__cause__, CodecError)
+        errors.append(str(exc.value))
+    assert errors == ["call dir: undecodable reply: record length 2 != spec length 8"] * 3
+    assert [e["ev"] for e in broker.tracer.events].count("broker_bad_reply") == 3
+    # nothing was kept: the request and the reply are decoded on every invoke
+    assert decodes == ["U1      ", "?!"] * 3
+
+
+def test_a_mutated_response_does_not_change_the_next_answer():
+    broker = trio_broker()
+    first = broker.invoke("trio", {"userId": "U1"})
+    expected = dict(first)
+    first["r0"] = "changed"
+    first.clear()
+    assert broker.invoke("trio", {"userId": "U1"}) == expected
+    seq = broker.invoke_sequential("trio", {"userId": "U1"})
+    seq["r2"] = "changed"
+    assert broker.invoke("trio", {"userId": "U1"}) == expected
+
+
+@pytest.mark.parametrize("first", ["invoke", "invoke_sequential"])
+def test_staged_and_sequential_agree_with_kept_replies(first):
+    # whichever mode runs first decodes the replies, and the other reuses them
+    second = "invoke_sequential" if first == "invoke" else "invoke"
+    broker = make_broker(script_overrides={"DIR": [ScriptRule(match={}, delay=3, garbage="A42   OK")]})
+    broker.register_table(profile_table())
+    answers = [getattr(broker, mode)("profile", {"userId": "U1"}) for mode in (first, second) * 2]
+    assert answers == [{"segment": "GOLD", "limit": 9}] * 4
+    staged, sequential = quote_broker(), quote_broker()
+    for amount in ("2.25", "0.5", "2.25"):
+        request = {"amount": amount, "n": 1}
+        assert getattr(staged, first)("quote", request) == getattr(sequential, second)("quote", request)

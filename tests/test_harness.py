@@ -670,3 +670,48 @@ def test_cli_writes_a_lone_surrogate_as_an_escape(tmp_path, capsys):
     path.write_text('{"name": "s", "stores": ["\\ud800"]}', encoding="utf-8")
     assert main(["run", str(path)]) == 2
     assert "\\ud800" in capsys.readouterr().err
+
+
+READ_ONLY_SWEEP = {
+    "name": "s",
+    "stores": ["s"],
+    "sweep_targets": ["s"],
+    "actions": [
+        {"op": "begin", "txn": "t"},
+        {"op": "get", "txn": "t", "store": "s", "key": "k"},
+        {"op": "commit", "txn": "t"},
+    ],
+}
+
+
+def test_a_sweep_of_a_read_only_commit_is_classified_by_the_log(tmp_path, capsys):
+    # commit and abort leave the same state, so the log's decision tells them apart
+    path = tmp_path / "read_only.json"
+    path.write_text(json.dumps(READ_ONLY_SWEEP), encoding="utf-8")
+    assert main(["sweep", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "result: OK (10/10 combinations atomic)" in out
+    result = crash_sweep(str(path))
+    assert result["commit_state"] == result["abort_state"]
+    outcomes = {(r["target"], r["point"]): r["outcome"] for r in result["combinations"]}
+    assert outcomes[("coordinator", "before_prepare")] == "aborted"
+    assert outcomes[("coordinator", "after_commit_record_before_phase2")] == "committed"
+    assert all(r["log_matches_outcome"] for r in result["combinations"])
+
+
+def test_a_swept_transaction_the_log_leaves_undecided_fails_its_row(monkeypatch):
+    import tra.harness
+
+    run_once = tra.harness._run_once
+
+    def undecided(scenario, workdir, **kwargs):
+        report = run_once(scenario, workdir, **kwargs)
+        if kwargs.get("faults"):
+            report["log"] = {k: "active" for k in report["log"]}
+        return report
+
+    monkeypatch.setattr(tra.harness, "_run_once", undecided)
+    result = crash_sweep(load_scenario(READ_ONLY_SWEEP))
+    assert result["ok"] is False
+    assert {r["outcome"] for r in result["combinations"]} == {"undecided"}
+    assert not any(r["ok"] or r["log_matches_outcome"] for r in result["combinations"])

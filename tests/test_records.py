@@ -3,7 +3,7 @@
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from tra.errors import CodecError
 from tra.records import FieldSpec, MessageSpec, decode_record, encode_record
@@ -229,3 +229,78 @@ def test_decimals_past_28_digits_are_exact_or_refused():
     narrow = MessageSpec(record_length=12, fields=(FieldSpec("d", 0, 12, "decimal", scale=2),))
     with pytest.raises(CodecError, match="does not fit scale 2"):
         encode_record(narrow, {"d": "1234567.0000000000000000000000000001"})
+
+
+# text from every Unicode category (lone surrogates and control characters
+# included), with the ASCII edges of the printable range mixed in
+_ANY_TEXT = st.text(
+    st.one_of(
+        st.characters(categories=("L", "M", "N", "P", "S", "Z", "C")),
+        st.sampled_from([" ", "~", "\x1f", "\x7f", "\x80", "\t", "\u00e9", "\ud800"]),
+    ),
+    max_size=12,
+)
+
+
+@given(_ANY_TEXT)
+@example("\u00e9")
+@example("\x7f")
+@example("a\tb")
+@example("\ud800")
+@example("")
+def test_printable_rule_is_exactly_u0020_to_u007e(value):
+    value = value.rstrip(" ")  # trailing spaces are refused by a rule of their own
+    spec = MessageSpec(12, (FieldSpec("f", 0, 12, "text"),))
+    printable = all(32 <= ord(c) < 127 for c in value)
+    try:
+        record = encode_record(spec, {"f": value})
+    except CodecError as exc:
+        assert not printable
+        assert str(exc) == "field f: non-printable character"
+    else:
+        assert printable
+        assert record == value.ljust(12)
+
+
+def _reference_encode(spec, values):
+    """The record as a buffer of spaces with each field's cell slice-assigned
+    at its offset, fields taken in declaration order; each cell is the
+    field's own one-field record."""
+    buf = [" "] * spec.record_length
+    for f in spec.fields:
+        alone = MessageSpec(f.length, (FieldSpec(f.name, 0, f.length, f.kind, f.pad, f.align, f.scale),))
+        buf[f.offset : f.end] = encode_record(alone, {f.name: values[f.name]})
+    return "".join(buf)
+
+
+@st.composite
+def shuffled_spec_and_values(draw):
+    """A spec with gaps and a tail whose fields are declared in any order."""
+    spec, values = draw(spec_and_values())
+    fields = tuple(draw(st.permutations(spec.fields)))
+    return MessageSpec(spec.record_length, fields), values
+
+
+@given(shuffled_spec_and_values())
+def test_encode_matches_the_buffer_reference(case):
+    spec, values = case
+    record = encode_record(spec, values)
+    assert record == _reference_encode(spec, values)
+    assert decode_record(spec, record) == values
+
+
+@given(shuffled_spec_and_values(), st.data())
+def test_the_first_declared_bad_field_is_reported(case, data):
+    spec, values = case
+    assume(len(spec.fields) >= 2)
+    i, j = sorted(data.draw(st.lists(
+        st.integers(0, len(spec.fields) - 1), min_size=2, max_size=2, unique=True
+    )))
+    bad = dict(values)
+    for f in (spec.fields[i], spec.fields[j]):
+        bad[f.name] = 5 if f.kind == "text" else "x"
+    with pytest.raises(CodecError) as exc:
+        encode_record(spec, bad)
+    first = spec.fields[i]
+    assert exc.value.field == first.name
+    assert str(exc.value) == f"field {first.name}: expected {first.kind}, got {bad[first.name]!r}"
