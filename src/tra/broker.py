@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .errors import CodecError, InvokeError, TableError, TraError
@@ -36,24 +36,31 @@ DEFAULT_REPLY_BUDGET = 100
 
 @dataclass(frozen=True)
 class LegacyCall:
-    """One record exchange with one endpoint, inside a broker table."""
+    """One record exchange with one endpoint, with its request map's parsed sources.
+    `replies`, internal and keyed by rule identity, keeps the fields each answering
+    rule's reply decodes to; it lives as long as the table, shared by every broker."""
 
     call_id: str
     endpoint: str
     request_spec: MessageSpec
-    request_map: Mapping[str, str]
+    request_map: Mapping[str, Source]
     response_spec: MessageSpec
     depends_on: frozenset[str]
+    replies: dict[ScriptRule, dict] = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BrokerTable:
+    """A checked table, ready to run: its calls in declared order and in
+    dependency stages, and the parsed sources of each response field."""
+
     service: ServiceSignature
-    calls: list[LegacyCall]
-    aggregate: dict[str, list[str]]
+    calls: tuple[LegacyCall, ...]
+    stages: tuple[tuple[LegacyCall, ...], ...]
+    aggregate: dict[str, list[Source]]
 
 
-# request maps and aggregate lists hold sources, which registration parses
+# request maps and aggregate lists hold sources, which load_table parses
 TABLE = Obj({"service": SIGNATURE, "calls": Each(LIST, Obj(
     {"call_id": NAME, "endpoint": NAME, "request_spec": MESSAGE_SPEC, "request_map": OBJECT,
      "response_spec": MESSAGE_SPEC},
@@ -61,26 +68,91 @@ TABLE = Obj({"service": SIGNATURE, "calls": Each(LIST, Obj(
 ))}, {"aggregate": Each(OBJECT, LIST)})
 
 
+def _check_kind(src: Source, kinds: dict, want: str, where: str) -> None:
+    kind = resolve(src, kinds)
+    if kind is MISSING:
+        raise TableError(f"{where}: source {src} does not exist")
+    if kind != want:
+        raise TableError(f"{where}: source {src} kind mismatch, want {want}")
+
+
+def _stages(name: str, calls: list[LegacyCall]) -> tuple[tuple[LegacyCall, ...], ...]:
+    """Each call runs one stage after the last of its dependencies."""
+    stages, done, left = [], set(), calls
+    while left:
+        ready = [c for c in left if c.depends_on <= done]
+        if not ready:
+            raise TableError(f"{name}: dependency cycle among {sorted(c.call_id for c in left)}")
+        stages.append(tuple(sorted(ready, key=lambda c: c.call_id)))
+        done |= {c.call_id for c in ready}
+        left = [c for c in left if c.call_id not in done]
+    return tuple(stages)
+
+
 def load_table(doc: Mapping) -> BrokerTable:
-    """Parse a broker table document. Cross-reference checks happen at
-    registration, when adapters are known."""
+    """Check a broker table document and build what dispatch runs. Every
+    check that needs only the table is made here; registration checks only
+    that the broker has an adapter for each endpoint."""
     check(TABLE, doc, TableError, "broker table")
     try:
-        calls = [
-            LegacyCall(
-                c["call_id"], c["endpoint"], MessageSpec.from_checked(c["request_spec"]),
-                dict(c["request_map"]), MessageSpec.from_checked(c["response_spec"]),
-                frozenset(c.get("depends_on", ())),
-            )
+        specs = [
+            (MessageSpec.from_checked(c["request_spec"]), MessageSpec.from_checked(c["response_spec"]))
             for c in doc["calls"]
         ]
     except CodecError as exc:  # a record layout the codec cannot hold
         raise TableError(f"bad broker table: {exc}") from None
-    return BrokerTable(
-        service=load_signature(doc["service"], "service", TableError),
-        calls=calls,
-        aggregate={k: list(v) for k, v in doc.get("aggregate", {}).items()},
-    )
+    service = load_signature(doc["service"], "service", TableError)
+    name = service.name
+    ids = [c["call_id"] for c in doc["calls"]]
+    if len(set(ids)) != len(ids):
+        raise TableError(f"{name}: duplicate call ids")
+    # sources are checked by resolving them against the kinds of what they name
+    kinds = {
+        "req": {f.name: f.kind for f in service.request},
+        "call": {cid: {f.name: f.kind for f in resp.fields} for cid, (_, resp) in zip(ids, specs)},
+    }
+    calls = []
+    for c, (request_spec, response_spec) in zip(doc["calls"], specs):
+        where = f"{name}.{c['call_id']}"
+        depends_on = c.get("depends_on", ())
+        for dep in depends_on:
+            if dep not in kinds["call"]:
+                raise TableError(f"{where}: unknown dependency {dep}")
+        spec_names, mapped = set(request_spec.field_names), set(c["request_map"])
+        if mapped != spec_names:
+            raise TableError(
+                f"{where}: request map must cover the request spec exactly "
+                f"(missing {sorted(spec_names - mapped)}, extra {sorted(mapped - spec_names)})"
+            )
+        rmap = {}
+        for fname, text in c["request_map"].items():
+            src = parse(text, ("req", "lit", "call"), TableError, f"{where}.{fname}")
+            if src.scope == "call" and src.path[0] not in depends_on:
+                raise TableError(f"{where}: {src} must name a declared dependency")
+            if src.scope != "lit":
+                _check_kind(src, kinds, request_spec.field(fname).kind, f"{where}.{fname}")
+            rmap[fname] = src
+        calls.append(LegacyCall(
+            c["call_id"], c["endpoint"], request_spec, rmap, response_spec, frozenset(depends_on)
+        ))
+    # every response field must be assembled from somewhere
+    service_resp = {f.name: f.kind for f in service.response}
+    texts_of = doc.get("aggregate", {})
+    if set(texts_of) != set(service_resp):
+        raise TableError(
+            f"{name}: aggregation must cover the response exactly "
+            f"(missing {sorted(set(service_resp) - set(texts_of))}, "
+            f"extra {sorted(set(texts_of) - set(service_resp))})"
+        )
+    aggregate = {}
+    for rfield, texts in texts_of.items():
+        where = f"{name}.aggregate.{rfield}"
+        if not texts:
+            raise TableError(f"{where}: response field has no sources")
+        aggregate[rfield] = [parse(text, ("call",), TableError, where) for text in texts]
+        for src in aggregate[rfield]:
+            _check_kind(src, kinds, service_resp[rfield], where)
+    return BrokerTable(service, tuple(calls), _stages(name, calls), aggregate)
 
 
 def load_table_file(path: str) -> BrokerTable:
@@ -185,37 +257,8 @@ class Adapter:
         return self.endpoint.endpoint_id
 
 
-@dataclass
-class _Completion:
-    at: int
-    tie: float
-    call: LegacyCall
-    kind: str  # reply | timeout | error
-    reply: dict | CodecError | None  # a reply's decoded fields, or why it did not decode
-    detail: str = ""
-
-
-def _check_kind(src: Source, kinds: dict, want: str, where: str) -> None:
-    kind = resolve(src, kinds)
-    if kind is MISSING:
-        raise TableError(f"{where}: source {src} does not exist")
-    if kind != want:
-        raise TableError(f"{where}: source {src} kind mismatch, want {want}")
-
-
-# one call of a plan: the call, its parsed request map, and the decoded reply
-# of each script rule that has answered it so far
-_Step = tuple[LegacyCall, dict[str, Source], dict[ScriptRule, dict]]
-
-
-@dataclass(frozen=True)
-class _Plan:
-    """A registered table ready to run: its calls in dependency stages, each
-    a `_Step`, and the parsed sources per response field."""
-
-    service: ServiceSignature
-    stages: list[list[_Step]]
-    aggregate: dict[str, list[Source]]
+def _timeout(call: LegacyCall, budget: int, why: str) -> tuple[int, str, InvokeError]:
+    return budget, "broker_timeout", InvokeError(f"call {call.call_id}: timeout ({why})")
 
 
 class MessageBroker:
@@ -225,7 +268,7 @@ class MessageBroker:
         self.tracer = tracer if tracer is not None else Tracer()
         self.rng = rng if rng is not None else random.Random(0)
         self.adapters: dict[str, Adapter] = {}
-        self._plans: dict[str, _Plan] = {}
+        self._tables: dict[str, BrokerTable] = {}
 
     # -- registration -----------------------------------------------------
 
@@ -233,81 +276,21 @@ class MessageBroker:
         self.adapters[adapter.endpoint_id] = adapter
 
     def register_table(self, table: BrokerTable) -> None:
+        """Serve a loaded table, which `load_table` has checked: this refuses
+        only a taken service name and an endpoint with no adapter."""
         name = table.service.name
-        if name in self._plans:
+        if name in self._tables:
             raise TableError(f"service {name} already registered")
-        ids = [c.call_id for c in table.calls]
-        if len(set(ids)) != len(ids):
-            raise TableError(f"{name}: duplicate call ids")
-        # sources are checked by resolving them against the kinds of what they name
-        kinds = {
-            "req": {f.name: f.kind for f in table.service.request},
-            "call": {
-                c.call_id: {f.name: f.kind for f in c.response_spec.fields} for c in table.calls
-            },
-        }
-        maps: dict[str, dict[str, Source]] = {}
         for call in table.calls:
-            where = f"{name}.{call.call_id}"
             if call.endpoint not in self.adapters:
-                raise TableError(f"{where}: no adapter for endpoint {call.endpoint}")
-            for dep in call.depends_on:
-                if dep not in kinds["call"]:
-                    raise TableError(f"{where}: unknown dependency {dep}")
-            spec_names = set(call.request_spec.field_names)
-            mapped = set(call.request_map)
-            if mapped != spec_names:
-                raise TableError(
-                    f"{where}: request map must cover the request spec exactly "
-                    f"(missing {sorted(spec_names - mapped)}, extra {sorted(mapped - spec_names)})"
-                )
-            maps[call.call_id] = rmap = {}
-            for fname, text in call.request_map.items():
-                src = parse(text, ("req", "lit", "call"), TableError, f"{where}.{fname}")
-                if src.scope == "call" and src.path[0] not in call.depends_on:
-                    raise TableError(f"{where}: {src} must name a declared dependency")
-                if src.scope != "lit":
-                    _check_kind(src, kinds, call.request_spec.field(fname).kind, f"{where}.{fname}")
-                rmap[fname] = src
-        # every response field must be assembled from somewhere
-        service_resp = {f.name: f.kind for f in table.service.response}
-        if set(table.aggregate) != set(service_resp):
-            raise TableError(
-                f"{name}: aggregation must cover the response exactly "
-                f"(missing {sorted(set(service_resp) - set(table.aggregate))}, "
-                f"extra {sorted(set(table.aggregate) - set(service_resp))})"
-            )
-        aggregate = {}
-        for rfield, texts in table.aggregate.items():
-            where = f"{name}.aggregate.{rfield}"
-            if not texts:
-                raise TableError(f"{where}: response field has no sources")
-            aggregate[rfield] = [parse(text, ("call",), TableError, where) for text in texts]
-            for src in aggregate[rfield]:
-                _check_kind(src, kinds, service_resp[rfield], where)
-        stages = [[(c, maps[c.call_id], {}) for c in stage] for stage in self._stages(table)]
-        self._plans[name] = _Plan(table.service, stages, aggregate)
+                raise TableError(f"{name}.{call.call_id}: no adapter for endpoint {call.endpoint}")
+        self._tables[name] = table
 
     def interface(self) -> dict[str, ServiceSignature]:
         """The aggregated operations this broker exposes."""
-        return {name: plan.service for name, plan in sorted(self._plans.items())}
+        return {name: table.service for name, table in sorted(self._tables.items())}
 
     # -- dispatch -----------------------------------------------------------
-
-    def _stages(self, table: BrokerTable) -> list[list[LegacyCall]]:
-        """Each call runs one stage after the last of its dependencies."""
-        stages: list[list[LegacyCall]] = []
-        done: set[str] = set()
-        left = list(table.calls)
-        while left:
-            ready = [c for c in left if c.depends_on <= done]
-            if not ready:
-                ids = sorted(c.call_id for c in left)
-                raise TableError(f"{table.service.name}: dependency cycle among {ids}")
-            stages.append(sorted(ready, key=lambda c: c.call_id))
-            done |= {c.call_id for c in ready}
-            left = [c for c in left if c.call_id not in done]
-        return stages
 
     def _typed_request(self, sig: ServiceSignature, request: Mapping) -> dict:
         out = {}
@@ -320,39 +303,38 @@ class MessageBroker:
                 raise InvokeError(f"{sig.name} request: {exc}") from exc
         return out
 
-    def _exchange(
-        self, call: LegacyCall, record: str, replies: dict[ScriptRule, dict]
-    ) -> tuple[int, str, dict | CodecError | None, str]:
-        """Simulated wire exchange: returns (delay, kind, reply, detail).
-        A reply record is encoded (or, for garbage, taken as it is) and
-        decoded on its first use for this call, and its fields are kept in
-        `replies`. One that cannot be encoded raises again on every use; one
-        that cannot be decoded is not kept, and comes back as its
-        `CodecError` for `_settle` to report."""
+    def _exchange(self, call: LegacyCall, record: str) -> tuple[int, str, dict | InvokeError]:
+        """Simulated wire exchange: returns (delay, event, outcome), where
+        event is the trace event that settles the call and outcome is the
+        reply's fields or the error the call fails with. A reply record is
+        encoded (or, for garbage, taken as it is) and decoded on its first
+        use for this call, and its fields are kept in `call.replies`. One
+        that cannot be encoded raises again on every use; one that cannot be
+        decoded is not kept, and fails with its `CodecError` as the cause."""
         adapter = self.adapters[call.endpoint]
-        ep = adapter.endpoint
+        ep, budget = adapter.endpoint, adapter.budget
         if ep.down:
-            return 0, "error", None, "endpoint down"
-        request_fields = decode_record(call.request_spec, record)
-        rule = ep.match(request_fields)
+            return 0, "broker_error", InvokeError(f"call {call.call_id}: endpoint down")
+        rule = ep.match(decode_record(call.request_spec, record))
         if rule is None:
-            return adapter.budget, "timeout", None, "no script rule matched"
+            return _timeout(call, budget, "no script rule matched")
         if rule.error:
-            kind, reply, detail = "error", None, "endpoint error"
+            event, outcome = "broker_error", InvokeError(f"call {call.call_id}: endpoint error")
         elif rule.garbage is not None or rule.reply is not None:
-            kind, detail = "reply", ""
-            reply = replies.get(rule)
-            if reply is None:
+            event, outcome = "broker_reply", call.replies.get(rule)
+            if outcome is None:
                 rec = rule.garbage if rule.reply is None else self._encode_reply(call, rule.reply)
                 try:
-                    reply = replies[rule] = decode_record(call.response_spec, rec)
+                    outcome = call.replies[rule] = decode_record(call.response_spec, rec)
                 except CodecError as exc:
-                    reply = exc
+                    event = "broker_bad_reply"
+                    outcome = InvokeError(f"call {call.call_id}: undecodable reply: {exc}")
+                    outcome.__cause__ = exc
         else:
-            return adapter.budget, "timeout", None, "endpoint never replied"
-        if rule.delay > adapter.budget:
-            return adapter.budget, "timeout", None, f"no reply within {adapter.budget}"
-        return rule.delay, kind, reply, detail
+            return _timeout(call, budget, "endpoint never replied")
+        if rule.delay > budget:
+            return _timeout(call, budget, f"no reply within {budget}")
+        return rule.delay, event, outcome
 
     def _encode_reply(self, call: LegacyCall, reply: Mapping) -> str:
         names = call.response_spec.field_names
@@ -364,23 +346,6 @@ class MessageBroker:
         except CodecError as exc:
             raise InvokeError(f"call {call.call_id}: script reply: {exc}") from exc
 
-    def _settle(self, comp: _Completion, results: dict) -> None:
-        """Account one completed exchange, raising on failures."""
-        call = comp.call
-        self.tracer.clock.advance_to(comp.at)
-        if comp.kind == "timeout":
-            self.tracer.emit("broker_timeout", call=call.call_id, endpoint=call.endpoint, at=comp.at)
-            raise InvokeError(f"call {call.call_id}: timeout ({comp.detail})")
-        if comp.kind == "error":
-            self.tracer.emit("broker_error", call=call.call_id, endpoint=call.endpoint, at=comp.at)
-            raise InvokeError(f"call {call.call_id}: {comp.detail}")
-        if isinstance(comp.reply, CodecError):
-            self.tracer.emit("broker_bad_reply", call=call.call_id, endpoint=call.endpoint, at=comp.at)
-            raise InvokeError(f"call {call.call_id}: undecodable reply: {comp.reply}") from comp.reply
-        self.tracer.emit("broker_reply", call=call.call_id, endpoint=call.endpoint, at=comp.at)
-        # the kept fields are shared by every invoke, so nothing downstream writes to them
-        results[call.call_id] = comp.reply
-
     def invoke(self, service: str, request: Mapping) -> dict:
         """Dispatch with per-stage parallelism (the default mode)."""
         return self._dispatch(service, request, staged=True)
@@ -390,30 +355,35 @@ class MessageBroker:
         return self._dispatch(service, request, staged=False)
 
     def _dispatch(self, service: str, request: Mapping, staged: bool) -> dict:
-        plan = self._plans.get(service)
-        if plan is None:
+        table = self._tables.get(service)
+        if table is None:
             raise InvokeError(f"no broker table for service {service!r}")
-        scopes = {"req": self._typed_request(plan.service, request), "call": {}}
+        scopes = {"req": self._typed_request(table.service, request), "call": {}}
+        results, clock, emit = scopes["call"], self.tracer.clock, self.tracer.emit
         mode = "staged" if staged else "sequential"
-        stages = plan.stages if staged else [[entry] for stage in plan.stages for entry in stage]
+        stages = table.stages if staged else [(call,) for stage in table.stages for call in stage]
         for stage in stages:
-            t0 = self.tracer.clock.now
-            completions = []
-            for call, rmap, replies in stage:
-                record = self._encode_request(call, rmap, scopes)
-                self.tracer.emit(
-                    "broker_dispatch", call=call.call_id, endpoint=call.endpoint, mode=mode
-                )
+            t0 = clock.now
+            exchanges = []
+            for call in stage:
+                record = self._encode_request(call, scopes)
+                emit("broker_dispatch", call=call.call_id, endpoint=call.endpoint, mode=mode)
                 if not staged:  # a lone call starts once it is dispatched
-                    t0 = self.tracer.clock.now
-                delay, kind, reply, detail = self._exchange(call, record, replies)
+                    t0 = clock.now
+                delay, event, outcome = self._exchange(call, record)
                 tie = self.rng.random() if staged else 0.0
-                completions.append(_Completion(t0 + delay, tie, call, kind, reply, detail))
-            for comp in sorted(completions, key=lambda c: (c.at, c.tie)):
-                self._settle(comp, scopes["call"])
+                exchanges.append((t0 + delay, tie, call, event, outcome))
+            # settle in completion order: the first failure fails the invoke
+            for at, _, call, event, outcome in sorted(exchanges, key=lambda x: (x[0], x[1])):
+                clock.advance_to(at)
+                emit(event, call=call.call_id, endpoint=call.endpoint, at=at)
+                if event != "broker_reply":
+                    raise outcome
+                # the kept fields are shared by every invoke, so nothing downstream writes to them
+                results[call.call_id] = outcome
         out = {}
-        for f in plan.service.response:
-            for src in plan.aggregate[f.name]:
+        for f in table.service.response:
+            for src in table.aggregate[f.name]:
                 out[f.name] = resolve(src, scopes)
                 if out[f.name] is not MISSING:
                     break
@@ -421,8 +391,8 @@ class MessageBroker:
                 raise InvokeError(f"{service}: no source produced {f.name}")
         return out
 
-    def _encode_request(self, call: LegacyCall, rmap: Mapping[str, Source], scopes: dict) -> str:
-        values = {fname: resolve(src, scopes) for fname, src in rmap.items()}
+    def _encode_request(self, call: LegacyCall, scopes: dict) -> str:
+        values = {fname: resolve(src, scopes) for fname, src in call.request_map.items()}
         try:
             return encode_record(call.request_spec, values)
         except CodecError as exc:

@@ -60,7 +60,7 @@ class CodecError(TraError):
 
 
 class TableError(TraError):
-    """Broker table failed validation at registration."""
+    """Broker table failed validation when it loaded or was registered."""
 
 
 class InvokeError(TraError):

@@ -17,11 +17,11 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import ResourceCrashed, StoreLimitError, TxnStateError
-from .shape import NAME, check
+from .errors import LogCorruptError, ResourceCrashed, StoreLimitError, TxnStateError
+from .shape import LIST, NAME, OBJECT, STR, Each, Kind, Obj, check
 from .sim import Tracer
 from .txn import TransactionContext, Vote
-from .wal import LogWriter, read_records
+from .wal import PAYLOAD, LogWriter, read_records
 
 MAX_KEY_LEN = 256
 MAX_VALUE_BYTES = 64 * 1024
@@ -51,8 +51,8 @@ class ResourceManager:
     """Participant skeleton: guards, workspaces, the local log, prepared
     bookkeeping.
 
-    A subclass names its workspace class in `_Work` and the keys its prepare
-    payload must hold, with their JSON types, in `_payload`. It implements
+    A subclass names its workspace class in `_Work` and declares the shape of
+    its prepare payload, an `Obj` of required keys, in `_payload`. It implements
     three hooks: `_validate_and_stage` (workspace -> payload, or None to vote
     NO) and `_apply` / `_unstage` (commit / roll back a prepared payload). It
     overrides `_restage` (re-hold a payload after recovery), `_lose_memory`
@@ -62,7 +62,7 @@ class ResourceManager:
     """
 
     _Work: type
-    _payload: dict
+    _payload: Obj
 
     def __init__(
         self,
@@ -166,14 +166,22 @@ class ResourceManager:
         """Rebuild prepared state from the local log. No-op if never crashed."""
         if not self.crashed:
             return
+        prepared, done = {}, set()
+        for rec in read_records(self.log_path, {"PREPARED": PAYLOAD, "DONE": None}):
+            if rec[0] == "PREPARED":
+                prepared[rec[1]] = rec[2]
+            else:
+                done.add(rec[1])
+                prepared.pop(rec[1], None)
+        for txn_id, payload in prepared.items():  # only a kept payload is used again
+            try:
+                check(self._payload, payload, LogCorruptError, "payload")
+            except LogCorruptError as exc:
+                raise LogCorruptError(f"{self.log_path}: bad record for txn {txn_id}: {exc}") from None
+        # a corrupt log leaves the manager crashed: nothing runs on top of it
         self.crashed = False
         self._writer = LogWriter(self.log_path)
-        for rec in read_records(self.log_path, {"PREPARED": self._payload, "DONE": None}):
-            if rec[0] == "PREPARED":
-                self._prepared[rec[1]] = rec[2]
-            else:
-                self._done.add(rec[1])
-                self._prepared.pop(rec[1], None)
+        self._prepared, self._done = prepared, done
         for txn_id, payload in self._prepared.items():
             self._restage(txn_id, payload)
         self.tracer.emit("recover", who=self.rm_id, prepared=len(self._prepared))
@@ -213,6 +221,13 @@ def _check_value(value: str) -> None:
         raise StoreLimitError(f"value larger than {MAX_VALUE_BYTES} bytes")
 
 
+# one prepared write of a store: ["put", value] or ["del"]
+_WRITE = Kind(
+    (list,), '["put", <string>] or ["del"]',
+    lambda op: op == ["del"] or (len(op) == 2 and op[0] == "put" and type(op[1]) is str),
+)
+
+
 class _StoreWork:
     """Per-transaction workspace: first-observed read versions plus buffered
     writes (value or tombstone)."""
@@ -235,9 +250,8 @@ class ManagedStore(ResourceManager):
     validation and produce a non-serializable result).
     """
 
-    kind = "store"
     _Work = _StoreWork
-    _payload = {"writes": dict}
+    _payload = Obj({"writes": Each(OBJECT, _WRITE)})
 
     def __init__(self, rm_id, log_path, tracer=None, prepare_delay=0):
         super().__init__(rm_id, log_path, tracer, prepare_delay)
@@ -346,9 +360,8 @@ class TxnQueue(ResourceManager):
     unwind at once).
     """
 
-    kind = "queue"
     _Work = _QueueWork
-    _payload = {"sends": list, "receives": list}
+    _payload = Obj({"sends": Each(LIST, STR), "receives": Each(LIST, STR)})
 
     def __init__(self, rm_id, log_path, tracer=None, prepare_delay=0):
         super().__init__(rm_id, log_path, tracer, prepare_delay)

@@ -3,7 +3,7 @@
 Broker request maps and aggregation, scenario service bindings, and process
 step inputs and outputs all fill values from sources such as ``req.userId``
 or ``lit:OK``. Each site names the scopes it allows and parses its sources
-once, when its structure is registered; resolve() then only walks the path.
+once, when its structure is loaded or registered; resolve() then only walks the path.
 
     req.FIELD     a field of the incoming request
     lit:TEXT      the text itself

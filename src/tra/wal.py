@@ -2,8 +2,8 @@
 
 Every log holds one record per line, `KIND<tab>txn-id[<tab>field]`. Each log
 declares a schema, record kind -> what follows the id: nothing (None), a
-non-empty name (NAME), or a JSON object ({key: type} for the keys its reader
-relies on). A last line with no newline is a record whose write a crash tore,
+non-empty name (NAME), or a JSON object (PAYLOAD) whose inside its reader
+checks. A last line with no newline is a record whose write a crash tore,
 so it was never written: the reader skips it and the writer cuts it off. Any
 other malformed line is corruption.
 """
@@ -17,6 +17,7 @@ import os
 from .errors import LogCorruptError
 
 NAME = "name"
+PAYLOAD = "payload"
 
 
 class LogWriter:
@@ -69,13 +70,10 @@ def read_records(path: str, schema: dict) -> list[tuple]:
                     records.append((kind, int(txn_id)))
                     continue
                 kind, txn_id, value = rec
-                if field is not NAME:
+                if field is PAYLOAD:
                     value = json.loads(value)
                     if type(value) is not dict:
                         raise ValueError("payload is not an object")
-                    for key, vtype in field.items():
-                        if type(value.get(key)) is not vtype:
-                            raise ValueError(f"payload {key!r} is not a {vtype.__name__}")
                 elif not value:
                     raise ValueError("empty name")
                 records.append((kind, int(txn_id), value))

@@ -21,56 +21,58 @@ from tra.records import FieldSpec, MessageSpec, decode_record, encode_record
 from tra.sim import SimClock, Tracer
 
 
-def profile_table(aggregate=None):
-    return load_table(
-        {
-            "service": {
-                "name": "profile",
-                "request": [{"name": "userId", "kind": "text"}],
-                "response": [
-                    {"name": "segment", "kind": "text"},
-                    {"name": "limit", "kind": "integer"},
-                ],
-            },
-            "calls": [
-                {
-                    "call_id": "dir",
-                    "endpoint": "DIR",
-                    "request_spec": {
-                        "record_length": 8,
-                        "fields": [{"name": "uid", "offset": 0, "length": 8, "kind": "text"}],
-                    },
-                    "request_map": {"uid": "req.userId"},
-                    "response_spec": {
-                        "record_length": 8,
-                        "fields": [
-                            {"name": "acct", "offset": 0, "length": 6, "kind": "text"},
-                            {"name": "rc", "offset": 6, "length": 2, "kind": "text"},
-                        ],
-                    },
-                },
-                {
-                    "call_id": "seg",
-                    "endpoint": "SEG",
-                    "request_spec": {
-                        "record_length": 6,
-                        "fields": [{"name": "acct", "offset": 0, "length": 6, "kind": "text"}],
-                    },
-                    "request_map": {"acct": "call:dir.acct"},
-                    "response_spec": {
-                        "record_length": 8,
-                        "fields": [
-                            {"name": "segment", "offset": 0, "length": 4, "kind": "text"},
-                            {"name": "limit", "offset": 4, "length": 4, "kind": "integer"},
-                        ],
-                    },
-                    "depends_on": ["dir"],
-                },
+def profile_doc(aggregate=None):
+    return {
+        "service": {
+            "name": "profile",
+            "request": [{"name": "userId", "kind": "text"}],
+            "response": [
+                {"name": "segment", "kind": "text"},
+                {"name": "limit", "kind": "integer"},
             ],
-            "aggregate": aggregate
-            or {"segment": ["call:seg.segment"], "limit": ["call:seg.limit"]},
-        }
-    )
+        },
+        "calls": [
+            {
+                "call_id": "dir",
+                "endpoint": "DIR",
+                "request_spec": {
+                    "record_length": 8,
+                    "fields": [{"name": "uid", "offset": 0, "length": 8, "kind": "text"}],
+                },
+                "request_map": {"uid": "req.userId"},
+                "response_spec": {
+                    "record_length": 8,
+                    "fields": [
+                        {"name": "acct", "offset": 0, "length": 6, "kind": "text"},
+                        {"name": "rc", "offset": 6, "length": 2, "kind": "text"},
+                    ],
+                },
+            },
+            {
+                "call_id": "seg",
+                "endpoint": "SEG",
+                "request_spec": {
+                    "record_length": 6,
+                    "fields": [{"name": "acct", "offset": 0, "length": 6, "kind": "text"}],
+                },
+                "request_map": {"acct": "call:dir.acct"},
+                "response_spec": {
+                    "record_length": 8,
+                    "fields": [
+                        {"name": "segment", "offset": 0, "length": 4, "kind": "text"},
+                        {"name": "limit", "offset": 4, "length": 4, "kind": "integer"},
+                    ],
+                },
+                "depends_on": ["dir"],
+            },
+        ],
+        "aggregate": aggregate
+        or {"segment": ["call:seg.segment"], "limit": ["call:seg.limit"]},
+    }
+
+
+def profile_table(aggregate=None):
+    return load_table(profile_doc(aggregate))
 
 
 def make_broker(script_overrides=None, budget=100):
@@ -190,46 +192,75 @@ def test_request_typing():
         broker.invoke("ghost", {})
 
 
-def test_registration_validation():
+def _drop_request_field(doc):
+    doc["calls"][0]["request_map"].pop("uid")
+
+
+def _map_from_undeclared_call(doc):
+    doc["calls"][1]["request_map"]["acct"] = "call:other.acct"
+
+
+def _depend_in_a_cycle(doc):
+    doc["calls"][0]["depends_on"] = ["seg"]
+
+
+@pytest.mark.parametrize(
+    "mutate, aggregate, message",
+    [
+        (_drop_request_field, None, "cover the request spec"),
+        (_map_from_undeclared_call, None, "must name a declared dependency"),
+        (None, {"segment": ["call:seg.limit"], "limit": ["call:seg.limit"]}, "kind mismatch"),
+        (None, {"segment": ["call:seg.segment"]}, "cover the response exactly"),
+        (None, {"segment": ["call:seg.segment"], "limit": ["call:dir.limit"]}, "does not exist"),
+        (_depend_in_a_cycle, None, "cycle"),
+    ],
+    ids=["request-coverage", "undeclared-dependency", "kind-mismatch", "response-coverage",
+         "missing-source", "cycle"],
+)
+def test_load_table_checks_every_reference_in_the_table(mutate, aggregate, message):
+    doc = profile_doc(aggregate)
+    if mutate:
+        mutate(doc)
+    with pytest.raises(TableError, match=message):
+        load_table(doc)
+
+
+def test_registration_checks_only_the_adapters_and_the_service_name():
     broker = make_broker()
-
+    doc = profile_doc()
+    doc["calls"][0]["endpoint"] = "NOPE"
+    table = load_table(doc)  # the table itself is sound
     with pytest.raises(TableError, match="no adapter"):
-        doc = profile_table()
-        doc.calls[0] = doc.calls[0].__class__(**{**doc.calls[0].__dict__, "endpoint": "NOPE"})
-        broker.register_table(doc)
+        broker.register_table(table)
+    assert broker.interface() == {}
 
-    with pytest.raises(TableError, match="cover the request spec"):
-        t = profile_table()
-        t.calls[0].request_map.pop("uid")
-        broker.register_table(t)
-
-    with pytest.raises(TableError, match="must name a declared dependency"):
-        t = profile_table()
-        t.calls[1].request_map["acct"] = "call:other.acct"
-        broker.register_table(t)
-
-    with pytest.raises(TableError, match="kind mismatch"):
-        t = profile_table(aggregate={"segment": ["call:seg.limit"], "limit": ["call:seg.limit"]})
-        broker.register_table(t)
-
-    with pytest.raises(TableError, match="cover the response exactly"):
-        t = profile_table(aggregate={"segment": ["call:seg.segment"]})
-        broker.register_table(t)
-
-    with pytest.raises(TableError, match="does not exist"):
-        t = profile_table(aggregate={"segment": ["call:seg.segment"], "limit": ["call:dir.limit"]})
-        broker.register_table(t)
-
-    with pytest.raises(TableError, match="cycle"):
-        t = profile_table()
-        object.__setattr__(t.calls[0], "depends_on", frozenset({"seg"}))
-        t.calls[0].request_map["uid"] = "req.userId"
-        broker.register_table(t)
-
-    ok = profile_table()
-    broker.register_table(ok)
+    broker.register_table(profile_table())
     with pytest.raises(TableError, match="already registered"):
         broker.register_table(profile_table())
+
+
+def _outcome(broker, mode, request):
+    """What an invoke answers or fails with, and the event that settled it."""
+    try:
+        answer = getattr(broker, mode)("profile", request)
+    except InvokeError as exc:
+        answer = str(exc)
+    return answer, broker.tracer.events[-1]
+
+
+def test_one_loaded_table_serves_two_brokers_alike():
+    table = profile_table()
+    first, second = make_broker(), make_broker()
+    first.register_table(table)
+    second.register_table(table)
+    outcomes = []
+    for mode in ("invoke", "invoke_sequential"):
+        for user in ("U1", "U2", "U1"):
+            outcomes.append(_outcome(first, mode, {"userId": user}))
+            assert _outcome(second, mode, {"userId": user}) == outcomes[-1]
+    assert outcomes[0][0] == {"segment": "GOLD", "limit": 9}
+    assert outcomes[1][0] == "call dir: timeout (no script rule matched)"
+    assert outcomes[1][1]["ev"] == "broker_timeout"
 
 
 def test_aggregate_falls_back_across_sources():
@@ -292,15 +323,15 @@ def test_drain_serves_committed_requests_one_reply_each(rig):
 
 
 def _set_request_source(call_idx, fname, text):
-    def mutate(t):
-        t.calls[call_idx].request_map[fname] = text
+    def mutate(doc):
+        doc["calls"][call_idx]["request_map"][fname] = text
 
     return mutate
 
 
 def _set_aggregate(texts):
-    def mutate(t):
-        t.aggregate["limit"] = texts
+    def mutate(doc):
+        doc["aggregate"]["limit"] = texts
 
     return mutate
 
@@ -317,15 +348,11 @@ def _set_aggregate(texts):
     ],
     ids=["map-var", "map-bare", "map-call-no-field", "map-int", "agg-req", "agg-malformed"],
 )
-def test_bad_sources_are_refused_at_registration(mutate):
-    broker = make_broker()
-    t = profile_table()
-    mutate(t)
+def test_bad_sources_are_refused_at_load(mutate):
+    doc = profile_doc()
+    mutate(doc)
     with pytest.raises(TableError, match="bad source"):
-        broker.register_table(t)
-    assert broker.interface() == {}
-    with pytest.raises(InvokeError, match="no broker table"):
-        broker.invoke("profile", {"userId": "U1"})
+        load_table(doc)
 
 
 def test_drain_pass_stops_when_the_reply_cannot_commit(rig):

@@ -638,6 +638,31 @@ def test_processes_and_tables_are_parsed_once_at_load():
         assert first["ok"] and run_scenario(scenario) == first
 
 
+def _cycle(table):
+    table["calls"][0]["depends_on"] = ["bil"]
+    table["calls"][1]["depends_on"] = ["pol"]
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (_cycle, "getCustomer360: dependency cycle among ['bil', 'pol']"),
+        (lambda t: t["calls"][0]["request_map"].update(func="POLQ"), "getCustomer360.pol.func: bad source 'POLQ'"),
+        (lambda t: t["aggregate"].update(name=["req.custId"]), "getCustomer360.aggregate.name: bad source 'req.custId'"),
+    ],
+    ids=["cycle", "bad-request-source", "bad-aggregate-source"],
+)
+def test_a_bad_inline_table_is_refused_at_load(change, message):
+    with open(tra.fixture_path("broker_demo.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    with open(tra.fixture_path("broker_table.json"), encoding="utf-8") as fh:
+        table = json.load(fh)
+    change(table)
+    doc["tables"] = [table]
+    with pytest.raises(TableError, match=re.escape(message)):
+        load_scenario(doc)
+
+
 def test_the_manifest_is_parsed_once_at_load(monkeypatch):
     import tra.harness
     import tra.model

@@ -2,11 +2,11 @@
 
 import pytest
 
-from tra.errors import LogCorruptError, TxnStateError
+from tra.errors import LogCorruptError, ResourceCrashed, TxnStateError
 from tra.sim import SimClock, Tracer
 from tra.txn import TransactionContext, TxnStatus
 from tra.coordinator import LOG_SCHEMA
-from tra.wal import LogWriter, read_records
+from tra.wal import PAYLOAD, LogWriter, read_records
 
 
 def test_clock_is_monotonic():
@@ -97,6 +97,10 @@ def test_txn_abort_paths():
         pytest.param("store", "PREPARED\t1\t7", id="store-payload-not-an-object"),
         pytest.param("store", "PREPARED\t1\t[]", id="store-payload-a-list"),
         pytest.param("store", 'PREPARED\t1\t{"writes": 3}', id="store-writes-not-an-object"),
+        pytest.param("store", 'PREPARED\t1\t{"writes": {"k": 3}}', id="store-write-not-a-list"),
+        pytest.param("store", 'PREPARED\t1\t{"writes": {"k": ["put"]}}', id="store-put-without-value"),
+        pytest.param("store", 'PREPARED\t1\t{"writes": {"k": ["frob", "x"]}}', id="store-unknown-write"),
+        pytest.param("queue", 'PREPARED\t1\t{"sends": [1], "receives": []}', id="queue-send-not-text"),
     ],
 )
 def test_malformed_rm_log_record_is_log_corruption(tmp_path, rm, record):
@@ -108,6 +112,42 @@ def test_malformed_rm_log_record_is_log_corruption(tmp_path, rm, record):
     manager.crash()
     with pytest.raises(LogCorruptError, match="bad record"):
         manager.recover()
+
+
+def test_a_kept_payload_is_checked_in_full(tmp_path):
+    from tra.resources import ManagedStore
+
+    path = tmp_path / "s.log"
+    bad = 'PREPARED\t{}\t{{"writes": {{"k": ["put", 7]}}}}\n'
+    path.write_text(bad.format(1) + "DONE\t1\n" + bad.format(2), encoding="utf-8")
+    store = ManagedStore("s", str(path), tracer=Tracer(SimClock()))
+    store.crash()
+    # txn 1 finished, so its payload is never used again; txn 2's is kept
+    message = f'{path}: bad record for txn 2: writes.k must be ["put", <string>] or ["del"], got [\'put\', 7]'
+    with pytest.raises(LogCorruptError) as exc:
+        store.recover()
+    assert str(exc.value) == message
+
+
+def test_a_corrupt_log_leaves_the_manager_crashed(tmp_path):
+    from tra.resources import ManagedStore
+
+    path = tmp_path / "s.log"
+    text = 'PREPARED\t1\t{"writes": {"k": ["put", "v"]}}\nPREPARED\t2\t{"writes": {"k": ["put", 7]}}\n'
+    path.write_text(text, encoding="utf-8")
+    store = ManagedStore("s", str(path), tracer=Tracer(SimClock()))
+    store.crash()
+    for _ in range(2):  # a second recover reads the same log and fails the same way
+        with pytest.raises(LogCorruptError, match="bad record for txn 2"):
+            store.recover()
+    assert store.crashed
+    # neither the bad payload nor the good one is prepared, and nothing is logged
+    for txn_id in (1, 2):
+        with pytest.raises(ResourceCrashed):
+            store.commit(txn_id)
+    with pytest.raises(ResourceCrashed):
+        store.put(TransactionContext(id=3, originator="t"), "k", "w")
+    assert path.read_text(encoding="utf-8") == text
 
 
 def test_a_torn_last_line_was_never_written(tmp_path):
@@ -135,7 +175,7 @@ def test_a_torn_prepared_record_recovers_with_nothing_prepared(tmp_path):
     with open(store.log_path, "r+b") as fh:  # the crash tore the PREPARED write
         fh.truncate(fh.seek(0, 2) - 3)
     store.recover()
-    assert read_records(store.log_path, {"PREPARED": {"writes": dict}, "DONE": None}) == []
+    assert read_records(store.log_path, {"PREPARED": PAYLOAD, "DONE": None}) == []
     # k is not locked by a prepared txn 1, and txn 1 is unknown here
     t2 = TransactionContext(id=2, originator="t")
     store.put(t2, "k", "w")
