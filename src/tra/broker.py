@@ -26,7 +26,7 @@ from typing import Callable, Mapping
 from .errors import CodecError, InvokeError, TableError, TraError
 from .model import SIGNATURE, ServiceSignature, load_signature
 from .records import MESSAGE_SPEC, MessageSpec, decode_record, encode_record, typed
-from .shape import BOOL, INT, LIST, NAME, NULL, OBJECT, STR, Each, Either, Obj, check, read_json
+from .shape import BOOL, LIST, NAME, NULL, OBJECT, STR, UINT, Each, Either, Obj, check, read_json
 from .sim import Tracer
 from .source import MISSING, Source, parse, resolve
 from .txn import TxnStatus
@@ -190,7 +190,7 @@ class ScriptRule:
 
 
 _RULE = {
-    "match": OBJECT, "delay": INT, "reply": Either(OBJECT, NULL), "error": BOOL,
+    "match": OBJECT, "delay": UINT, "reply": Either(OBJECT, NULL), "error": BOOL,
     "garbage": Either(STR, NULL),
 }
 SCRIPT = Each(LIST, Obj({}, _RULE, error=TableError))  # also declared by a scenario's endpoints

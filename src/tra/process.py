@@ -8,13 +8,14 @@ the whole flattened instance inside one.
 
 Step inputs are mapped from instance variables ("var:NAME") or literals
 ("lit:TEXT"); outputs copy response fields ("resp.FIELD") back into
-variables. Both maps are parsed when the definition is registered.
+variables. Both maps are parsed when the step is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import Mapping
 
 from .errors import ProcessError, TraError
 from .model import ComponentModel, resolve_binding
@@ -49,6 +50,10 @@ class Step:
             raise ProcessError(f"step {self.name}: component and service go together")
         if is_call == (self.subprocess is not None):
             raise ProcessError(f"step {self.name}: exactly one of service or subprocess")
+        for attr, scopes in (("input_map", ("var", "lit")), ("output_map", ("resp",))):
+            texts = getattr(self, attr).items()
+            parsed = {k: parse(v, scopes, ProcessError, f"step {self.name}") for k, v in texts}
+            object.__setattr__(self, attr, parsed)
 
 
 @dataclass
@@ -56,6 +61,11 @@ class ProcessDefinition:
     name: str
     policy: TxnPolicy
     steps: list[Step]
+
+    def __post_init__(self):
+        names = [s.name for s in self.steps]
+        if len(set(names)) != len(names):
+            raise ProcessError(f"{self.name}: duplicate step names")
 
     def subprocess_names(self) -> list[str]:
         return [s.subprocess for s in self.steps if s.subprocess is not None]
@@ -84,15 +94,20 @@ def load_definition(doc: dict) -> ProcessDefinition:
     steps = [
         Step(
             s["name"], s.get("component"), s.get("service"), s.get("subprocess"),
-            dict(s.get("input", {})), dict(s.get("output", {})),
+            s.get("input", {}), s.get("output", {}),
         )
         for s in doc.get("steps", ())
     ]
     return ProcessDefinition(doc["name"], TxnPolicy(doc.get("policy", "per_step")), steps)
 
 
-def _sources(texts: dict, scopes: tuple[str, ...], step: str) -> dict:
-    return {k: parse(v, scopes, ProcessError, f"step {step}") for k, v in texts.items()}
+def _check_cycles(definitions: Mapping[str, ProcessDefinition], name: str, path: tuple = ()) -> None:
+    """Refuse a subprocess cycle reachable from name. An undefined child is
+    no cycle: it fails the instance at execute."""
+    if name in path:
+        raise ProcessError("subprocess cycle: " + " -> ".join((*path, name)))
+    for child in definitions[name].subprocess_names() if name in definitions else ():
+        _check_cycles(definitions, child, (*path, name))
 
 
 class ProcessEngine:
@@ -106,70 +121,38 @@ class ProcessEngine:
     # -- definition management ---------------------------------------------
 
     def define(self, definition: ProcessDefinition) -> None:
+        """Register a definition whose services resolve and that closes no cycle."""
         if definition.name in self.definitions:
             raise ProcessError(f"process {definition.name} already defined")
-        names = [s.name for s in definition.steps]
-        if len(set(names)) != len(names):
-            raise ProcessError(f"{definition.name}: duplicate step names")
-        steps = []
         for step in definition.steps:
             if step.service is not None:
-                # resolve eagerly so broken definitions fail at define time
                 resolve_binding(self.model, step.component, step.service)
-            steps.append(
-                replace(
-                    step,
-                    input_map=_sources(step.input_map, ("var", "lit"), step.name),
-                    output_map=_sources(step.output_map, ("resp",), step.name),
-                )
-            )
-        definition = replace(definition, steps=steps)  # the caller's copy stays as it was
-        self.definitions[definition.name] = definition
-        try:
-            self._check_cycles(definition.name)
-        except ProcessError:
-            del self.definitions[definition.name]
-            raise
+        candidate = {**self.definitions, definition.name: definition}
+        _check_cycles(candidate, definition.name)
+        self.definitions = candidate
 
     def compose(self, parent: str, position: int, child: str) -> ProcessDefinition:
-        """Insert a subprocess step into an existing definition."""
+        """Register a copy of a definition with a subprocess step inserted."""
         if parent not in self.definitions:
             raise ProcessError(f"no process {parent!r}")
         defn = self.definitions[parent]
         if not 0 <= position <= len(defn.steps):
             raise ProcessError(f"{parent}: position {position} out of range")
         step = Step(name=f"run_{child}_{position}", subprocess=child)
-        defn.steps.insert(position, step)
-        try:
-            self._check_cycles(parent)
-        except ProcessError:
-            defn.steps.pop(position)
-            raise
-        return defn
-
-    def _check_cycles(self, root: str) -> None:
-        visiting: list[str] = []
-
-        def visit(name: str) -> None:
-            if name in visiting:
-                cycle = " -> ".join(visiting + [name])
-                raise ProcessError(f"subprocess cycle: {cycle}")
-            defn = self.definitions.get(name)
-            if defn is None:
-                return  # undefined children are checked again at execute
-            visiting.append(name)
-            for child in defn.subprocess_names():
-                visit(child)
-            visiting.pop()
-
-        visit(root)
+        composed = ProcessDefinition(
+            parent, defn.policy, [*defn.steps[:position], step, *defn.steps[position:]]
+        )
+        candidate = {**self.definitions, parent: composed}
+        _check_cycles(candidate, parent)
+        self.definitions = candidate
+        return composed
 
     def flatten(self, name: str) -> list[Step]:
-        """Expand subprocess steps depth-first into one service-step list."""
+        """Expand subprocess steps depth-first into one service-step list;
+        `define` and `compose` keep the registry free of cycles."""
         defn = self.definitions.get(name)
         if defn is None:
             raise ProcessError(f"no process {name!r}")
-        self._check_cycles(name)
         out: list[Step] = []
         for step in defn.steps:
             if step.subprocess is not None:

@@ -138,23 +138,6 @@ class MessageSpec:
         )
         return cls(record_length=doc["record_length"], fields=fields)
 
-    def to_dict(self) -> dict:
-        return {
-            "record_length": self.record_length,
-            "fields": [
-                {
-                    "name": f.name,
-                    "offset": f.offset,
-                    "length": f.length,
-                    "kind": f.kind,
-                    "pad": f.pad,
-                    "align": f.align,
-                    "scale": f.scale,
-                }
-                for f in self.fields
-            ],
-        }
-
 
 def typed(kind: str, value, name: str):
     """The value as a field of this kind holds it (str, int or finite Decimal),

@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import LogCorruptError, ResourceCrashed, StoreLimitError, TxnStateError
-from .shape import LIST, NAME, OBJECT, STR, Each, Kind, Obj, check
+from .shape import LIST, NAME, OBJECT, STR, UINT, Each, Kind, Obj, check
 from .sim import Tracer
 from .txn import TransactionContext, Vote
 from .wal import PAYLOAD, LogWriter, read_records
@@ -72,6 +72,7 @@ class ResourceManager:
         prepare_delay: int = 0,
     ) -> None:
         check(NAME, rm_id, ValueError, "rm_id")  # it names a log file and is a log field
+        check(UINT, prepare_delay, ValueError, "prepare_delay")  # the clock only moves forward
         self.rm_id = rm_id
         self.log_path = log_path
         self.tracer = tracer if tracer is not None else Tracer()

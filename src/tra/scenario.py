@@ -15,12 +15,12 @@ from typing import Mapping
 
 # load_manifest is called through its module, where bench/spans.py wraps it
 from . import model as component_model
-from .broker import DEFAULT_REPLY_BUDGET, SCRIPT, Adapter, BrokerTable, LegacyEndpoint, load_table
-from .errors import ScenarioError
+from .broker import DEFAULT_REPLY_BUDGET, SCRIPT, Adapter, BrokerTable, LegacyEndpoint, MessageBroker, load_table
+from .errors import BindingError, ScenarioError
 from .faults import COORDINATOR_TARGET
-from .model import ComponentModel
-from .process import ProcessDefinition, load_definition
-from .shape import INT, LIST, NAME, OBJECT, STR, Each, Either, Kind, Obj, Tagged, check, read_json
+from .model import ComponentModel, resolve_binding
+from .process import ProcessDefinition, ProcessEngine, load_definition
+from .shape import INT, LIST, NAME, OBJECT, STR, UINT, Each, Either, Kind, Obj, Tagged, check, read_json
 from .source import parse
 
 
@@ -72,14 +72,14 @@ SOURCE_FIELDS = ("key", "value", "message")
 
 
 def _resources(initial: Kind) -> Each:
-    return Each(LIST, Either(NAME, Obj({"name": NAME}, {"initial": initial, "prepare_delay": INT})))
+    return Each(LIST, Either(NAME, Obj({"name": NAME}, {"initial": initial, "prepare_delay": UINT})))
 
 
 # tables, processes and a manifest are inline or in a file its own loader checks
 SCENARIO = Obj({"name": NAME}, {
-    "seed": INT, "prepare_budget": INT, "model": OBJECT, "manifest": Either(STR, OBJECT),
+    "seed": INT, "prepare_budget": UINT, "model": OBJECT, "manifest": Either(STR, OBJECT),
     "stores": _resources(OBJECT), "queues": _resources(LIST),
-    "endpoints": Each(LIST, Obj({"endpoint_id": NAME}, {"budget": INT, "script": SCRIPT})),
+    "endpoints": Each(LIST, Obj({"endpoint_id": NAME}, {"budget": UINT, "script": SCRIPT})),
     "tables": Each(LIST, Either(STR, OBJECT)),
     "processes": Each(LIST, Either(STR, Obj({"name": NAME}))),
     "bindings": Each(LIST, Obj(
@@ -118,8 +118,9 @@ class BindingDecl:
 
 @dataclass
 class Scenario:
-    """A loaded scenario. `names` maps every declared name to its kind, and
-    every field that names something has been checked against it."""
+    """A loaded scenario. `names` maps every declared name to its kind, every
+    field that names something has been checked against it, and every service,
+    process and table a run registers has been resolved, so a run only builds."""
 
     name: str
     seed: int
@@ -230,9 +231,13 @@ def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
     model = component_model.load_manifest(model_doc) if model_doc is not None else None
     names = _name_table(stores, queues, endpoints, processes)
 
+    services = []  # (component, service, where) of every call and binding
     actions = []
     for i, action in enumerate(doc.get("actions", ())):
-        _check_fields(names, ACTION.pick(action), action, f"action {i} ({action['op']})")
+        where = f"action {i} ({action['op']})"
+        _check_fields(names, ACTION.pick(action), action, where)
+        if action["op"] == "propagate":
+            services.append((action["component"], action["service"], where))
         actions.append(dict(action))
 
     bindings = []
@@ -246,6 +251,7 @@ def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
             eff = {**eff, **_sources(sources, where)}
             if eff["do"] == "call":
                 eff["request"] = _sources(eff.get("request", {}), where)
+                services.append((eff["component"], eff["service"], f"{where}: call"))
             effects.append(eff)
         response = _sources(raw.get("response", {}), where)
         bindings.append(BindingDecl(raw["component"], raw["service"], effects, response))
@@ -253,6 +259,32 @@ def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
     for listed, kinds in (("serve_queues", ("queue",)), ("sweep_targets", ("store", "queue"))):
         for value in doc.get(listed, ()):
             _check_name(names, value, kinds, listed)
+
+    # After the name checks, so that their refusals come first: resolve what a
+    # run registers, by the rules it registers with.
+    bound = set()
+    for b in bindings:
+        where = f"binding {b.component}.{b.service}"
+        if (b.component, b.service) in bound:
+            raise ScenarioError(f"{where} is declared twice")
+        bound.add((b.component, b.service))
+        services.append((b.component, b.service, where))
+    for component, service, where in services:
+        if model is None:
+            raise ScenarioError(f"{where}: services need a component model")
+        try:
+            resolve_binding(model, component, service)
+        except BindingError as exc:
+            raise BindingError(f"{where}: {exc}") from None
+    engine = ProcessEngine(model, None)
+    for definition in processes:
+        engine.define(definition)
+    tables = [load_table(_inline_or_file(t, base_dir, "broker table")) for t in doc.get("tables", ())]
+    broker = MessageBroker()
+    for adapter in endpoints:
+        broker.register_adapter(adapter)
+    for table in tables:
+        broker.register_table(table)
 
     return Scenario(
         name=doc["name"],
@@ -262,10 +294,7 @@ def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
         stores=stores,
         queues=queues,
         endpoints=endpoints,
-        tables=[
-            load_table(_inline_or_file(t, base_dir, "broker table"))
-            for t in doc.get("tables", ())
-        ],
+        tables=tables,
         processes=processes,
         bindings=bindings,
         serve_queues=list(doc.get("serve_queues", ())),

@@ -34,6 +34,7 @@ class Kind:
 
 STR = Kind((str,), "a string")
 INT = Kind((int,), "an integer")
+UINT = Kind((int,), "a non-negative integer", (0).__le__)
 BOOL = Kind((bool,), "a bool")
 NULL = Kind((type(None),), "null")
 OBJECT = Kind((dict,), "an object")

@@ -8,7 +8,7 @@ import pytest
 
 import tra
 from tra.cli import main
-from tra.errors import ScenarioError, TableError, TraError
+from tra.errors import BindingError, ProcessError, ScenarioError, TableError, TraError
 from tra.faults import FaultSpec
 from tra.harness import Runner, crash_sweep, render_report, run_scenario
 from tra.scenario import load_scenario, load_scenario_file
@@ -197,7 +197,7 @@ def test_scenario_validation():
     for resources, message in [
         ({"stores": ["a"], "queues": ["a"]}, "'a' is declared twice"),
         ({"queues": ["a"], "endpoints": [{"endpoint_id": "a"}]}, "'a' is declared twice"),
-        ({"stores": [{"name": "a", "prepare_delay": "5x"}]}, "prepare_delay must be an integer"),
+        ({"stores": [{"name": "a", "prepare_delay": "5x"}]}, "prepare_delay must be a non-negative integer, got '5x'"),
         ({"stores": [{"name": "a", "initial": ["k"]}]}, r"stores\[0\]\.initial must be an object, got \['k'\]"),
         ({"queues": [{"name": "a", "initial": {"k": "v"}}]}, r"queues\[0\]\.initial must be a list, got \{'k': 'v'\}"),
         ({"endpoints": ["a"]}, r"endpoints\[0\] must be an object, got 'a'"),
@@ -380,9 +380,9 @@ def test_script_reply_with_an_infinite_decimal_is_an_action_error(tmp_path, caps
         (lambda ep: ep["script"].__setitem__(0, "reply"), TableError, "script[0] must be an object, got 'reply'"),
         (lambda ep: ep["script"][0].update(match="custId"), TableError, "script[0].match must be an object, got 'custId'"),
         (lambda ep: ep["script"][0].update(reply="OK"), TableError, "script[0].reply must be an object or null, got 'OK'"),
-        (lambda ep: ep["script"][0].update(delay="4"), TableError, "script[0].delay must be an integer, got '4'"),
+        (lambda ep: ep["script"][0].update(delay="4"), TableError, "script[0].delay must be a non-negative integer, got '4'"),
         (lambda ep: ep["script"][0].update(reply=None, garbage=7), TableError, "script[0].garbage must be a string or null, got 7"),
-        (lambda ep: ep.update(budget="50"), ScenarioError, "budget must be an integer, got '50'"),
+        (lambda ep: ep.update(budget="50"), ScenarioError, "budget must be a non-negative integer, got '50'"),
     ],
     ids=[
         "rule-not-object", "match-not-object", "reply-not-object", "delay-not-int",
@@ -583,7 +583,8 @@ def test_expect_is_one_rule_over_what_each_op_observed():
         ({"model": "abc"}, "model must be an object, got 'abc'"),
         ({"seed": "abc"}, "seed must be an integer, got 'abc'"),
         ({"seed": True}, "seed must be an integer, got True"),
-        ({"prepare_budget": 1.5}, "prepare_budget must be an integer, got 1.5"),
+        ({"prepare_budget": 1.5}, "prepare_budget must be a non-negative integer, got 1.5"),
+        ({"stores": [{"name": "s", "prepare_delay": -5}]}, "stores[0].prepare_delay must be a non-negative integer, got -5"),
         ({"stores": "ab"}, "stores must be a list, got 'ab'"),
         ({"queues": {"q": []}}, "queues must be a list"),
         ({"actions": "ab"}, "actions must be a list"),
@@ -606,7 +607,7 @@ def test_expect_is_one_rule_over_what_each_op_observed():
         ),
     ],
     ids=[
-        "model-a-string", "seed-a-string", "seed-a-bool", "budget-a-float",
+        "model-a-string", "seed-a-string", "seed-a-bool", "budget-a-float", "prepare-delay-negative",
         "stores-a-string", "queues-an-object", "actions-a-string", "process-steps-a-string",
         "binding-component-a-list", "binding-effects-an-int", "begin-txn-a-list",
         "endpoint-script-an-int", "process-variables-a-list", "expect-error-an-int",
@@ -661,6 +662,112 @@ def test_a_bad_inline_table_is_refused_at_load(change, message):
     doc["tables"] = [table]
     with pytest.raises(TableError, match=re.escape(message)):
         load_scenario(doc)
+
+
+def _fixture(name):
+    with open(tra.fixture_path(name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _process_demo(change):
+    doc = _fixture("process_demo.json")
+    doc["processes"] = [_fixture("onboarding_process.json")]
+    change(doc["processes"][0])
+    return doc
+
+
+def _changed(fixture, change):
+    doc = _fixture(fixture)
+    change(doc)
+    return doc
+
+
+def _table_with_endpoint(endpoint):
+    table = _fixture("broker_table.json")
+    table["calls"][0]["endpoint"] = endpoint
+    return table
+
+
+@pytest.mark.parametrize(
+    "doc, error, message",
+    [
+        (
+            _process_demo(lambda p: p["steps"][0]["input"].update(id="bogus")),
+            ProcessError, "step record-customer: bad source 'bogus'",
+        ),
+        (
+            _process_demo(lambda p: p["steps"][0].update(service="ghost")),
+            BindingError, "Customer provides no service 'ghost'",
+        ),
+        (
+            _process_demo(lambda p: p["steps"].append({"name": "again", "subprocess": "onboarding"})),
+            ProcessError, "subprocess cycle: onboarding -> onboarding",
+        ),
+        (
+            _process_demo(lambda p: p["steps"][1].update(name="record-customer")),
+            ProcessError, "onboarding: duplicate step names",
+        ),
+        (
+            _changed("broker_demo.json", lambda d: d.update(tables=[_table_with_endpoint("ghost")])),
+            TableError, "getCustomer360.pol: no adapter for endpoint ghost",
+        ),
+        (
+            _changed("broker_demo.json", lambda d: d.update(tables=["broker_table.json"] * 2)),
+            TableError, "service getCustomer360 already registered",
+        ),
+        (
+            _changed("cross_component.json", lambda d: d["bindings"].append(dict(d["bindings"][1]))),
+            ScenarioError, "binding Contract.writeContract is declared twice",
+        ),
+        (
+            _changed("cross_component.json", lambda d: d["bindings"].append(
+                {"component": "Customer", "service": "ghost"}
+            )),
+            BindingError, "binding Customer.ghost: Customer provides no service 'ghost'",
+        ),
+        (
+            _changed("cross_component.json", lambda d: d["bindings"][0]["effects"][1].update(
+                component="Nobody"
+            )),
+            BindingError, "binding Customer.updateCustomer: call: unknown component 'Nobody'",
+        ),
+        (
+            _changed("cross_component.json", lambda d: d["actions"][1].update(service="ghost")),
+            BindingError, "action 1 (propagate): Customer provides no service 'ghost'",
+        ),
+        (
+            _changed("cross_component.json", lambda d: d.pop("manifest")),
+            ScenarioError, "action 1 (propagate): services need a component model",
+        ),
+    ],
+    ids=[
+        "step-bogus-source", "step-unknown-service", "self-subprocess", "repeated-step-name",
+        "table-undeclared-endpoint", "two-tables-one-service", "second-binding",
+        "binding-unknown-service", "call-effect-unknown-component", "propagate-unknown-service",
+        "propagate-without-model",
+    ],
+)
+def test_every_cross_reference_is_resolved_at_load(doc, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        load_scenario(doc, base_dir=tra.fixture_path(""))
+
+
+@pytest.mark.parametrize(
+    "changes, error, message",
+    [
+        ({"stores": [{"name": "s", "prepare_delay": -5}]}, ScenarioError, "stores[0].prepare_delay"),
+        ({"prepare_budget": -1}, ScenarioError, "prepare_budget"),
+        ({"endpoints": [{"endpoint_id": "ep", "budget": -1}]}, ScenarioError, "endpoints[0].budget"),
+        (
+            {"endpoints": [{"endpoint_id": "ep", "script": [{"delay": -1, "error": True}]}]},
+            TableError, "endpoints[0].script[0].delay",
+        ),
+    ],
+    ids=["prepare-delay", "prepare-budget", "endpoint-budget", "script-delay"],
+)
+def test_negative_counts_are_refused_at_load(changes, error, message):
+    with pytest.raises(error, match=re.escape(f"{message} must be a non-negative integer, got -")):
+        load_scenario(_world(**changes))
 
 
 def test_the_manifest_is_parsed_once_at_load(monkeypatch):

@@ -290,19 +290,50 @@ def test_load_definition_matches_bundled_fixture():
     ],
     ids=["input-eff", "input-resp", "output-var", "input-bare", "input-int"],
 )
-def test_bad_sources_are_refused_at_define(world, input_map, output_map):
-    engine, coord, _ = world
-    step = Step(
-        name="s",
-        component="Customer",
-        service="updateCustomer",
-        input_map=input_map,
-        output_map=output_map,
-    )
+def test_bad_sources_are_refused_when_the_step_is_built(input_map, output_map):
     with pytest.raises(ProcessError, match="step s: bad source"):
-        engine.define(ProcessDefinition(name="p", policy=TxnPolicy.PER_STEP, steps=[step]))
-    assert "p" not in engine.definitions
-    assert read_records(coord.log_path, LOG_SCHEMA) == []
+        Step(
+            name="s",
+            component="Customer",
+            service="updateCustomer",
+            input_map=input_map,
+            output_map=output_map,
+        )
+
+
+def test_a_step_holds_its_sources_parsed():
+    step = Step(name="s", subprocess="p", input_map={"id": "var:id"}, output_map={"st": "resp.st"})
+    assert [(src.scope, src.path) for src in step.input_map.values()] == [("var", ("id",))]
+    assert [(src.scope, src.path) for src in step.output_map.values()] == [("resp", ("st",))]
+
+
+def test_duplicate_step_names_are_refused_when_the_definition_is_built():
+    steps = [Step(name="s", subprocess="a"), Step(name="s", subprocess="b")]
+    with pytest.raises(ProcessError, match="p: duplicate step names"):
+        ProcessDefinition("p", TxnPolicy.PER_STEP, steps)
+
+
+def test_a_refused_compose_or_define_leaves_the_registered_definition_unchanged(world):
+    engine, _, _ = world
+    engine.define(two_step(TxnPolicy.PER_STEP))
+    engine.define(ProcessDefinition("outer", TxnPolicy.PER_STEP, [Step("go", subprocess="onboard")]))
+    registered = dict(engine.definitions)
+    steps = {name: list(defn.steps) for name, defn in registered.items()}
+    with pytest.raises(ProcessError, match="cycle"):
+        engine.compose("onboard", 1, "outer")
+    with pytest.raises(ProcessError, match="position"):
+        engine.compose("onboard", 5, "other")
+    with pytest.raises(ProcessError, match="cycle"):
+        engine.define(ProcessDefinition("outer2", TxnPolicy.PER_STEP, [Step("x", subprocess="outer2")]))
+    assert engine.definitions == registered
+    for name, defn in registered.items():
+        assert engine.definitions[name] is defn
+        assert defn.steps == steps[name]
+    # a compose that succeeds registers a new definition and leaves the old one alone
+    composed = engine.compose("onboard", 2, "noop")
+    assert engine.definitions["onboard"] is composed
+    assert registered["onboard"].steps == steps["onboard"]
+    assert [s.name for s in composed.steps] == ["customer", "contract", "run_noop_2"]
 
 
 def test_missing_response_field_fails_the_step(world):

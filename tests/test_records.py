@@ -170,17 +170,6 @@ def test_spec_validation():
         MessageSpec(8, (FieldSpec("a", 0, 2, "text"), FieldSpec("a", 4, 2, "text")))
 
 
-def test_spec_dict_round_trip():
-    spec = MessageSpec(
-        record_length=10,
-        fields=(
-            FieldSpec("a", 0, 4, "text"),
-            FieldSpec("b", 4, 6, "decimal", scale=3),
-        ),
-    )
-    assert MessageSpec.from_dict(spec.to_dict()) == spec
-
-
 @pytest.mark.parametrize(
     "value",
     ["Infinity", "-inf", "NaN", "sNaN", Decimal("Infinity")],

@@ -164,3 +164,10 @@ def test_access_after_finish_rejected(tmp_path):
     ctx.transition(TxnStatus.COMMITTED)
     with pytest.raises(TxnStateError):
         store.put(ctx, "k", "w")
+
+
+@pytest.mark.parametrize("delay", [-5, 1.5, True])
+def test_a_prepare_delay_that_is_not_a_non_negative_integer_is_refused(tmp_path, delay):
+    with pytest.raises(ValueError, match=f"prepare_delay must be a non-negative integer, got {delay}"):
+        ManagedStore("s", str(tmp_path / "s.log"), prepare_delay=delay)
+    assert list(tmp_path.iterdir()) == []  # refused before the log is opened
