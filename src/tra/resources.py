@@ -53,12 +53,13 @@ class ResourceManager:
 
     A subclass names its workspace class in `_Work` and declares the shape of
     its prepare payload, an `Obj` of required keys, in `_payload`. It implements
-    three hooks: `_validate_and_stage` (workspace -> payload, or None to vote
-    NO) and `_apply` / `_unstage` (commit / roll back a prepared payload). It
-    overrides `_restage` (re-hold a payload after recovery), `_lose_memory`
-    and `_discard` where it holds something they must handle. The
-    subclasses' committed image stands in for durable state; a crash only
-    wipes workspace and prepared memory, which recover() rebuilds from the log.
+    two hooks, `_validate_and_stage` (workspace -> payload, or None to vote
+    NO) and `_apply` (commit a prepared payload), and overrides `_unstage`
+    (roll back a prepared payload) and `_discard` (drop a workspace) where
+    they must give something back. A prepared transaction holds nothing but
+    its payload in `_prepared`. The subclasses' committed image stands in for
+    durable state; a crash only wipes workspace and prepared memory, which
+    recover() rebuilds from the log.
     """
 
     _Work: type
@@ -154,7 +155,6 @@ class ResourceManager:
             self._discard(txn_id)
         self._prepared.clear()
         self._done.clear()
-        self._lose_memory()
         self._writer.close()
         self.crashed = True
         self.tracer.emit("crash", who=self.rm_id)
@@ -183,8 +183,6 @@ class ResourceManager:
         self.crashed = False
         self._writer = LogWriter(self.log_path)
         self._prepared, self._done = prepared, done
-        for txn_id, payload in self._prepared.items():
-            self._restage(txn_id, payload)
         self.tracer.emit("recover", who=self.rm_id, prepared=len(self._prepared))
 
     # -- subclass hooks --------------------------------------------------
@@ -196,13 +194,7 @@ class ResourceManager:
         raise NotImplementedError
 
     def _unstage(self, txn_id: int, payload: dict) -> None:
-        raise NotImplementedError
-
-    def _restage(self, txn_id: int, payload: dict) -> None:
-        """Re-hold what a prepared payload holds, after recovery."""
-
-    def _lose_memory(self) -> None:
-        """Drop memory, other than workspaces, that a crash loses."""
+        """Give back what a rolled-back payload took."""
 
     def _discard(self, txn_id: int) -> None:
         self._work.pop(txn_id, None)
@@ -244,9 +236,9 @@ class ManagedStore(ResourceManager):
     """Versioned key-value store with optimistic validation.
 
     Reads record the version they observed; writes buffer in the workspace.
-    Prepare validates every recorded read against the current version, takes
-    commit locks on the write set, and additionally refuses when a read key
-    is locked by another prepared transaction (without that check two
+    The commit locks are the write sets of the prepared payloads. Prepare
+    votes NO when a recorded read's version moved, when a write key is
+    locked, and when a read key is locked (without that check two
     read-write transactions with disjoint write sets could both pass
     validation and produce a non-serializable result).
     """
@@ -258,7 +250,6 @@ class ManagedStore(ResourceManager):
         super().__init__(rm_id, log_path, tracer, prepare_delay)
         self._data: dict[str, str] = {}
         self._versions: dict[str, int] = {}
-        self._locks: dict[str, int] = {}
 
     def seed(self, initial: dict[str, str]) -> None:
         """Install committed state directly (scenario setup, no transaction)."""
@@ -303,18 +294,13 @@ class ManagedStore(ResourceManager):
     # -- participant hooks -------------------------------------------------
 
     def _validate_and_stage(self, txn_id: int, ws: _StoreWork) -> dict | None:
+        # prepare refuses a prepared txn, so txn_id holds none of these locks
+        locked = {key for p in self._prepared.values() for key in p["writes"]}
         for key, seen in ws.reads.items():
-            if self._versions.get(key, 0) != seen:
+            if self._versions.get(key, 0) != seen or key in locked:
                 return None
-            owner = self._locks.get(key)
-            if owner is not None and owner != txn_id:
-                return None
-        for key in ws.writes:
-            owner = self._locks.get(key)
-            if owner is not None and owner != txn_id:
-                return None
-        for key in ws.writes:
-            self._locks[key] = txn_id
+        if not locked.isdisjoint(ws.writes):
+            return None
         writes = {}
         for key in sorted(ws.writes):
             v = ws.writes[key]
@@ -328,19 +314,6 @@ class ManagedStore(ResourceManager):
             else:
                 self._data[key] = op[1]
             self._versions[key] = self._versions.get(key, 0) + 1
-        self._unstage(txn_id, payload)
-
-    def _unstage(self, txn_id: int, payload: dict) -> None:
-        for key in payload["writes"]:  # release the commit locks
-            if self._locks.get(key) == txn_id:
-                del self._locks[key]
-
-    def _restage(self, txn_id: int, payload: dict) -> None:
-        for key in payload["writes"]:
-            self._locks[key] = txn_id
-
-    def _lose_memory(self) -> None:
-        self._locks.clear()
 
 
 class _QueueWork:

@@ -230,6 +230,9 @@ def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
     processes = [load_definition(p) for p in processes]
     model = component_model.load_manifest(model_doc) if model_doc is not None else None
     names = _name_table(stores, queues, endpoints, processes)
+    for definition in processes:
+        for child in definition.subprocess_names():
+            _check_name(names, child, ("process",), f"process {definition.name} subprocess")
 
     services = []  # (component, service, where) of every call and binding
     actions = []

@@ -704,6 +704,10 @@ def _table_with_endpoint(endpoint):
             ProcessError, "subprocess cycle: onboarding -> onboarding",
         ),
         (
+            _process_demo(lambda p: p["steps"].append({"name": "g", "subprocess": "ghost"})),
+            ScenarioError, "process onboarding subprocess: no process is declared as 'ghost'",
+        ),
+        (
             _process_demo(lambda p: p["steps"][1].update(name="record-customer")),
             ProcessError, "onboarding: duplicate step names",
         ),
@@ -741,7 +745,8 @@ def _table_with_endpoint(endpoint):
         ),
     ],
     ids=[
-        "step-bogus-source", "step-unknown-service", "self-subprocess", "repeated-step-name",
+        "step-bogus-source", "step-unknown-service", "self-subprocess", "undeclared-subprocess",
+        "repeated-step-name",
         "table-undeclared-endpoint", "two-tables-one-service", "second-binding",
         "binding-unknown-service", "call-effect-unknown-component", "propagate-unknown-service",
         "propagate-without-model",

@@ -171,3 +171,50 @@ def test_a_prepare_delay_that_is_not_a_non_negative_integer_is_refused(tmp_path,
     with pytest.raises(ValueError, match=f"prepare_delay must be a non-negative integer, got {delay}"):
         ManagedStore("s", str(tmp_path / "s.log"), prepare_delay=delay)
     assert list(tmp_path.iterdir()) == []  # refused before the log is opened
+
+
+@pytest.mark.parametrize("settle", ["commit", "rollback"])
+def test_recovered_prepared_transactions_keep_their_locks(tmp_path, settle):
+    store = standalone(tmp_path)
+    store.seed({"j": "0", "k": "0"})
+    store.put(TransactionContext(id=1, originator="a"), "k", "1")
+    store.put(TransactionContext(id=2, originator="a"), "j", "1")
+    assert store.prepare(1) is Vote.YES
+    assert store.prepare(2) is Vote.YES
+    store.crash()
+    store.recover()
+
+    # each in-doubt txn still blocks a reader and a writer of its key
+    for reader, writer, key in ((10, 11, "j"), (12, 13, "k")):
+        assert store.get(TransactionContext(id=reader, originator="b"), key) == "0"
+        assert store.prepare(reader) is Vote.NO
+        store.put(TransactionContext(id=writer, originator="c"), key, "3")
+        assert store.prepare(writer) is Vote.NO
+
+    getattr(store, settle)(1)
+    getattr(store, settle)(2)
+    for txn_id, key in ((20, "j"), (21, "k")):
+        store.get(TransactionContext(id=txn_id, originator="b"), key)
+        assert store.prepare(txn_id) is Vote.YES
+    for txn_id, key in ((30, "j"), (31, "k")):
+        store.put(TransactionContext(id=txn_id, originator="c"), key, "5")
+        assert store.prepare(txn_id) is Vote.YES
+
+
+def test_a_prepare_whose_log_append_fails_holds_no_locks(tmp_path, monkeypatch):
+    store = standalone(tmp_path)
+    store.put(TransactionContext(id=1, originator="a"), "x", "1")
+
+    def fail(*fields):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(store._writer, "append", fail)
+    with pytest.raises(OSError, match="disk full"):
+        store.prepare(1)
+    monkeypatch.undo()
+    store.rollback(1)
+
+    store.put(TransactionContext(id=2, originator="b"), "x", "2")
+    assert store.prepare(2) is Vote.YES
+    store.commit(2)
+    assert store.committed_value("x") == "2"
