@@ -418,17 +418,14 @@ class MessageBroker:
         (failed invocations reply ok=false rather than losing the request).
         A pass stops at the first of these transactions that cannot receive
         or reply because a queue is down (it is rolled back) or that does not
-        commit."""
+        commit. A pass begins no transaction while the queue is empty, so a
+        pass over an empty queue logs nothing."""
         processed = 0
-        while True:
+        while queue.depth():
             ctx = coordinator.begin("broker")
             try:
-                msg = queue.receive(ctx)
-                if msg is not None:
-                    self._answer(ctx, queue, msg, resolve_queue)
+                self._answer(ctx, queue, queue.receive(ctx), resolve_queue)
             except TraError:  # e.g. a queue is down: the request waits for a later pass
-                msg = None
-            if msg is None:
                 coordinator.rollback(ctx)
                 break
             if coordinator.commit(ctx) is not TxnStatus.COMMITTED:

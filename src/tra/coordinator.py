@@ -96,7 +96,8 @@ class Coordinator:
 
     `services` maps (component, service) to a handler taking (ctx, request)
     so propagate() can dispatch work into another logical component inside
-    the caller's transaction.
+    the caller's transaction. `contexts` holds the transactions begun here
+    whose END is not yet logged; a finished context is refused by its status.
     """
 
     def __init__(
@@ -149,7 +150,7 @@ class Coordinator:
 
     def _log(self, kind: str, *fields) -> None:
         self._writer.append(kind, *fields)
-        self.tracer.emit("wal", record=kind, fields=[str(f) for f in fields])
+        self.tracer.emit("wal", record=kind, fields=tuple([str(f) for f in fields]))
 
     def _fire(self, point: CrashPoint, ctx: TransactionContext) -> None:
         self.injector.fire(point, ctx, self.registry)
@@ -168,8 +169,8 @@ class Coordinator:
 
     def enlist(self, ctx: TransactionContext, rm_id: str) -> None:
         self._guard()
-        self._known(ctx)
         ctx.require_active("enlist")
+        self._known(ctx)
         resource = self.registry.get(rm_id)
         if resource is None:
             raise UnknownResourceError(f"no resource registered as {rm_id!r}")
@@ -191,8 +192,8 @@ class Coordinator:
         work is left pending for recovery.
         """
         self._guard()
-        self._known(ctx)
         ctx.require_active("commit")
+        self._known(ctx)
 
         self._fire(CrashPoint.BEFORE_PREPARE, ctx)
         ctx.transition(TxnStatus.PREPARING)
@@ -208,6 +209,9 @@ class Coordinator:
             except ResourceCrashed:
                 vote = Vote.NO
                 reason = "crashed"
+            except Exception:  # e.g. its PREPARED append failed: settle, then report it
+                self._abort(ctx)
+                raise
             if vote is Vote.YES and self.tracer.clock.now - started > self.prepare_budget:
                 vote = Vote.NO
                 reason = "timeout"
@@ -243,8 +247,8 @@ class Coordinator:
 
     def rollback(self, ctx: TransactionContext) -> TxnStatus:
         self._guard()
-        self._known(ctx)
         ctx.require_active("rollback")
+        self._known(ctx)
         return self._abort(ctx)
 
     def _abort(self, ctx: TransactionContext) -> TxnStatus:
@@ -263,12 +267,14 @@ class Coordinator:
         return ctx.status
 
     def _finish(self, ctx: TransactionContext, terminal: TxnStatus) -> None:
-        # END only when every participant finished phase 2; otherwise the
-        # decision record stays open for recover().
+        # END only when every participant finished phase 2, and then the
+        # context is dropped; otherwise the decision record stays open for
+        # recover(), which settles the live context.
         if not ctx.pending:
             self._log("END", ctx.id)
+            del self.contexts[ctx.id]
         ctx.transition(terminal)
-        self.tracer.emit("outcome", txn=ctx.id, status=ctx.status.value, pending=sorted(ctx.pending))
+        self.tracer.emit("outcome", txn=ctx.id, status=ctx.status.value, pending=tuple(sorted(ctx.pending)))
 
     # -- cross-component dispatch ------------------------------------------
 
@@ -276,8 +282,8 @@ class Coordinator:
         """Invoke another component's exported transactional service inside
         the caller's transaction."""
         self._guard()
-        self._known(ctx)
         ctx.require_active("propagate")
+        self._known(ctx)
         if self.model is None:
             raise BindingError("no component model configured")
         _, internal, sig = resolve_binding(self.model, component, service)
@@ -349,6 +355,8 @@ class Coordinator:
             if live is not None:
                 live.status = TxnStatus.COMMITTED if commit else TxnStatus.ABORTED
                 live.pending.clear()
+                if finished:
+                    del self.contexts[txn_id]
         self.tracer.emit("recovered", **asdict(outcome))
         return outcome
 

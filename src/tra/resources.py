@@ -114,12 +114,15 @@ class ResourceManager:
             raise TxnStateError(f"{self.rm_id}: txn {txn_id} already prepared or finished")
         if self.prepare_delay:
             self.tracer.clock.advance(self.prepare_delay)
-        payload = self._validate_and_stage(txn_id, self._work.pop(txn_id, None) or self._Work())
+        payload = self._validate_and_stage(txn_id, self._work.get(txn_id) or self._Work())
         if payload is None:
+            self._work.pop(txn_id, None)
             self.tracer.emit("rm_vote", rm=self.rm_id, txn=txn_id, vote=Vote.NO.value)
             return Vote.NO
+        # a failed append leaves the workspace open, so a rollback gives back what it took
         self._writer.append("PREPARED", txn_id, _to_json(payload))
         self._prepared[txn_id] = payload
+        self._work.pop(txn_id, None)
         self.tracer.emit("rm_vote", rm=self.rm_id, txn=txn_id, vote=Vote.YES.value)
         return Vote.YES
 
@@ -210,7 +213,11 @@ def _check_key(key: str) -> None:
 def _check_value(value: str) -> None:
     if not isinstance(value, str):
         raise StoreLimitError("values must be strings")
-    if len(value.encode("utf-8")) > MAX_VALUE_BYTES:
+    try:
+        size = len(value.encode("utf-8"))
+    except UnicodeEncodeError:  # a lone surrogate has no UTF-8 form
+        raise StoreLimitError("values must be valid Unicode text, with no lone surrogates") from None
+    if size > MAX_VALUE_BYTES:
         raise StoreLimitError(f"value larger than {MAX_VALUE_BYTES} bytes")
 
 

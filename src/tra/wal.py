@@ -19,6 +19,10 @@ from .errors import LogCorruptError
 NAME = "name"
 PAYLOAD = "payload"
 
+# json's C scanner: one value at an index, with no whitespace skipped before
+# it and no check of what follows; writers put compact JSON alone in a field
+_scan_json = json.JSONDecoder().scan_once
+
 
 class LogWriter:
     """Unbuffered, so a record is in the file before its caller acts on it. A
@@ -71,7 +75,12 @@ def read_records(path: str, schema: dict) -> list[tuple]:
                     continue
                 kind, txn_id, value = rec
                 if field is PAYLOAD:
-                    value = json.loads(value)
+                    try:
+                        value, end = _scan_json(rec[2], 0)
+                    except StopIteration as exc:  # no value starts at exc.value
+                        raise json.JSONDecodeError("Expecting value", rec[2], exc.value) from None
+                    if end != len(rec[2]):
+                        raise ValueError("trailing data after the payload")
                     if type(value) is not dict:
                         raise ValueError("payload is not an object")
                 elif not value:

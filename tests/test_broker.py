@@ -322,6 +322,36 @@ def test_drain_serves_committed_requests_one_reply_each(rig):
     assert queue.conservation_holds() and replies.conservation_holds()
 
 
+def test_drain_begins_a_transaction_per_request_and_none_on_an_empty_queue(rig, tmp_path):
+    coord, _, queue = rig
+    tracer = coord.tracer
+    broker = make_broker()
+    broker.tracer = tracer
+    broker.register_table(profile_table())
+
+    from tra.resources import TxnQueue
+
+    replies = TxnQueue("replies", queue.log_path + ".r", tracer=tracer)
+    coord.register(replies)
+
+    def logs():
+        return {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    before, events = logs(), len(tracer.events)
+    assert broker.drain(coord, queue, lambda name: replies) == 0
+    assert logs() == before and len(tracer.events) == events
+
+    t = coord.begin("client")
+    for user in ("U1", "U2", "U3"):
+        broker.invoke_via_queue(t, queue, "profile", {"userId": user}, reply_to="replies")
+    coord.commit(t)
+    events = len(tracer.events)
+    assert broker.drain(coord, queue, lambda name: replies) == 3
+    begun = [e for e in tracer.events[events:] if e["ev"] == "begin"]
+    assert [e["originator"] for e in begun] == ["broker"] * 3
+    assert replies.depth() == 3 and queue.depth() == 0
+
+
 def _set_request_source(call_idx, fname, text):
     def mutate(doc):
         doc["calls"][call_idx]["request_map"][fname] = text

@@ -1,5 +1,7 @@
 """Two-phase commit, the decision log, and recovery."""
 
+import gc
+
 import pytest
 
 from tra.coordinator import LOG_SCHEMA, Coordinator, replay_log
@@ -236,11 +238,13 @@ def test_recovery_counts_only_finished_redrives_and_writes_end_once_all_answer(t
     assert not ended(committed) and not ended(aborted) and not ended(live)
     assert committed.pending == aborted.pending == {"b"}
     assert live.status is TxnStatus.ACTIVE
+    assert set(coord.contexts) == {committed.id, aborted.id, live.id}
 
     b.recover()
     assert counts(coord.recover()) == (1, 1, 0)
     assert ended(committed) and ended(aborted) and not ended(live)
     assert committed.pending == aborted.pending == set()
+    assert set(coord.contexts) == {live.id}  # a context is dropped once its END is logged
     assert b.committed_value(f"b{committed.id}") == "v"
     assert b.committed_value(f"b{aborted.id}") is None
     # the live Active transaction was skipped: no decision was logged for it
@@ -357,3 +361,60 @@ def test_propagate_requires_model_and_binding(rig, tmp_path, tracer):
     assert resp == {"status": "ok"}
     assert coord2.commit(t2) is TxnStatus.COMMITTED
     assert store2.committed_value("c1") == "D"
+
+
+def test_a_finished_run_leaves_no_history_for_the_cycle_collector(rig):
+    coord, store, queue = rig
+    t = coord.begin("c")
+    store.put(t, "k", "v")
+    queue.send(t, "m")
+    assert coord.commit(t) is TxnStatus.COMMITTED
+    aborted = coord.begin("c")
+    store.put(aborted, "k", "w")
+    assert coord.rollback(aborted) is TxnStatus.ABORTED
+    coord.recover()
+    gc.collect()
+    # every event holds atoms and tuples only, so a collection untracks it
+    assert [e for e in coord.tracer.events if gc.is_tracked(e)] == []
+    assert coord.contexts == {}
+
+
+def test_a_second_commit_of_a_finished_context_is_refused_by_its_status(rig):
+    coord, store, _ = rig
+    t = coord.begin("c")
+    store.put(t, "k", "v")
+    assert coord.commit(t) is TxnStatus.COMMITTED
+    assert coord.contexts == {}
+    message = "txn 1: commit requires an active transaction, status is committed"
+    with pytest.raises(TxnStateError, match=message):
+        coord.commit(t)
+    with pytest.raises(TxnStateError, match="txn 1: rollback requires an active transaction"):
+        coord.rollback(t)
+    with pytest.raises(TxnStateError, match="txn 1: enlist requires an active transaction"):
+        store.put(t, "k", "w")
+
+
+@pytest.mark.parametrize("failing", ["store", "queue"])
+def test_a_failed_prepared_append_settles_the_transaction_as_aborted(rig, monkeypatch, failing):
+    coord, store, queue = rig
+    queue.seed(["m0", "m1"])
+    t = coord.begin("c")
+    store.put(t, "k", "v")
+    assert queue.receive(t) == "m0"
+
+    def fail(*fields):
+        raise OSError("disk full")
+
+    monkeypatch.setattr({"store": store, "queue": queue}[failing]._writer, "append", fail)
+    with pytest.raises(OSError, match="disk full"):
+        coord.commit(t)
+    monkeypatch.undo()
+
+    # ABORT, a rollback of every participant, END: nothing is left in doubt
+    assert kinds(coord.log_path) == ["BEGIN", "ENLIST", "ENLIST", "ABORT", "END"]
+    assert t.status is TxnStatus.ABORTED and coord.contexts == {}
+    assert queue.peek() == ("m0", "m1") and queue.conservation_holds()
+    t2 = coord.begin("c")  # k is not locked
+    store.put(t2, "k", "w")
+    assert coord.commit(t2) is TxnStatus.COMMITTED
+    assert store.committed_value("k") == "w"

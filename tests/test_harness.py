@@ -623,6 +623,27 @@ def test_wrongly_typed_scenario_fields_end_in_exit_2(tmp_path, capsys, changes, 
         load_scenario_file(str(path))
 
 
+def test_a_lone_surrogate_value_is_refused_like_an_over_long_key(tmp_path, capsys):
+    message = "values must be valid Unicode text, with no lone surrogates"
+    path = tmp_path / "initial.json"
+    path.write_text(json.dumps(_world(stores=[{"name": "s", "initial": {"k": "\ud800"}}])), encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+    actions = [
+        {"op": "begin", "txn": "t"},
+        {"op": "put", "txn": "t", "store": "s", "key": "k", "value": "\ud800"},
+        {"op": "put", "txn": "t", "store": "s", "key": "k" * 300, "value": "v"},
+        {"op": "commit", "txn": "t"},
+    ]
+    path = tmp_path / "put.json"
+    path.write_text(json.dumps(_world(actions=actions)), encoding="utf-8")
+    assert main(["run", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert f"error: action 1 (put): {message}\n" in out
+    assert "error: action 2 (put): key longer than 256 characters\n" in out
+
+
 def test_processes_and_tables_are_parsed_once_at_load():
     from tra.broker import BrokerTable
     from tra.process import ProcessDefinition

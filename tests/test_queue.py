@@ -118,7 +118,11 @@ def test_message_limits(rig):
         queue.send(t, "")
     with pytest.raises(StoreLimitError):
         queue.send(t, "x" * (64 * 1024 + 1))
+    with pytest.raises(StoreLimitError, match="lone surrogate"):
+        queue.send(t, "\ud800")
     coord.rollback(t)
+    with pytest.raises(StoreLimitError, match="lone surrogate"):
+        queue.seed(["m", "\udfff"])
 
 
 def test_fifo_order_across_transactions(rig):
@@ -136,4 +140,38 @@ def test_fifo_order_across_transactions(rig):
         got.append(m)
     assert coord.commit(t) is TxnStatus.COMMITTED
     assert got == ["m0", "m1", "m2"]
+    assert queue.conservation_holds()
+
+
+
+def _failing_prepare(queue, monkeypatch, txn_id):
+    def fail(*fields):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(queue._writer, "append", fail)
+    with pytest.raises(OSError, match="disk full"):
+        queue.prepare(txn_id)
+    monkeypatch.undo()
+
+
+def test_a_prepare_whose_log_append_fails_gives_its_receives_back_on_rollback(tmp_path, monkeypatch):
+    queue = standalone(tmp_path)
+    queue.seed(["m0", "m1"])
+    assert queue.receive(TransactionContext(id=1, originator="r")) == "m0"
+    _failing_prepare(queue, monkeypatch, 1)
+    assert queue.peek() == ("m1",)
+    queue.rollback(1)
+    assert queue.peek() == ("m0", "m1")
+    assert queue.conservation_holds()
+
+
+def test_a_prepare_whose_log_append_fails_keeps_its_place_for_a_crash(tmp_path, monkeypatch):
+    queue = standalone(tmp_path)
+    queue.seed(["m0", "m1", "m2"])
+    assert queue.receive(TransactionContext(id=1, originator="r")) == "m0"
+    assert queue.receive(TransactionContext(id=2, originator="r")) == "m1"
+    _failing_prepare(queue, monkeypatch, 1)
+    queue.crash()  # unwinds txn 2, then txn 1, as when nothing failed
+    queue.recover()
+    assert queue.peek() == ("m0", "m1", "m2")
     assert queue.conservation_holds()

@@ -35,16 +35,16 @@ DIGESTS = {
     "cross_component.json seed 7": "b64710bcf8218e4816baf342c7ba2cc70a71d442cae4b092366801cba05c8dea",
     "cross_component.json seed 8": "65041053833bf0c4b5c6e2cddd077418455c7c8436dcace221dd3f0a176a4390",
     "cross_component.json seed 9": "cf07a20d956ea55ea55a8994c5d37cdb840e3e6b5f173f0f302419065d3dbc54",
-    "broker_demo.json seed 0": "1360b9801e67f742b712eb5f5daf42a4942ca37f76798f235d7a57799911060c",
-    "broker_demo.json seed 1": "914cfb5405bb0bf05b3150ab9b57c6595c87ab2302f3937ae4b8ef8f549d49ea",
-    "broker_demo.json seed 2": "bb47c79104c0358e2ee8a1579d17a57934ca01f5a912331b89b7d01c0c52aba5",
-    "broker_demo.json seed 3": "cb5b1a75dea1a7713771f99615b239dc14fc63579f8936525f1e58ab9acbc746",
-    "broker_demo.json seed 4": "6cc551f8dc0fd72b480baf2c1fdf3af6d062191b64927fae34e0f7c76112e152",
-    "broker_demo.json seed 5": "87769047201493fb40665c0652ef1d60177cc36c82712e0c7e78f2e2eb2dba88",
-    "broker_demo.json seed 6": "8491276e9094cbd29a524f9b89d848cf91369ba503537048e33fc2313037ffa0",
-    "broker_demo.json seed 7": "fa73a49042d0d7ce74df0ca06107ebc99998ad0e0e889d0217487d1ba5befdb5",
-    "broker_demo.json seed 8": "28255e5b2e1acb3f3712e6fc837520613885b7999b6cd86fd2ef2e3f8a0e7fe3",
-    "broker_demo.json seed 9": "8beb90a6dc77ba405ffe856cf84918a5a196ffcbcb14952b4a9f852e9ed49f7f",
+    "broker_demo.json seed 0": "05d737b729caef10a2e78e5149401c053020e00b803c46e025a1d9046a52ceff",
+    "broker_demo.json seed 1": "5ff6876baab6e9ae34621da43743c34811a27366cdf7ff516b499f6e1017e309",
+    "broker_demo.json seed 2": "5235bfd8612495c63b9d10d95e70657fe675fb47ddf6bf7231644ff276d9cf23",
+    "broker_demo.json seed 3": "9836ffe06a01d4f1b578494f6014ccd9c7854a02d79886083f2610df51a201bf",
+    "broker_demo.json seed 4": "98f4a8d627bfeb520e23a78a116b4cb34a45743def5e133ccfd3fc54ec2280de",
+    "broker_demo.json seed 5": "40c5a4fdaea1d6527b2b1d56a9354da7a6879f482c1e52e66ca696e25a683ad3",
+    "broker_demo.json seed 6": "89fa64ddf86911e71470b1b2a0babdaf07d8a75d3e0e93d9f0ffacc89fd5b342",
+    "broker_demo.json seed 7": "9d76cd6f6ed4fc668c7f6d373edebcfac8bdeb4d938b42239edb389736623c96",
+    "broker_demo.json seed 8": "23af3a16a1f4667cad5b6584cf93ae43e860cdf1df23e91ddf055ce40287a012",
+    "broker_demo.json seed 9": "394d2029865366e9686cb9abff8b0133b7dc21c3096a1dbd0f0dbbcd8b492e28",
     "process_demo.json seed 0": "98e2864aeb228fadd475b2e4d2fa29e1ce217979a26c7bb5087b6a5c07c52c1f",
     "process_demo.json seed 1": "323fc59f7ef7cbbed9b5f910e8b8ea67a37ea37b00d2b3ee3ade6f2a89f39b33",
     "process_demo.json seed 2": "09258c848ad9e11fcd2ab54c4c68ae7e6468c7bc68595c14c36faaf91a381365",

@@ -150,7 +150,11 @@ def test_limits(rig):
         store.put(t, "k", "v" * (MAX_VALUE_BYTES + 1))
     with pytest.raises(StoreLimitError):
         store.get(t, "")
+    with pytest.raises(StoreLimitError, match="lone surrogate"):
+        store.put(t, "k", "a\ud800")
     coord.rollback(t)
+    with pytest.raises(StoreLimitError, match="lone surrogate"):
+        store.seed({"k": "\ud800"})
 
 
 def test_access_after_finish_rejected(tmp_path):

@@ -184,3 +184,24 @@ def test_a_torn_prepared_record_recovers_with_nothing_prepared(tmp_path):
     assert store.committed_value("k") == "w"
     with pytest.raises(TxnStateError, match="without prepare"):
         store.commit(1)
+
+
+@pytest.mark.parametrize(
+    "payload, why",
+    [
+        ('{"sends":[],"receives":[]}x', "trailing data after the payload"),
+        ('{"sends":[],"receives":[]} ', "trailing data after the payload"),
+        (' {"sends":[],"receives":[]}', r"Expecting value: line 1 column 1 \(char 0\)"),
+        ('{"sends":[],"rece', "Unterminated string"),
+        ('{"sends":[],', r"Expecting property name enclosed in double quotes"),
+        ('{"sends":', r"Expecting value: line 1 column 10 \(char 9\)"),
+        ('["sends"]', "payload is not an object"),
+    ],
+    ids=["trailing-data", "trailing-space", "leading-space", "truncated-string", "truncated-object",
+         "truncated-value", "a-list"],
+)
+def test_a_payload_must_be_one_json_object_filling_its_field(tmp_path, payload, why):
+    path = tmp_path / "x.log"
+    path.write_text(f'DONE\t1\nPREPARED\t2\t{payload}\nDONE\t2\n', encoding="utf-8")
+    with pytest.raises(LogCorruptError, match=rf"x\.log:2: bad record .*: {why}"):
+        read_records(str(path), {"PREPARED": PAYLOAD, "DONE": None})
