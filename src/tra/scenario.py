@@ -20,6 +20,7 @@ from .errors import BindingError, ScenarioError
 from .faults import COORDINATOR_TARGET
 from .model import ComponentModel, resolve_binding
 from .process import ProcessDefinition, ProcessEngine, load_definition
+from .resources import _check_key, _check_value
 from .shape import INT, LIST, NAME, OBJECT, STR, UINT, Each, Either, Kind, Obj, Tagged, check, read_json
 from .source import parse
 
@@ -152,15 +153,21 @@ class Scenario:
 
 def _resource_decls(raw: list, what: str) -> list[ResourceDecl]:
     """Stores start from an object of key -> value, queues from a list; both
-    hold text, so the initial state is converted once here."""
+    hold text, so the initial state is converted once here and checked against
+    the store limits a seeded manager enforces."""
     out = []
     for entry in raw:
         if type(entry) is str:
             entry = {"name": entry}
         if what == "store":
             initial = {str(k): str(v) for k, v in entry.get("initial", {}).items()}
+            for key, value in initial.items():
+                _check_key(key)
+                _check_value(value)
         else:
             initial = [str(m) for m in entry.get("initial", [])]
+            for message in initial:
+                _check_value(message)
         out.append(ResourceDecl(entry["name"], initial, entry.get("prepare_delay", 0)))
     return out
 

@@ -8,7 +8,7 @@ import pytest
 
 import tra
 from tra.cli import main
-from tra.errors import BindingError, ProcessError, ScenarioError, TableError, TraError
+from tra.errors import BindingError, ProcessError, ScenarioError, StoreLimitError, TableError, TraError
 from tra.faults import FaultSpec
 from tra.harness import Runner, crash_sweep, render_report, run_scenario
 from tra.scenario import load_scenario, load_scenario_file
@@ -642,6 +642,30 @@ def test_a_lone_surrogate_value_is_refused_like_an_over_long_key(tmp_path, capsy
     out = capsys.readouterr().out
     assert f"error: action 1 (put): {message}\n" in out
     assert "error: action 2 (put): key longer than 256 characters\n" in out
+
+
+SURROGATE = "values must be valid Unicode text, with no lone surrogates"
+TOO_LARGE = "v" * (64 * 1024 + 1)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"stores": [{"name": "s", "initial": {"k" * 300: "v"}}]}, "key longer than 256 characters"),
+        ({"stores": [{"name": "s", "initial": {"": "v"}}]}, "keys must be non-empty strings"),
+        ({"stores": [{"name": "s", "initial": {"k": "\ud800"}}]}, SURROGATE),
+        ({"stores": [{"name": "s", "initial": {"k": TOO_LARGE}}]}, "value larger than 65536 bytes"),
+        ({"queues": [{"name": "q", "initial": ["m", "\udfff"]}]}, SURROGATE),
+        ({"queues": [{"name": "q", "initial": [TOO_LARGE]}]}, "value larger than 65536 bytes"),
+    ],
+    ids=[
+        "store-key-300-chars", "store-key-empty", "store-value-surrogate", "store-value-over-64k",
+        "queue-message-surrogate", "queue-message-over-64k",
+    ],
+)
+def test_initial_entries_over_the_store_limits_are_refused_at_load(changes, message):
+    with pytest.raises(StoreLimitError, match=f"^{re.escape(message)}$"):
+        load_scenario(_world(**changes))
 
 
 def test_processes_and_tables_are_parsed_once_at_load():
