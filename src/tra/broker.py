@@ -400,6 +400,9 @@ class MessageBroker:
 
     # -- transactional access path ---------------------------------------------
 
+    # a queued request, as invoke_via_queue stages it; drain consumes any other message as poison
+    REQUEST_MESSAGE = Obj({"service": STR, "request": OBJECT, "reply_to": STR})
+
     def invoke_via_queue(self, ctx, queue, service: str, request: Mapping, reply_to: str) -> None:
         """Stage a brokered invocation inside a transaction: the request
         message only becomes visible to the broker if the transaction
@@ -437,11 +440,12 @@ class MessageBroker:
         """Stage the reply to one request message inside its drain transaction."""
         try:
             doc = json.loads(msg)
-            service = doc["service"]
+            check(self.REQUEST_MESSAGE, doc, InvokeError, "queued request")
+            service, request = doc["service"], doc["request"]
             reply_queue = resolve_queue(doc["reply_to"])
-            request = doc["request"]
-        except (ValueError, KeyError, TypeError, TraError):
-            # Junk or an unknown reply queue: consume it so it cannot wedge the queue.
+        except (ValueError, KeyError, RecursionError, TraError):
+            # Junk, a wrongly shaped request or an unknown reply queue: consume
+            # it so it cannot wedge the queue.
             self.tracer.emit("broker_poison", queue=queue.rm_id)
             return
         try:

@@ -27,8 +27,8 @@ from .errors import ScenarioError, TraError
 from .faults import ALL_POINTS, COORDINATOR_TARGET, CoordinatorCrash, FaultInjector, FaultSpec
 from .model import load_manifest  # noqa: F401 -- unused; bench/spans.py wraps this name here
 from .process import ProcessEngine
-from .resources import ManagedStore, TxnQueue, UnmanagedResource
-from .scenario import BindingDecl, Scenario, load_scenario_file
+from .resources import ManagedStore, TxnQueue
+from .scenario import ACTION, SOURCE_FIELDS, BindingDecl, Scenario, load_scenario_file
 from .sim import Tracer
 from .source import MISSING, resolve
 
@@ -55,6 +55,9 @@ EXPECT_DESC = {
 
 # ops that commit work, after which the scenario's request queues are served
 SERVING_OPS = ("commit", "run_process")
+
+# a binding effect runs the script op of its name, except `call`, which propagates
+EFFECT_OPS = {"call": "propagate"}
 
 
 class Runner:
@@ -120,8 +123,6 @@ class Runner:
             ep = LegacyEndpoint(template.endpoint_id, template.endpoint.script)
             self.endpoints[ep.endpoint_id] = ep
             self.broker.register_adapter(Adapter(ep, template.budget))
-            # registering the endpoint makes enlist attempts fail clearly
-            self.coordinator.register(UnmanagedResource(ep.endpoint_id))
         for table in scenario.tables:
             self.broker.register_table(table)
 
@@ -143,6 +144,8 @@ class Runner:
     # -- service bindings --------------------------------------------------
 
     def _make_handler(self, binding: BindingDecl):
+        ops = [getattr(self, f"_op_{EFFECT_OPS.get(e['do'], e['do'])}") for e in binding.effects]
+
         def handler(ctx, request):
             regs: dict = {}
 
@@ -154,23 +157,14 @@ class Runner:
                     raise ScenarioError(f"binding source {src!r} is unset")
                 return found
 
-            for eff in binding.effects:
-                do = eff["do"]
-                if do == "put":
-                    self.stores[eff["store"]].put(ctx, fetch(eff["key"]), fetch(eff["value"]))
-                elif do == "delete":
-                    self.stores[eff["store"]].delete(ctx, fetch(eff["key"]))
-                elif do == "get":
-                    regs[eff["into"]] = self.stores[eff["store"]].get(ctx, fetch(eff["key"]))
-                elif do == "send":
-                    self.queues[eff["queue"]].send(ctx, fetch(eff["message"]))
-                elif do == "call":
-                    sub_request = {f: fetch(s) for f, s in eff["request"].items()}
-                    response = self.coordinator.propagate(
-                        ctx, eff["component"], eff["service"], sub_request
-                    )
-                    if "into" in eff:
-                        regs[eff["into"]] = response
+            for op, eff in zip(ops, binding.effects):
+                # load keeps only the fields an effect's shape declares
+                args = {**eff, **{f: fetch(eff[f]) for f in SOURCE_FIELDS if f in eff}}
+                if "request" in eff:
+                    args["request"] = {f: fetch(s) for f, s in eff["request"].items()}
+                got = op(ctx, args)
+                if "into" in eff:
+                    regs[eff["into"]] = got
             return {f: fetch(src) for f, src in binding.response.items()}
 
         return handler
@@ -185,8 +179,13 @@ class Runner:
                 self.injector.armed = idx == last_commit
             op, expect_error = action["op"], action.get("expect_error")
             try:
-                # load_scenario admits only the ops and assert kinds of scenario.ACTION_FIELDS
-                got = getattr(self, f"_op_{op}")(action)
+                # load_scenario admits only the ops and assert kinds of scenario.ACTION
+                ctx = None
+                if op != "begin" and "txn" in ACTION.pick(action).required:
+                    if action["txn"] not in self.txns:
+                        raise ScenarioError(f"unknown transaction name {action['txn']!r}")
+                    ctx = self.txns[action["txn"]]
+                got = getattr(self, f"_op_{op}")(ctx, action)
                 if op in EXPECT_DESC and "expect" in action:
                     self._assert(
                         EXPECT_DESC[op].format_map(action),
@@ -219,45 +218,39 @@ class Runner:
         for rm in list(self.stores.values()) + list(self.queues.values()):
             rm.close()
 
-    def _ctx(self, action):
-        name = action.get("txn")
-        if name not in self.txns:
-            raise ScenarioError(f"unknown transaction name {name!r}")
-        return self.txns[name]
-
-    def _op_begin(self, action):
+    def _op_begin(self, ctx, action):
         name = action.get("txn")
         if not name or name in self.txns:
             raise ScenarioError(f"begin needs a fresh transaction name, got {name!r}")
         self.txns[name] = self.coordinator.begin(action.get("originator", "client"))
 
-    def _op_get(self, action):
-        return self.stores[action["store"]].get(self._ctx(action), action["key"])
+    def _op_get(self, ctx, action):
+        return self.stores[action["store"]].get(ctx, action["key"])
 
-    def _op_put(self, action):
-        self.stores[action["store"]].put(self._ctx(action), action["key"], action["value"])
+    def _op_put(self, ctx, action):
+        self.stores[action["store"]].put(ctx, action["key"], action["value"])
 
-    def _op_delete(self, action):
-        self.stores[action["store"]].delete(self._ctx(action), action["key"])
+    def _op_delete(self, ctx, action):
+        self.stores[action["store"]].delete(ctx, action["key"])
 
-    def _op_send(self, action):
-        self.queues[action["queue"]].send(self._ctx(action), action["message"])
+    def _op_send(self, ctx, action):
+        self.queues[action["queue"]].send(ctx, action["message"])
 
-    def _op_receive(self, action):
-        return self.queues[action["queue"]].receive(self._ctx(action))
+    def _op_receive(self, ctx, action):
+        return self.queues[action["queue"]].receive(ctx)
 
-    def _op_propagate(self, action):
+    def _op_propagate(self, ctx, action):
         return self.coordinator.propagate(
-            self._ctx(action), action["component"], action["service"], action.get("request", {})
+            ctx, action["component"], action["service"], action.get("request", {})
         )
 
-    def _op_commit(self, action):
-        return self.coordinator.commit(self._ctx(action)).value
+    def _op_commit(self, ctx, action):
+        return self.coordinator.commit(ctx).value
 
-    def _op_rollback(self, action):
-        self.coordinator.rollback(self._ctx(action))
+    def _op_rollback(self, ctx, action):
+        self.coordinator.rollback(ctx)
 
-    def _op_crash(self, action):
+    def _op_crash(self, ctx, action):
         target = action["target"]
         crashable = {
             COORDINATOR_TARGET: self.coordinator, **self.stores, **self.queues, **self.endpoints
@@ -266,31 +259,31 @@ class Runner:
         if target in self.endpoints:
             self.tracer.emit("crash", who=target)
 
-    def _op_recover(self, action):
+    def _op_recover(self, ctx, action):
         self._recover_all()
 
-    def _op_invoke(self, action):
+    def _op_invoke(self, ctx, action):
         response = self.broker.invoke(action["service"], action.get("request", {}))
         if "expect_error" not in action:
             self.tracer.emit("invoked", service=action["service"], response=_stringify(response))
         return response
 
-    def _op_invoke_via_queue(self, action):
+    def _op_invoke_via_queue(self, ctx, action):
         self.broker.invoke_via_queue(
-            self._ctx(action),
+            ctx,
             self.queues[action["queue"]],
             action["service"],
             action.get("request", {}),
             action["reply_to"],
         )
 
-    def _op_run_process(self, action):
+    def _op_run_process(self, ctx, action):
         instance = self.engine.start(action["process"], action.get("variables", {}))
         self.engine.execute(instance)
         self.instances[action["process"]] = instance
         return instance.state.value
 
-    def _op_assert(self, action):
+    def _op_assert(self, ctx, action):
         kind = action["kind"]
         if kind == "store":
             value = self.stores[action["store"]].committed_value(action["key"])
@@ -304,7 +297,7 @@ class Runner:
             expected = list(action.get("messages", []))
             self._assert(f"queue {action['queue']} == {expected!r}", messages == expected)
         elif kind == "txn":
-            status = self._txn_status(self._ctx(action), replay_log(self.coordinator.log_path))
+            status = self._txn_status(ctx, replay_log(self.coordinator.log_path))
             self._assert(f"txn {action['txn']} is {action['status']}", status == action["status"])
         elif kind == "process":
             instance = self.instances.get(action["process"])

@@ -78,17 +78,12 @@ class InternalComponent:
 
 @dataclass
 class LogicalComponent:
+    """A component: its internals, and its external interface, `exports`,
+    which maps each exported service name to the internal that provides it."""
+
     name: str
     internals: dict[str, InternalComponent]
-    exports: tuple[str, ...]
-
-    def exported_services(self) -> dict[str, str]:
-        """Map exported service name -> providing internal name."""
-        out = {}
-        for entry in self.exports:
-            internal, service = entry.split(".", 1)
-            out[service] = internal
-        return out
+    exports: dict[str, str]
 
 
 @dataclass
@@ -146,8 +141,7 @@ def load_manifest(doc: Mapping) -> ComponentModel:
                     raise ManifestError(f"{cname}.{iname}: duplicate service {sig.name}")
                 provides[sig.name] = sig
             internals[iname] = InternalComponent(iname, LayerKind(internal["layer"]), provides)
-        exports = []
-        exported_names = set()
+        exports: dict[str, str] = {}
         for entry in comp.get("exports", ()):
             if "." not in entry:
                 raise ManifestError(f"{cname}: export {entry!r} must be 'internal.service'")
@@ -156,13 +150,12 @@ def load_manifest(doc: Mapping) -> ComponentModel:
                 raise ManifestError(f"{cname}: export {entry}: no internal {internal}")
             if service not in internals[internal].provides:
                 raise ManifestError(f"{cname}: export {entry}: no such service")
-            if service in exported_names:
+            if service in exports:
                 # The external interface is looked up by service name alone,
                 # so a component cannot export two services with one name.
                 raise ManifestError(f"{cname}: export {entry}: service name exported twice")
-            exported_names.add(service)
-            exports.append(entry)
-        components[cname] = LogicalComponent(cname, internals, tuple(exports))
+            exports[service] = internal
+        components[cname] = LogicalComponent(cname, internals, exports)
     return ComponentModel(components)
 
 
@@ -181,15 +174,14 @@ def resolve_binding(
     lc = model.components.get(component)
     if lc is None:
         raise BindingError(f"unknown component {component!r}")
-    exported = lc.exported_services()
-    if service not in exported:
+    if service not in lc.exports:
         for internal in lc.internals.values():
             if service in internal.provides:
                 raise BindingError(
                     f"{component}.{service} exists but is not exported"
                 )
         raise BindingError(f"{component} provides no service {service!r}")
-    internal = lc.internals[exported[service]]
+    internal = lc.internals[lc.exports[service]]
     return lc, internal, internal.provides[service]
 
 
@@ -293,8 +285,7 @@ def check_edge(model: ComponentModel, edge: CallEdge) -> Violation | None:
         return Violation(
             edge, "cross-component-target", f"{el.value} is not callable across components"
         )
-    exported = callee_lc.exported_services()
-    if exported.get(edge.service) != edge.callee_internal:
+    if callee_lc.exports.get(edge.service) != edge.callee_internal:
         return Violation(
             edge, "not-exported", f"{edge.callee_component} does not export {edge.service}"
         )

@@ -257,8 +257,9 @@ def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
         for eff in raw.get("effects", ()):
             shape = EFFECT.pick(eff)
             _check_fields(names, shape, eff, f"{where}: {eff['do']}")
-            sources = {f: eff[f] for f in SOURCE_FIELDS if f in shape.required}
-            eff = {**eff, **_sources(sources, where)}
+            # an effect keeps only the fields its shape declares, as the op it runs reads them
+            eff = {"do": eff["do"], **{f: eff[f] for f, _ in shape.fields if f in eff}}
+            eff.update(_sources({f: eff[f] for f in SOURCE_FIELDS if f in eff}, where))
             if eff["do"] == "call":
                 eff["request"] = _sources(eff.get("request", {}), where)
                 services.append((eff["component"], eff["service"], f"{where}: call"))

@@ -526,6 +526,20 @@ def test_load_table_checks_the_service_signature(service, table, message):
         load_table(doc)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        ({**_CALL, "request_spec": {"record_length": -1}}, "record_length must be >= 0"),
+        (_spec_field(offset=-1), "field f: bad extent"),
+        (_spec_field(length=0), "field f: bad extent"),
+    ],
+    ids=["negative-record-length", "negative-offset", "zero-length"],
+)
+def test_a_record_layout_the_codec_cannot_hold_is_a_table_error(call, message):
+    with pytest.raises(TableError, match=f"^bad broker table: {message}$"):
+        load_table({"service": {"name": "s"}, "calls": [call]})
+
+
 def test_load_table_file_refuses_a_file_that_is_not_json(tmp_path):
     path = tmp_path / "table.json"
     path.write_text("{bad", encoding="utf-8")

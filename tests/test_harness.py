@@ -416,6 +416,107 @@ def test_reply_queue_that_never_commits_does_not_hang_the_run():
     assert all(report["queue_conservation"].values())
 
 
+@pytest.mark.parametrize(
+    "message",
+    [
+        json.dumps({"service": ["s"], "request": {}, "reply_to": "replies"}),
+        json.dumps({"service": "getCustomer360", "request": "custId", "reply_to": "replies"}),
+        json.dumps({"service": "getCustomer360", "request": ["custId"], "reply_to": "replies"}),
+        "[" * 5000 + "]" * 5000,  # nested deeper than json.loads recurses
+    ],
+    ids=["service-a-list", "request-a-string", "request-a-list", "nested-too-deep"],
+)
+def test_a_wrongly_typed_queued_request_is_poison_and_every_transaction_settles(message):
+    with open(tra.fixture_path("broker_demo.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["actions"] = [
+        {"op": "begin", "txn": "t"},
+        {"op": "send", "txn": "t", "queue": "requests", "message": message},
+        {"op": "commit", "txn": "t", "expect": "committed"},
+    ]
+    report = run_scenario(load_scenario(doc, base_dir=tra.fixture_path("")))
+    assert report["errors"] == []
+    assert set(report["log"].values()) <= {"committed", "aborted"}
+    assert [e["ev"] for e in report["events"]].count("broker_poison") == 1
+    assert report["queues"] == {"requests": [], "replies": []}
+    assert all(report["queue_conservation"].values())
+
+
+def test_a_script_delete_removes_the_key_at_commit():
+    doc = {
+        "name": "delete",
+        "stores": [{"name": "s", "initial": {"k": "v", "other": "w"}}],
+        "actions": [
+            {"op": "begin", "txn": "t"},
+            {"op": "delete", "txn": "t", "store": "s", "key": "k"},
+            {"op": "commit", "txn": "t", "expect": "committed"},
+        ],
+    }
+    report = run_scenario(load_scenario(doc))
+    assert report["ok"] is True
+    assert report["stores"] == {"s": {"other": "w"}}
+
+
+def test_binding_delete_and_send_effects_run_the_script_ops():
+    doc = _cross_component()
+    doc["queues"] = ["audit"]
+    doc["bindings"][0]["effects"][0] = {"do": "delete", "store": "customer-db", "key": "req.id"}
+    doc["bindings"][0]["effects"].append({"do": "send", "queue": "audit", "message": "req.data"})
+    doc["actions"] = doc["actions"][:3]
+    report = run_scenario(load_scenario(doc, base_dir=tra.fixture_path("")))
+    assert report["ok"] is True
+    assert report["stores"] == {"customer-db": {}, "contract-db": {"ctr-77": "gold"}}
+    assert report["queues"] == {"audit": ["NEW"]}
+    assert all(report["queue_conservation"].values())
+
+
+def test_effect_fields_its_do_does_not_declare_are_ignored():
+    doc = _cross_component(response__before="eff.old")
+    put = doc["bindings"][0]["effects"][0]
+    put.update(into="old", message="not a source", request={"x": "req.nope"})
+    report = run_scenario(load_scenario(doc, base_dir=tra.fixture_path("")))
+    # the put stores nothing under `into`, so the response source is unset
+    assert report["errors"] == ["action 1 (propagate): binding source 'eff.old' is unset"]
+
+
+def test_every_op_naming_a_transaction_needs_one_that_began():
+    doc = {
+        "name": "names",
+        "stores": ["s"],
+        "actions": [
+            {"op": "put", "txn": "ghost", "store": "s", "key": "k", "value": "v"},
+            {"op": "begin", "txn": "t"},
+            {"op": "begin", "txn": "t"},
+            {"op": "assert", "kind": "txn", "txn": "ghost", "status": "committed"},
+            {"op": "rollback", "txn": "t"},
+        ],
+    }
+    report = run_scenario(load_scenario(doc))
+    assert report["errors"] == [
+        "action 0 (put): unknown transaction name 'ghost'",
+        "action 2 (begin): begin needs a fresh transaction name, got 't'",
+        "action 3 (assert): unknown transaction name 'ghost'",
+    ]
+    assert report["transactions"]["t"]["status"] == "aborted"
+
+
+def test_an_expected_error_that_is_not_raised_is_a_failed_assert():
+    doc = {
+        "name": "no-error",
+        "stores": ["s"],
+        "actions": [
+            {"op": "begin", "txn": "t"},
+            {"op": "put", "txn": "t", "store": "s", "key": "k", "value": "v", "expect_error": "non-empty"},
+            {"op": "commit", "txn": "t"},
+        ],
+    }
+    report = run_scenario(load_scenario(doc))
+    assert report["ok"] is False
+    assert report["errors"] == []
+    assert report["asserts"] == [{"desc": "action 1 (put) raises 'non-empty'", "ok": False}]
+    assert report["stores"] == {"s": {"k": "v"}}
+
+
 def test_binding_reads_effect_registers_and_nested_replies():
     doc = _cross_component(response__status="eff.contract_reply.status")
     binding = doc["bindings"][0]

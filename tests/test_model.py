@@ -1,5 +1,6 @@
 """Layering rules, checked against an independently written rule table."""
 
+import functools
 import json
 import re
 
@@ -37,16 +38,23 @@ def model():
     return load_manifest_file(tra.fixture_path("model.json"))
 
 
+@functools.cache
+def _exports_in_fixture():
+    """(component, 'internal.service') export entries, read from model.json itself."""
+    with open(tra.fixture_path("model.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    return {(c["name"], entry) for c in doc["components"] for entry in c.get("exports", ())}
+
+
 def _expected_legal(model, edge):
     caller = model.components[edge.caller_component].internals[edge.caller_internal]
-    callee_lc = model.components[edge.callee_component]
-    callee = callee_lc.internals[edge.callee_internal]
+    callee = model.components[edge.callee_component].internals[edge.callee_internal]
     if edge.caller_component == edge.callee_component:
         return callee.layer.value in ALLOWED_WITHIN[caller.layer.value]
     return (
         caller.layer.value in CROSS_CALLERS
         and callee.layer.value in CROSS_TARGETS
-        and callee_lc.exported_services().get(edge.service) == edge.callee_internal
+        and (edge.callee_component, f"{edge.callee_internal}.{edge.service}") in _exports_in_fixture()
     )
 
 
@@ -237,6 +245,49 @@ def _one_internal(**changes):
 def test_manifest_refuses_entries_of_the_wrong_shape(doc, message):
     with pytest.raises(ManifestError, match=message):
         load_manifest(doc)
+
+
+def _two_internals(first_layer="business_service", second_layer="business_service", **component):
+    """A component whose internals svc and other both provide a service s."""
+    provides = [{"name": "s"}]
+    internals = [
+        {"name": "svc", "layer": first_layer, "provides": provides},
+        {"name": "other", "layer": second_layer, "provides": provides},
+    ]
+    return {"components": [{"name": "A", "internals": internals, **component}]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_two_internals(exports=["svcs"]), "A: export 'svcs' must be 'internal.service'"),
+        (_two_internals(exports=["nope.s"]), "A: export nope.s: no internal nope"),
+        (_two_internals(exports=["svc.s", "other.s"]), "A: export other.s: service name exported twice"),
+        (
+            {"components": [{"name": "A", "internals": [
+                {"name": "svc", "layer": "sbr"}, {"name": "svc", "layer": "sbrs"},
+            ]}]},
+            "A: duplicate internal svc",
+        ),
+        (_one_internal(provides=[{"name": "s"}, {"name": "s"}]), "A.svc: duplicate service s"),
+    ],
+    ids=["export-without-a-dot", "export-of-an-unknown-internal", "service-exported-twice",
+         "duplicate-internal", "duplicate-service"],
+)
+def test_manifest_refuses_bad_exports_and_duplicates(doc, message):
+    with pytest.raises(ManifestError, match=re.escape(message)):
+        load_manifest(doc)
+
+
+def test_exports_map_each_exported_service_to_its_internal():
+    model = load_manifest(_two_internals(exports=["other.s"]))
+    assert model.components["A"].exports == {"s": "other"}
+
+
+def test_an_sbrs_calling_a_peer_sbrs_is_an_illegal_peer_call():
+    model = load_manifest(_two_internals("sbrs", "sbrs"))
+    v = check_edge(model, CallEdge("A", "svc", "A", "other", "s"))
+    assert (v.rule, v.reason) == ("illegal-peer-call", "sbrs may not call a peer sbrs")
 
 
 @pytest.mark.parametrize(

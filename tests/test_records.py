@@ -121,6 +121,16 @@ def test_text_rejections(value):
         encode_record(spec, {"t": value})
 
 
+@pytest.mark.parametrize(
+    "align, value, message",
+    [("left", "ab ", "trailing spaces would be lost"), ("right", " ab", "leading spaces would be lost")],
+)
+def test_text_refuses_spaces_on_its_pad_side(align, value, message):
+    spec = MessageSpec(record_length=8, fields=(FieldSpec("t", 0, 8, "text", align=align),))
+    with pytest.raises(CodecError, match=f"field t: {message}"):
+        encode_record(spec, {"t": value})
+
+
 def test_overflow_and_scale_rejections():
     spec = MessageSpec(
         record_length=8,

@@ -144,6 +144,22 @@ def test_log_missing_and_corrupt(tmp_path):
         read_records(str(bad), LOG_SCHEMA)
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (b"ENLIST\t1\t\xffs\n", ":2: bad record: invalid start byte"),
+        (b"ENLIST\t1\t\n", ":2: bad record 'ENLIST\\t1\\t': empty name"),
+    ],
+    ids=["not-utf-8", "empty-name"],
+)
+def test_a_bad_record_is_refused_with_its_line_number(tmp_path, line, message):
+    path = tmp_path / "x.log"
+    path.write_bytes(b"BEGIN\t1\n" + line + b"COMMIT\t1\n")
+    with pytest.raises(LogCorruptError) as exc:
+        read_records(str(path), LOG_SCHEMA)
+    assert str(exc.value) == f"{path}{message}"
+
+
 def test_txn_state_machine():
     ctx = TransactionContext(id=1, originator="t")
     assert ctx.status is TxnStatus.ACTIVE
