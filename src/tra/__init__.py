@@ -24,7 +24,7 @@ from .model import (
 )
 from .process import ProcessDefinition, ProcessEngine, ProcessInstance, TxnPolicy
 from .records import FieldSpec, MessageSpec, decode_record, encode_record
-from .resources import ManagedStore, TxnQueue, UnmanagedResource
+from .resources import ManagedStore, TxnQueue
 from .scenario import Scenario, load_scenario, load_scenario_file
 from .sim import SimClock, Tracer
 from .txn import TransactionContext, TxnStatus, Vote
@@ -65,7 +65,6 @@ __all__ = [
     "TxnPolicy",
     "TxnQueue",
     "TxnStatus",
-    "UnmanagedResource",
     "Violation",
     "Vote",
     "crash_sweep",

@@ -52,12 +52,12 @@ class LegacyCall:
 @dataclass(frozen=True)
 class BrokerTable:
     """A checked table, ready to run: its calls in declared order and in
-    dependency stages, and the parsed sources of each response field."""
+    dependency stages, and the parsed source that answers each response field."""
 
     service: ServiceSignature
     calls: tuple[LegacyCall, ...]
     stages: tuple[tuple[LegacyCall, ...], ...]
-    aggregate: dict[str, list[Source]]
+    aggregate: dict[str, Source]
 
 
 # request maps and aggregate lists hold sources, which load_table parses
@@ -149,9 +149,10 @@ def load_table(doc: Mapping) -> BrokerTable:
         where = f"{name}.aggregate.{rfield}"
         if not texts:
             raise TableError(f"{where}: response field has no sources")
-        aggregate[rfield] = [parse(text, ("call",), TableError, where) for text in texts]
-        for src in aggregate[rfield]:
+        sources = [parse(text, ("call",), TableError, where) for text in texts]
+        for src in sources:
             _check_kind(src, kinds, service_resp[rfield], where)
+        aggregate[rfield] = sources[0]  # the first listed source answers
     return BrokerTable(service, tuple(calls), _stages(name, calls), aggregate)
 
 
@@ -381,15 +382,8 @@ class MessageBroker:
                     raise outcome
                 # the kept fields are shared by every invoke, so nothing downstream writes to them
                 results[call.call_id] = outcome
-        out = {}
-        for f in table.service.response:
-            for src in table.aggregate[f.name]:
-                out[f.name] = resolve(src, scopes)
-                if out[f.name] is not MISSING:
-                    break
-            else:
-                raise InvokeError(f"{service}: no source produced {f.name}")
-        return out
+        # every call's reply is decoded in full by now, so each checked source resolves
+        return {f.name: resolve(table.aggregate[f.name], scopes) for f in table.service.response}
 
     def _encode_request(self, call: LegacyCall, scopes: dict) -> str:
         values = {fname: resolve(src, scopes) for fname, src in call.request_map.items()}

@@ -23,11 +23,9 @@ from .errors import (
     ResourceCrashed,
     TxnStateError,
     UnknownResourceError,
-    UnmanagedResourceError,
 )
 from .faults import CrashPoint, FaultInjector
-from .model import ComponentModel, resolve_binding
-from .resources import UnmanagedResource
+from .model import ComponentModel, resolve_transactional
 from .sim import Tracer
 from .txn import TransactionContext, TxnStatus, Vote
 from .wal import NAME, LogWriter, read_records
@@ -127,8 +125,7 @@ class Coordinator:
         if rm_id in self.registry:
             raise ValueError(f"resource id {rm_id!r} already registered")
         self.registry[rm_id] = resource
-        if hasattr(resource, "bind"):
-            resource.bind(self)
+        resource.bind(self)
 
     def bind_service(self, component: str, service: str, handler) -> None:
         self.services[(component, service)] = handler
@@ -174,10 +171,6 @@ class Coordinator:
         resource = self.registry.get(rm_id)
         if resource is None:
             raise UnknownResourceError(f"no resource registered as {rm_id!r}")
-        if isinstance(resource, UnmanagedResource):
-            raise UnmanagedResourceError(
-                f"{rm_id} has no transactional contract and cannot be enlisted"
-            )
         if rm_id in ctx.enlisted:
             return
         self._log("ENLIST", ctx.id, rm_id)
@@ -286,9 +279,7 @@ class Coordinator:
         self._known(ctx)
         if self.model is None:
             raise BindingError("no component model configured")
-        _, internal, sig = resolve_binding(self.model, component, service)
-        if not sig.transactional:
-            raise BindingError(f"{component}.{service} is not transactional")
+        internal, sig = resolve_transactional(self.model, component, service)
         missing = [f.name for f in sig.request if f.name not in request]
         if missing:
             raise BindingError(f"{component}.{service}: request missing fields {missing}")

@@ -31,10 +31,6 @@ class UnknownResourceError(TraError):
     """Resource manager id is not registered with the coordinator."""
 
 
-class UnmanagedResourceError(TraError):
-    """Attempt to enlist a resource that cannot participate in transactions."""
-
-
 class ResourceCrashed(TraError):
     """Operation attempted on a crashed participant."""
 

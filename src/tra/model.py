@@ -185,6 +185,17 @@ def resolve_binding(
     return lc, internal, internal.provides[service]
 
 
+def resolve_transactional(
+    model: ComponentModel, component: str, service: str
+) -> tuple[InternalComponent, ServiceSignature]:
+    """Resolve a service that a transaction calls into: it must also be
+    transactional."""
+    _, internal, sig = resolve_binding(model, component, service)
+    if not sig.transactional:
+        raise BindingError(f"{component}.{service} is not transactional")
+    return internal, sig
+
+
 @dataclass(frozen=True)
 class CallEdge:
     """A declared call from one internal component to another's service."""

@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Mapping
 
 from .errors import ProcessError, TraError
-from .model import ComponentModel, resolve_binding
+from .model import ComponentModel, resolve_transactional
 from .shape import LIST, NAME, OBJECT, Each, Obj, check, one_of
 from .source import MISSING, parse, resolve
 from .txn import TxnStatus
@@ -121,35 +121,20 @@ class ProcessEngine:
     # -- definition management ---------------------------------------------
 
     def define(self, definition: ProcessDefinition) -> None:
-        """Register a definition whose services resolve and that closes no cycle."""
+        """Register a definition whose services resolve as transactional and
+        that closes no cycle."""
         if definition.name in self.definitions:
             raise ProcessError(f"process {definition.name} already defined")
         for step in definition.steps:
             if step.service is not None:
-                resolve_binding(self.model, step.component, step.service)
+                resolve_transactional(self.model, step.component, step.service)
         candidate = {**self.definitions, definition.name: definition}
         _check_cycles(candidate, definition.name)
         self.definitions = candidate
 
-    def compose(self, parent: str, position: int, child: str) -> ProcessDefinition:
-        """Register a copy of a definition with a subprocess step inserted."""
-        if parent not in self.definitions:
-            raise ProcessError(f"no process {parent!r}")
-        defn = self.definitions[parent]
-        if not 0 <= position <= len(defn.steps):
-            raise ProcessError(f"{parent}: position {position} out of range")
-        step = Step(name=f"run_{child}_{position}", subprocess=child)
-        composed = ProcessDefinition(
-            parent, defn.policy, [*defn.steps[:position], step, *defn.steps[position:]]
-        )
-        candidate = {**self.definitions, parent: composed}
-        _check_cycles(candidate, parent)
-        self.definitions = candidate
-        return composed
-
     def flatten(self, name: str) -> list[Step]:
         """Expand subprocess steps depth-first into one service-step list;
-        `define` and `compose` keep the registry free of cycles."""
+        `define` keeps the registry free of cycles."""
         defn = self.definitions.get(name)
         if defn is None:
             raise ProcessError(f"no process {name!r}")
@@ -180,9 +165,10 @@ class ProcessEngine:
         groups = [steps] if spanning and steps else [[step] for step in steps]
         for group in groups:
             ctx = self.coordinator.begin(f"process:{instance.definition}")
+            outputs: dict = {}  # the group's variables, kept only if its transaction commits
             for step in group:
                 try:
-                    self._run_step(instance, ctx, step)
+                    self._run_step(instance, ctx, step, outputs)
                 except TraError as exc:
                     self._quiet_rollback(ctx)
                     return self._fail(instance, step.name, str(exc))
@@ -190,6 +176,7 @@ class ProcessEngine:
                 # a spanning transaction is refused as a whole, not at one step
                 failed = None if spanning else group[0].name
                 return self._fail(instance, failed, "transaction aborted")
+            instance.variables.update(outputs)
             instance.completed_steps += len(group)
         instance.state = InstanceState.COMPLETED
         return instance
@@ -200,10 +187,11 @@ class ProcessEngine:
         except TraError:
             pass  # already rolled back or lost; the instance fails either way
 
-    def _run_step(self, instance: ProcessInstance, ctx, step: Step) -> None:
-        request = {}
+    def _run_step(self, instance: ProcessInstance, ctx, step: Step, outputs: dict) -> None:
+        """Run one service step, writing its outputs to the group's `outputs`."""
+        request, scopes = {}, {"var": {**instance.variables, **outputs}}
         for fname, src in step.input_map.items():
-            request[fname] = resolve(src, {"var": instance.variables})
+            request[fname] = resolve(src, scopes)
             if request[fname] is MISSING:
                 raise ProcessError(f"step {step.name}: unset variable {src.path[0]!r}")
         self.coordinator.tracer.emit(
@@ -218,7 +206,7 @@ class ProcessEngine:
             value = resolve(src, {"resp": response})
             if value is MISSING:
                 raise ProcessError(f"step {step.name}: response has no field {src.path[0]!r}")
-            instance.variables[var] = value
+            outputs[var] = value
 
     def _fail(self, instance: ProcessInstance, step: str | None, reason: str) -> ProcessInstance:
         instance.state = InstanceState.FAILED

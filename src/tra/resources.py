@@ -6,16 +6,12 @@ send-at-commit staging. Both keep a small local log (PREPARED/DONE records)
 so a prepared transaction survives a crash of the manager, and both follow
 the base class's participant skeleton: a workspace opened on first access ->
 prepare stages it and logs the vote -> commit applies / rollback reverts.
-
-UnmanagedResource marks endpoints that cannot join transactions at all; the
-coordinator refuses to enlist them.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import LogCorruptError, ResourceCrashed, StoreLimitError, TxnStateError
 from .shape import LIST, NAME, OBJECT, STR, UINT, Each, Kind, Obj, check
@@ -30,21 +26,6 @@ _TOMBSTONE = object()
 
 # compact JSON: never holds a tab or a newline, so it is one log field
 _to_json = json.JSONEncoder(separators=(",", ":")).encode
-
-
-@dataclass(frozen=True)
-class UnmanagedResource:
-    """A resource with no transactional contract (plain legacy endpoint).
-
-    Registered with the coordinator only so that enlisting it fails with a
-    clear error instead of a missing-id one.
-    """
-
-    endpoint_id: str
-
-    @property
-    def rm_id(self) -> str:
-        return self.endpoint_id
 
 
 class ResourceManager:
@@ -189,12 +170,6 @@ class ResourceManager:
         self.tracer.emit("recover", who=self.rm_id, prepared=len(self._prepared))
 
     # -- subclass hooks --------------------------------------------------
-
-    def _validate_and_stage(self, txn_id: int, ws) -> dict | None:
-        raise NotImplementedError
-
-    def _apply(self, txn_id: int, payload: dict) -> None:
-        raise NotImplementedError
 
     def _unstage(self, txn_id: int, payload: dict) -> None:
         """Give back what a rolled-back payload took."""

@@ -213,9 +213,12 @@ def _depend_in_a_cycle(doc):
         (None, {"segment": ["call:seg.segment"]}, "cover the response exactly"),
         (None, {"segment": ["call:seg.segment"], "limit": ["call:dir.limit"]}, "does not exist"),
         (_depend_in_a_cycle, None, "cycle"),
+        (lambda doc: doc["calls"][1].update(call_id="dir"), None, "profile: duplicate call ids"),
+        (lambda doc: doc["calls"][1].update(depends_on=["ghost"]), None, "profile.seg: unknown dependency ghost"),
+        (None, {"segment": [], "limit": ["call:seg.limit"]}, "profile.aggregate.segment: response field has no sources"),
     ],
     ids=["request-coverage", "undeclared-dependency", "kind-mismatch", "response-coverage",
-         "missing-source", "cycle"],
+         "missing-source", "cycle", "duplicate-call-id", "unknown-dependency", "no-aggregate-source"],
 )
 def test_load_table_checks_every_reference_in_the_table(mutate, aggregate, message):
     doc = profile_doc(aggregate)
@@ -223,6 +226,12 @@ def test_load_table_checks_every_reference_in_the_table(mutate, aggregate, messa
         mutate(doc)
     with pytest.raises(TableError, match=message):
         load_table(doc)
+
+
+def test_a_script_rule_refuses_a_negative_delay():
+    # a scenario's script shape refuses it first; a library caller meets this check
+    with pytest.raises(TableError, match="script delay must be >= 0"):
+        ScriptRule(delay=-1)
 
 
 def test_registration_checks_only_the_adapters_and_the_service_name():
@@ -263,18 +272,14 @@ def test_one_loaded_table_serves_two_brokers_alike():
     assert outcomes[1][1]["ev"] == "broker_timeout"
 
 
-def test_aggregate_falls_back_across_sources():
-    # both sources exist; first missing at runtime is impossible here, so
-    # instead check precedence: the first listed source wins.
-    t = profile_table(
-        aggregate={
-            "segment": ["call:seg.segment"],
-            "limit": ["call:seg.limit", "call:seg.limit"],
-        }
-    )
+@pytest.mark.parametrize(
+    "sources, answer", [(["call:seg.segment", "call:dir.rc"], "GOLD"), (["call:dir.rc", "call:seg.segment"], "OK")]
+)
+def test_the_first_listed_aggregate_source_answers(sources, answer):
+    # every call's reply is decoded in full, so the first source always resolves
     broker = make_broker()
-    broker.register_table(t)
-    assert broker.invoke("profile", {"userId": "U1"})["limit"] == 9
+    broker.register_table(profile_table(aggregate={"segment": sources, "limit": ["call:seg.limit"]}))
+    assert broker.invoke("profile", {"userId": "U1"}) == {"segment": answer, "limit": 9}
 
 
 def test_drain_serves_committed_requests_one_reply_each(rig):

@@ -1,20 +1,21 @@
 """Two-phase commit, the decision log, and recovery."""
 
 import gc
+import json
 
 import pytest
 
 from tra.coordinator import LOG_SCHEMA, Coordinator, replay_log
 from tra.errors import (
+    BindingError,
     CoordinatorDown,
     LogCorruptError,
     TxnStateError,
     UnknownResourceError,
-    UnmanagedResourceError,
 )
 from tra.faults import CrashPoint, FaultInjector, FaultSpec
-from tra.model import load_manifest_file
-from tra.resources import ManagedStore, TxnQueue, UnmanagedResource
+from tra.model import load_manifest, load_manifest_file
+from tra.resources import ManagedStore, TxnQueue
 from tra.sim import SimClock, Tracer
 from tra.txn import TxnStatus
 from tra.wal import read_records
@@ -84,17 +85,17 @@ def test_rollback_then_commit_rejected(rig):
 
 def test_enlist_validation(rig, tmp_path):
     coord, _, _ = rig
-    coord.register(UnmanagedResource("legacy-app"))
     t = coord.begin("c")
     with pytest.raises(UnknownResourceError):
         coord.enlist(t, "ghost")
-    with pytest.raises(UnmanagedResourceError):
-        coord.enlist(t, "legacy-app")
     # double enlist is silently idempotent
     coord.enlist(t, "store")
     coord.enlist(t, "store")
     assert t.enlisted == ["store"]
     coord.rollback(t)
+    # a resource id registers once
+    with pytest.raises(ValueError, match="resource id 'store' already registered"):
+        coord.register(ManagedStore("store", str(tmp_path / "again.log")))
 
 
 def test_foreign_context_rejected(rig, tmp_path, tracer):
@@ -117,6 +118,32 @@ def test_restart_continues_ids(rig):
     coord.restart()
     t3 = coord.begin("c")
     assert t3.id == 3
+
+
+def test_crash_and_restart_act_once(rig, tracer):
+    coord, store, _ = rig
+    coord.restart()  # already up: nothing to do
+    coord.crash()
+    coord.crash()
+    store.crash()
+    store.crash()
+    coord.restart()
+    events = [(e["ev"], e["who"]) for e in tracer.events]
+    assert events == [("crash", "coordinator"), ("crash", "store"), ("restart", "coordinator")]
+
+
+def test_a_resource_fault_waits_for_a_transaction_it_is_enlisted_in(rig):
+    coord, store, queue = rig
+    spec = FaultSpec("queue", CrashPoint.BEFORE_PREPARE)
+    coord.injector = FaultInjector([spec])
+    first = coord.begin("c")
+    store.put(first, "k", "v")
+    assert coord.commit(first) is TxnStatus.COMMITTED
+    assert coord.injector.fired == [] and not queue.crashed
+    second = coord.begin("c")
+    queue.send(second, "m")
+    assert coord.commit(second) is TxnStatus.ABORTED
+    assert coord.injector.fired == [spec] and queue.crashed
 
 
 def test_prepare_timeout_flips_vote(tmp_path, tracer):
@@ -280,6 +307,14 @@ def test_replay_log_shapes(tmp_path):
     assert txns[2].status == "aborted" and not txns[2].ended
 
 
+def test_recovery_refuses_a_log_that_names_an_unregistered_resource(tmp_path):
+    path = tmp_path / "c.log"
+    path.write_text("BEGIN\t1\nENLIST\t1\tghost\nCOMMIT\t1\n", encoding="utf-8")
+    coord = Coordinator(str(path))
+    with pytest.raises(UnknownResourceError, match="log names unregistered resource 'ghost'"):
+        coord.recover()
+
+
 def test_a_log_with_a_torn_last_record_restarts_and_recovers(rig):
     coord, store, queue = rig
     done = coord.begin("c")
@@ -361,6 +396,22 @@ def test_propagate_requires_model_and_binding(rig, tmp_path, tracer):
     assert resp == {"status": "ok"}
     assert coord2.commit(t2) is TxnStatus.COMMITTED
     assert store2.committed_value("c1") == "D"
+
+
+def test_propagate_refuses_a_service_that_is_not_transactional(tmp_path):
+    # load_scenario refuses such a call at load; a library caller meets it here
+    with open(tra.fixture_path("model.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for internal in doc["components"][0]["internals"]:
+        for service in internal["provides"]:
+            if service["name"] == "updateCustomer":
+                service["transactional"] = False
+    coord = Coordinator(str(tmp_path / "c.log"), model=load_manifest(doc))
+    coord.bind_service("Customer", "updateCustomer", lambda ctx, request: {"status": "ok"})
+    t = coord.begin("c")
+    request = {"id": "c1", "data": "D", "contract": "x", "terms": "y"}
+    with pytest.raises(BindingError, match="Customer.updateCustomer is not transactional"):
+        coord.propagate(t, "Customer", "updateCustomer", request)
 
 
 def test_a_finished_run_leaves_no_history_for_the_cycle_collector(rig):

@@ -10,7 +10,7 @@ import tra
 from tra.cli import main
 from tra.errors import BindingError, ProcessError, ScenarioError, StoreLimitError, TableError, TraError
 from tra.faults import FaultSpec
-from tra.harness import Runner, crash_sweep, render_report, run_scenario
+from tra.harness import Runner, crash_sweep, render_report, render_sweep, run_scenario
 from tra.scenario import load_scenario, load_scenario_file
 
 
@@ -81,6 +81,16 @@ def test_unknown_fault_spec_rejected():
         FaultSpec.parse("no-separator")
     with pytest.raises(ScenarioError):
         FaultSpec.parse("coordinator@bogus_point")
+    with pytest.raises(ScenarioError, match="empty target"):
+        FaultSpec.parse("@before_prepare")
+
+
+def test_unknown_arm_policies_and_report_modes_are_refused(tmp_path):
+    scenario = load_scenario_file(transfer_path())
+    with pytest.raises(ScenarioError, match="unknown arm policy 'sometimes'"):
+        Runner(scenario, str(tmp_path), arm="sometimes")
+    with pytest.raises(ScenarioError, match="unknown report mode 'xml'"):
+        render_report(run_scenario(scenario), mode="xml")
 
 
 def test_expect_error_actions():
@@ -155,6 +165,62 @@ def test_sweep_requires_a_commit():
     result = crash_sweep(load_scenario(doc))
     assert result["ok"] is False
     assert "no commit" in result["error"]
+    assert "  error: scenario has no commit action to sweep\n" in render_sweep(result)
+
+
+@pytest.mark.parametrize(
+    "actions, error",
+    [
+        (
+            [
+                {"op": "begin", "txn": "t"},
+                {"op": "put", "txn": "t", "store": "s", "key": "k", "value": "v"},
+                {"op": "commit", "txn": "t"},
+                {"op": "assert", "kind": "store", "store": "s", "key": "k", "value": "other"},
+            ],
+            "baseline (no-fault) run failed its own assertions",
+        ),
+        (
+            # the swept commit is expected to fail, so its rollback fails unexpected
+            [
+                {"op": "begin", "txn": "t"},
+                {"op": "commit", "txn": "t"},
+                {"op": "commit", "txn": "t", "expect_error": "requires an active transaction"},
+            ],
+            "abort baseline errored: ['action 2 (rollback): txn 1: rollback requires an active "
+            "transaction, status is committed']",
+        ),
+    ],
+    ids=["failing-baseline", "erroring-abort-baseline"],
+)
+def test_a_sweep_whose_baseline_fails_runs_no_fault(actions, error):
+    result = crash_sweep(load_scenario({"name": "s", "stores": ["s"], "actions": actions}))
+    assert (result["ok"], result["error"], result["combinations"]) == (False, error, [])
+
+
+TWO_COMMITS = {
+    "name": "two-commits",
+    "stores": ["a", "b"],
+    "sweep_targets": ["a", "b"],
+    "actions": [
+        {"op": "begin", "txn": "t0"},
+        {"op": "put", "txn": "t0", "store": "a", "key": "k", "value": "0"},
+        {"op": "commit", "txn": "t0"},
+        {"op": "begin", "txn": "t1"},
+        {"op": "put", "txn": "t1", "store": "a", "key": "k", "value": "1"},
+        {"op": "put", "txn": "t1", "store": "b", "key": "k", "value": "1"},
+        {"op": "commit", "txn": "t1"},
+    ],
+}
+
+
+def test_the_sweep_aims_every_fault_at_the_last_commit():
+    result = crash_sweep(load_scenario(TWO_COMMITS))
+    assert result["commit_state"]["stores"] == {"a": {"k": "1"}, "b": {"k": "1"}}
+    assert result["abort_state"]["stores"] == {"a": {"k": "0"}, "b": {}}
+    assert len(result["combinations"]) == 15
+    assert all(row["fired"] and row["ok"] for row in result["combinations"])
+    assert result["ok"] is True
 
 
 def test_scenario_validation():
@@ -249,6 +315,21 @@ def test_cli_failing_scenario_exits_one(tmp_path, capsys):
     p.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["run", str(p)]) == 1
     assert "result: FAILED" in capsys.readouterr().out
+
+
+def test_a_transaction_left_open_reports_active():
+    doc = {
+        "name": "open",
+        "stores": ["s"],
+        "actions": [
+            {"op": "begin", "txn": "t"},
+            {"op": "put", "txn": "t", "store": "s", "key": "k", "value": "v"},
+            {"op": "assert", "kind": "txn", "txn": "t", "status": "active"},
+        ],
+    }
+    report = run_scenario(load_scenario(doc))
+    assert report["ok"] is True
+    assert report["transactions"]["t"]["status"] == "active"
 
 
 def test_process_and_broker_demo_scenarios():
@@ -394,6 +475,14 @@ def test_malformed_endpoint_documents_are_refused(change, error, message):
         doc = json.load(fh)
     change(doc["endpoints"][0])
     with pytest.raises(error, match=re.escape(f"endpoints[0].{message}")):
+        load_scenario(doc, base_dir=tra.fixture_path(""))
+
+
+def test_an_endpoint_rule_with_two_actions_is_refused_at_load():
+    with open(tra.fixture_path("broker_demo.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["endpoints"][0]["script"][0]["error"] = True  # it already replies
+    with pytest.raises(TableError, match="endpoint POLADM: script rule has more than one action"):
         load_scenario(doc, base_dir=tra.fixture_path(""))
 
 
@@ -822,6 +911,19 @@ def _process_demo(change):
     return doc
 
 
+def _non_transactional(doc, service):
+    """doc, with an inline copy of the bundled model in which `service` is not transactional."""
+    model = _fixture("model.json")
+    for component in model["components"]:
+        for internal in component["internals"]:
+            for sig in internal["provides"]:
+                if sig["name"] == service:
+                    sig["transactional"] = False
+    doc.pop("manifest")
+    doc["model"] = model
+    return doc
+
+
 def _changed(fixture, change):
     doc = _fixture(fixture)
     change(doc)
@@ -889,13 +991,26 @@ def _table_with_endpoint(endpoint):
             _changed("cross_component.json", lambda d: d.pop("manifest")),
             ScenarioError, "action 1 (propagate): services need a component model",
         ),
+        (
+            _non_transactional(_fixture("cross_component.json"), "updateCustomer"),
+            BindingError, "action 1 (propagate): Customer.updateCustomer is not transactional",
+        ),
+        (
+            _non_transactional(_fixture("cross_component.json"), "writeContract"),
+            BindingError, "binding Customer.updateCustomer: call: Contract.writeContract is not transactional",
+        ),
+        (
+            _non_transactional(_process_demo(lambda p: None), "createContract"),
+            BindingError, "Contract.createContract is not transactional",
+        ),
     ],
     ids=[
         "step-bogus-source", "step-unknown-service", "self-subprocess", "undeclared-subprocess",
         "repeated-step-name",
         "table-undeclared-endpoint", "two-tables-one-service", "second-binding",
         "binding-unknown-service", "call-effect-unknown-component", "propagate-unknown-service",
-        "propagate-without-model",
+        "propagate-without-model", "propagate-not-transactional", "call-effect-not-transactional",
+        "step-not-transactional",
     ],
 )
 def test_every_cross_reference_is_resolved_at_load(doc, error, message):
@@ -998,3 +1113,55 @@ def test_a_swept_transaction_the_log_leaves_undecided_fails_its_row(monkeypatch)
     assert result["ok"] is False
     assert {r["outcome"] for r in result["combinations"]} == {"undecided"}
     assert not any(r["ok"] or r["log_matches_outcome"] for r in result["combinations"])
+
+
+ONBOARDING_VARIABLES = _fixture("process_demo.json")["actions"][0]["variables"]
+
+
+@pytest.mark.parametrize(
+    "policy, stores, outputs, failed",
+    [
+        ("spanning", {"contract-db": {}, "customer-db": {}}, {}, "failed"),
+        (
+            "per_step", {"contract-db": {}, "customer-db": {"cust-1": "ADA LOVELACE"}},
+            {"update_status": "ok"}, "failed at record-contract",
+        ),
+    ],
+)
+def test_a_failed_process_keeps_no_output_of_an_aborted_transaction(policy, stores, outputs, failed):
+    doc = _process_demo(lambda p: p.update(policy=policy))
+    fault = FaultSpec.parse("contract-db@before_prepare")
+    report = run_scenario(load_scenario(doc, base_dir=tra.fixture_path("")), faults=[fault])
+    assert report["fired"] == [str(fault)]
+    assert report["stores"] == stores
+    assert report["processes"]["onboarding"]["variables"] == {**ONBOARDING_VARIABLES, **outputs}
+    assert f"process onboarding: {failed}\n" in render_report(report, mode="text")
+
+
+def test_a_process_assert_reads_the_instance_state():
+    doc = _process_demo(lambda p: None)
+    doc["actions"].insert(0, {"op": "assert", "kind": "process", "process": "onboarding", "state": "never-ran"})
+    doc["actions"].append({"op": "assert", "kind": "process", "process": "onboarding", "state": "completed"})
+    report = run_scenario(load_scenario(doc, base_dir=tra.fixture_path("")))
+    assert report["ok"] is True
+    descs = [a["desc"] for a in report["asserts"]]
+    assert descs[0] == "process onboarding is never-ran" and descs[-1] == "process onboarding is completed"
+    assert "process onboarding: completed\n" in render_report(report, mode="text")
+
+
+def test_a_state_that_is_neither_commit_nor_abort_is_a_split_row(monkeypatch):
+    import tra.harness
+
+    run_once = tra.harness._run_once
+
+    def torn(scenario, workdir, **kwargs):
+        report = run_once(scenario, workdir, **kwargs)
+        if kwargs.get("faults"):
+            report["stores"] = {"a": {"k": "1"}, "b": {}}  # half of t1 applied
+        return report
+
+    monkeypatch.setattr(tra.harness, "_run_once", torn)
+    result = crash_sweep(load_scenario(TWO_COMMITS))
+    assert result["ok"] is False
+    assert {r["outcome"] for r in result["combinations"]} == {"split"}
+    assert not any(r["ok"] for r in result["combinations"])

@@ -130,6 +130,8 @@ def test_unknown_endpoints_raise(model):
         check_edge(
             model, CallEdge("Customer", "customer_ui", "Customer", "customer_db", "mangle")
         )
+    with pytest.raises(EdgeError, match="callee does not exist in the model"):
+        check_edge(model, CallEdge("Customer", "customer_ui", "Nope", "x", "write"))
 
 
 def test_resolve_binding(model):

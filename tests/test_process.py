@@ -1,4 +1,4 @@
-"""Process engine: policies, composition, failure shapes."""
+"""Process engine: policies, subprocess composition, failure shapes."""
 
 import pytest
 
@@ -142,6 +142,7 @@ def test_spanning_commit_refusal_fails_with_no_step(world):
     assert inst.failed_step is None
     assert inst.reason == "transaction aborted"
     assert store.committed_value("c1") == "orig"
+    assert inst.variables == VARS  # neither step's output outlives the aborted transaction
 
 
 def test_composition_flattening_and_cycle_guard(world):
@@ -163,10 +164,10 @@ def test_composition_flattening_and_cycle_guard(world):
                         "terms": "lit:y",
                     },
                 ),
+                Step(name="run_onboard", subprocess="onboard"),
             ],
         )
     )
-    engine.compose("outer", 1, "onboard")
     flat = [s.name for s in engine.flatten("outer")]
     assert flat == ["pre", "customer", "contract"]
 
@@ -178,9 +179,8 @@ def test_composition_flattening_and_cycle_guard(world):
     assert store.committed_value("pre") == "P"
 
     with pytest.raises(ProcessError, match="cycle"):
-        engine.compose("onboard", 0, "onboard")
-    # failed compose must not leave the inserted step behind
-    assert [s.name for s in engine.definitions["onboard"].steps] == ["customer", "contract"]
+        engine.define(ProcessDefinition("self", TxnPolicy.PER_STEP, [Step("again", subprocess="self")]))
+    assert sorted(engine.definitions) == ["onboard", "outer"]
 
 
 def test_cyclic_define_leaves_nothing_registered(world):
@@ -313,27 +313,20 @@ def test_duplicate_step_names_are_refused_when_the_definition_is_built():
         ProcessDefinition("p", TxnPolicy.PER_STEP, steps)
 
 
-def test_a_refused_compose_or_define_leaves_the_registered_definition_unchanged(world):
+def test_a_refused_define_leaves_the_registered_definitions_unchanged(world):
     engine, _, _ = world
     engine.define(two_step(TxnPolicy.PER_STEP))
     engine.define(ProcessDefinition("outer", TxnPolicy.PER_STEP, [Step("go", subprocess="onboard")]))
     registered = dict(engine.definitions)
     steps = {name: list(defn.steps) for name, defn in registered.items()}
     with pytest.raises(ProcessError, match="cycle"):
-        engine.compose("onboard", 1, "outer")
-    with pytest.raises(ProcessError, match="position"):
-        engine.compose("onboard", 5, "other")
-    with pytest.raises(ProcessError, match="cycle"):
         engine.define(ProcessDefinition("outer2", TxnPolicy.PER_STEP, [Step("x", subprocess="outer2")]))
+    with pytest.raises(ProcessError, match="already defined"):
+        engine.define(ProcessDefinition("onboard", TxnPolicy.PER_STEP, []))
     assert engine.definitions == registered
     for name, defn in registered.items():
         assert engine.definitions[name] is defn
         assert defn.steps == steps[name]
-    # a compose that succeeds registers a new definition and leaves the old one alone
-    composed = engine.compose("onboard", 2, "noop")
-    assert engine.definitions["onboard"] is composed
-    assert registered["onboard"].steps == steps["onboard"]
-    assert [s.name for s in composed.steps] == ["customer", "contract", "run_noop_2"]
 
 
 def test_missing_response_field_fails_the_step(world):
@@ -380,6 +373,44 @@ def test_per_step_commit_refusal_names_the_step(world):
     assert inst.completed_steps == 1
     assert store.committed_value("c1") == "D"
     assert store.committed_value("k1") is None
+    assert inst.variables == {**VARS, "cust_status": "ok"}  # only the committed step's output
+
+
+def test_a_step_reads_an_earlier_output_of_its_own_transaction(world):
+    engine, _, store = world
+    defn = two_step(TxnPolicy.SPANNING)
+    contract = defn.steps[1]
+    defn.steps[1] = Step(
+        contract.name, contract.component, contract.service,
+        input_map={"contract": "var:contract", "terms": "var:cust_status"},
+        output_map={"ctr_status": "resp.status"},
+    )
+    engine.define(defn)
+    inst = engine.execute(engine.start("onboard", VARS))
+    assert inst.state is InstanceState.COMPLETED
+    assert store.committed_value("k1") == "ok"
+    assert inst.variables == {**VARS, "cust_status": "ok", "ctr_status": "created"}
+
+
+def test_a_step_that_takes_the_coordinator_down_fails_the_instance(world):
+    engine, coord, store = world
+
+    def crash_first(ctx, request):
+        coord.crash()
+        return coord.propagate(ctx, "Contract", "createContract", request)
+
+    coord.bind_service("Customer", "updateCustomer", crash_first)
+    engine.define(two_step(TxnPolicy.SPANNING))
+    inst = engine.execute(engine.start("onboard", VARS))  # its rollback is refused too
+    assert inst.state is InstanceState.FAILED
+    assert inst.failed_step == "customer"
+    assert inst.reason == "coordinator is crashed"
+
+
+def test_only_a_defined_process_starts(world):
+    engine, _, _ = world
+    with pytest.raises(ProcessError, match="no process 'ghost'"):
+        engine.start("ghost")
 
 
 def test_spanning_step_failure_completes_no_steps(world):

@@ -162,6 +162,12 @@ def test_decode_length_and_junk():
 
 
 def test_spec_validation():
+    with pytest.raises(CodecError, match="field name must be non-empty"):
+        FieldSpec("", 0, 4, "text")
+    with pytest.raises(CodecError, match="field x: bad pad 'dots'"):
+        FieldSpec("x", 0, 4, "integer", pad="dots")
+    with pytest.raises(CodecError, match="field x: bad align 'center'"):
+        FieldSpec("x", 0, 4, "text", align="center")
     with pytest.raises(CodecError):
         FieldSpec("x", 0, 4, "float")
     with pytest.raises(CodecError):
@@ -178,6 +184,16 @@ def test_spec_validation():
         MessageSpec(4, (FieldSpec("a", 0, 8, "text"),))
     with pytest.raises(CodecError):
         MessageSpec(8, (FieldSpec("a", 0, 2, "text"), FieldSpec("a", 4, 2, "text")))
+
+
+def test_a_message_spec_from_a_document_names_its_fields():
+    spec = MessageSpec.from_dict(
+        {"record_length": 6, "fields": [{"name": "n", "offset": 2, "length": 4, "kind": "integer"}]}
+    )
+    assert spec == MessageSpec(6, (FieldSpec("n", 2, 4, "integer"),))
+    assert spec.field("n").pad == "zero"
+    with pytest.raises(CodecError, match="no field named 'm'"):
+        spec.field("m")
 
 
 @pytest.mark.parametrize(

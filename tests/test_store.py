@@ -27,6 +27,19 @@ def test_read_your_writes(rig):
     assert store.committed_value("k") is None
 
 
+def test_a_second_prepare_is_refused(rig):
+    coord, store, _ = rig
+    t = coord.begin("c")
+    store.put(t, "k", "v")
+    assert store.prepare(t.id) is Vote.YES
+    with pytest.raises(TxnStateError, match="already prepared or finished"):
+        store.prepare(t.id)
+    store.commit(t.id)
+    with pytest.raises(TxnStateError, match="already prepared or finished"):
+        store.prepare(t.id)
+    assert store.committed_value("k") == "v"
+
+
 def test_absent_key_reads_version_zero(rig):
     coord, store, _ = rig
     assert store.version("nothing") == 0

@@ -136,6 +136,20 @@ def test_log_rejects_separator_bytes(tmp_path):
     w.close()
 
 
+def test_a_short_write_is_an_os_error(tmp_path):
+    class Short:
+        """A file that takes all but the last byte of a write."""
+
+        def write(self, data):
+            return len(data) - 1
+
+    w = LogWriter(str(tmp_path / "x.log"))
+    w._fh.close()
+    w._fh = Short()
+    with pytest.raises(OSError, match="x.log: short write"):
+        w.append("BEGIN", 1)
+
+
 def test_log_missing_and_corrupt(tmp_path):
     assert read_records(str(tmp_path / "absent.log"), LOG_SCHEMA) == []
     bad = tmp_path / "bad.log"
