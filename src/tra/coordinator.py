@@ -124,8 +124,8 @@ class Coordinator:
         rm_id = resource.rm_id
         if rm_id in self.registry:
             raise ValueError(f"resource id {rm_id!r} already registered")
-        self.registry[rm_id] = resource
         resource.bind(self)
+        self.registry[rm_id] = resource
 
     def bind_service(self, component: str, service: str, handler) -> None:
         self.services[(component, service)] = handler

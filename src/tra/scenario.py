@@ -18,7 +18,7 @@ from . import model as component_model
 from .broker import DEFAULT_REPLY_BUDGET, SCRIPT, Adapter, BrokerTable, LegacyEndpoint, MessageBroker, load_table
 from .errors import BindingError, ScenarioError
 from .faults import COORDINATOR_TARGET
-from .model import ComponentModel, resolve_binding, resolve_transactional
+from .model import ComponentModel, resolve_transactional
 from .process import ProcessDefinition, ProcessEngine, load_definition
 from .resources import _check_key, _check_value
 from .shape import INT, LIST, NAME, OBJECT, STR, UINT, Each, Either, Kind, Obj, Tagged, check, read_json
@@ -241,13 +241,13 @@ def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
         for child in definition.subprocess_names():
             _check_name(names, child, ("process",), f"process {definition.name} subprocess")
 
-    services = []  # (component, service, where, resolver) of every call and binding
+    services = []  # (component, service, where) of every call and binding; each is transactional
     actions = []
     for i, action in enumerate(doc.get("actions", ())):
         where = f"action {i} ({action['op']})"
         _check_fields(names, ACTION.pick(action), action, where)
         if action["op"] == "propagate":
-            services.append((action["component"], action["service"], where, resolve_transactional))
+            services.append((action["component"], action["service"], where))
         actions.append(dict(action))
 
     bindings = []
@@ -262,7 +262,7 @@ def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
             eff.update(_sources({f: eff[f] for f in SOURCE_FIELDS if f in eff}, where))
             if eff["do"] == "call":
                 eff["request"] = _sources(eff.get("request", {}), where)
-                services.append((eff["component"], eff["service"], f"{where}: call", resolve_transactional))
+                services.append((eff["component"], eff["service"], f"{where}: call"))
             effects.append(eff)
         response = _sources(raw.get("response", {}), where)
         bindings.append(BindingDecl(raw["component"], raw["service"], effects, response))
@@ -279,12 +279,12 @@ def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
         if (b.component, b.service) in bound:
             raise ScenarioError(f"{where} is declared twice")
         bound.add((b.component, b.service))
-        services.append((b.component, b.service, where, resolve_binding))
-    for component, service, where, resolver in services:
+        services.append((b.component, b.service, where))
+    for component, service, where in services:
         if model is None:
             raise ScenarioError(f"{where}: services need a component model")
         try:
-            resolver(model, component, service)
+            resolve_transactional(model, component, service)
         except BindingError as exc:
             raise BindingError(f"{where}: {exc}") from None
     engine = ProcessEngine(model, None)

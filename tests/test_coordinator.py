@@ -2,6 +2,7 @@
 
 import gc
 import json
+import types
 
 import pytest
 
@@ -96,6 +97,16 @@ def test_enlist_validation(rig, tmp_path):
     # a resource id registers once
     with pytest.raises(ValueError, match="resource id 'store' already registered"):
         coord.register(ManagedStore("store", str(tmp_path / "again.log")))
+
+
+def test_a_refused_register_leaves_the_registry_unchanged(rig, tmp_path):
+    coord, _, _ = rig
+    before = dict(coord.registry)
+    with pytest.raises(AttributeError, match="bind"):
+        coord.register(types.SimpleNamespace(rm_id="plain"))  # not a resource manager
+    assert coord.registry == before
+    coord.register(ManagedStore("plain", str(tmp_path / "plain.log")))
+    assert coord.registry["plain"].rm_id == "plain"
 
 
 def test_foreign_context_rejected(rig, tmp_path, tracer):

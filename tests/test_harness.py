@@ -1000,6 +1000,13 @@ def _table_with_endpoint(endpoint):
             BindingError, "binding Customer.updateCustomer: call: Contract.writeContract is not transactional",
         ),
         (
+            _non_transactional(
+                _changed("cross_component.json", lambda d: d["bindings"][0]["effects"].pop(1)),
+                "writeContract",
+            ),
+            BindingError, "binding Contract.writeContract: Contract.writeContract is not transactional",
+        ),
+        (
             _non_transactional(_process_demo(lambda p: None), "createContract"),
             BindingError, "Contract.createContract is not transactional",
         ),
@@ -1010,7 +1017,7 @@ def _table_with_endpoint(endpoint):
         "table-undeclared-endpoint", "two-tables-one-service", "second-binding",
         "binding-unknown-service", "call-effect-unknown-component", "propagate-unknown-service",
         "propagate-without-model", "propagate-not-transactional", "call-effect-not-transactional",
-        "step-not-transactional",
+        "binding-not-transactional", "step-not-transactional",
     ],
 )
 def test_every_cross_reference_is_resolved_at_load(doc, error, message):

@@ -1,13 +1,12 @@
 """List the statements of src/tra that the test suite never runs.
 
-    python tests/unrun.py [pytest args...]
+    python tests/unrun.py
 
-Runs `pytest tests` (or the given arguments) in this process under a
-`sys.settrace` line probe, then prints `file:line: text` for every
-`src/tra` statement with code of its own that no test reached. It exits
-1 when one of them is not in ALLOWED below, and with pytest's own code
-when a test fails. Standard library only; the name has no `test_` prefix,
-so pytest does not collect it.
+Runs `pytest tests` in this process under a `sys.settrace` line probe, then
+prints `file:line: text` for every `src/tra` statement with code of its own
+that no test reached. It exits 1 when one of them is not in ALLOWED below,
+and with pytest's own code when a test fails. Standard library only; the
+name has no `test_` prefix, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ def unrun(hit: dict[str, set[int]]):
                 yield path.name, line, text[line - 1].strip()
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     sys.path.insert(0, str(SRC.parent))
     import pytest  # tra itself is first imported by the tests, under the probe
 
@@ -82,7 +81,7 @@ def main(argv: list[str]) -> int:
     threading.settrace(probe)
     sys.settrace(probe)
     try:
-        code = pytest.main(argv or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+        code = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -99,4 +98,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
