@@ -368,7 +368,7 @@ class MessageBroker:
             exchanges = []
             for call in stage:
                 record = self._encode_request(call, scopes)
-                emit("broker_dispatch", call=call.call_id, endpoint=call.endpoint, mode=mode)
+                emit("broker_dispatch", call.call_id, call.endpoint, mode)
                 if not staged:  # a lone call starts once it is dispatched
                     t0 = clock.now
                 delay, event, outcome = self._exchange(call, record)
@@ -377,7 +377,7 @@ class MessageBroker:
             # settle in completion order: the first failure fails the invoke
             for at, _, call, event, outcome in sorted(exchanges, key=lambda x: (x[0], x[1])):
                 clock.advance_to(at)
-                emit(event, call=call.call_id, endpoint=call.endpoint, at=at)
+                emit(event, call.call_id, call.endpoint, at)
                 if event != "broker_reply":
                     raise outcome
                 # the kept fields are shared by every invoke, so nothing downstream writes to them
@@ -407,7 +407,7 @@ class MessageBroker:
             default=str,
         )
         queue.send(ctx, payload)
-        self.tracer.emit("broker_staged", txn=ctx.id, service=service, queue=queue.rm_id)
+        self.tracer.emit("broker_staged", ctx.id, service, queue.rm_id)
 
     def drain(self, coordinator, queue, resolve_queue: Callable[[str], object]) -> int:
         """Serve committed request messages: each one is consumed, invoked,
@@ -440,7 +440,7 @@ class MessageBroker:
         except (ValueError, KeyError, RecursionError, TraError):
             # Junk, a wrongly shaped request or an unknown reply queue: consume
             # it so it cannot wedge the queue.
-            self.tracer.emit("broker_poison", queue=queue.rm_id)
+            self.tracer.emit("broker_poison", queue.rm_id)
             return
         try:
             response = self.invoke(service, request)

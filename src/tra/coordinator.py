@@ -14,7 +14,7 @@ recover().
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import astuple, dataclass
 
 from .errors import (
     BindingError,
@@ -146,8 +146,9 @@ class Coordinator:
             )
 
     def _log(self, kind: str, *fields) -> None:
+        fields = tuple([str(f) for f in fields])  # once, for the log and the event
         self._writer.append(kind, *fields)
-        self.tracer.emit("wal", record=kind, fields=tuple([str(f) for f in fields]))
+        self.tracer.emit("wal", kind, fields)
 
     def _fire(self, point: CrashPoint, ctx: TransactionContext) -> None:
         self.injector.fire(point, ctx, self.registry)
@@ -161,7 +162,7 @@ class Coordinator:
         self._log("BEGIN", txn_id)
         ctx = TransactionContext(id=txn_id, originator=originator)
         self.contexts[txn_id] = ctx
-        self.tracer.emit("begin", txn=txn_id, originator=originator)
+        self.tracer.emit("begin", txn_id, originator)
         return ctx
 
     def enlist(self, ctx: TransactionContext, rm_id: str) -> None:
@@ -175,7 +176,7 @@ class Coordinator:
             return
         self._log("ENLIST", ctx.id, rm_id)
         ctx.enlisted.append(rm_id)
-        self.tracer.emit("enlist", txn=ctx.id, rm=rm_id)
+        self.tracer.emit("enlist", ctx.id, rm_id)
 
     def commit(self, ctx: TransactionContext) -> TxnStatus:
         """Run two-phase commit. Returns the decided status.
@@ -190,7 +191,7 @@ class Coordinator:
 
         self._fire(CrashPoint.BEFORE_PREPARE, ctx)
         ctx.transition(TxnStatus.PREPARING)
-        self.tracer.emit("phase", txn=ctx.id, phase="prepare")
+        self.tracer.emit("phase", ctx.id, "prepare")
 
         all_yes = True
         for rm_id in ctx.enlisted:
@@ -208,9 +209,7 @@ class Coordinator:
             if vote is Vote.YES and self.tracer.clock.now - started > self.prepare_budget:
                 vote = Vote.NO
                 reason = "timeout"
-            self.tracer.emit(
-                "vote", txn=ctx.id, rm=rm_id, vote=vote.value, reason=reason
-            )
+            self.tracer.emit("vote", ctx.id, rm_id, vote._value_, reason)  # not the slower .value
             if vote is Vote.NO:
                 all_yes = False
                 break
@@ -222,7 +221,7 @@ class Coordinator:
 
         self._log("COMMIT", ctx.id)
         ctx.transition(TxnStatus.COMMITTING)
-        self.tracer.emit("decision", txn=ctx.id, decision="commit")
+        self.tracer.emit("decision", ctx.id, "commit")
         self._fire(CrashPoint.AFTER_COMMIT_RECORD, ctx)
 
         for idx, rm_id in enumerate(ctx.enlisted):
@@ -230,7 +229,7 @@ class Coordinator:
                 self.registry[rm_id].commit(ctx.id)
             except ResourceCrashed:
                 ctx.pending.add(rm_id)
-                self.tracer.emit("phase2_pending", txn=ctx.id, rm=rm_id)
+                self.tracer.emit("phase2_pending", ctx.id, rm_id)
             if idx == 0:
                 self._fire(CrashPoint.MID_PHASE2, ctx)
         self._fire(CrashPoint.AFTER_PHASE2, ctx)
@@ -249,13 +248,13 @@ class Coordinator:
         left pending for recover()."""
         self._log("ABORT", ctx.id)
         ctx.transition(TxnStatus.ABORTING)
-        self.tracer.emit("decision", txn=ctx.id, decision="abort")
+        self.tracer.emit("decision", ctx.id, "abort")
         for rm_id in ctx.enlisted:
             try:
                 self.registry[rm_id].rollback(ctx.id)
             except ResourceCrashed:
                 ctx.pending.add(rm_id)
-                self.tracer.emit("phase2_pending", txn=ctx.id, rm=rm_id)
+                self.tracer.emit("phase2_pending", ctx.id, rm_id)
         self._finish(ctx, TxnStatus.ABORTED)
         return ctx.status
 
@@ -267,7 +266,7 @@ class Coordinator:
             self._log("END", ctx.id)
             del self.contexts[ctx.id]
         ctx.transition(terminal)
-        self.tracer.emit("outcome", txn=ctx.id, status=ctx.status.value, pending=tuple(sorted(ctx.pending)))
+        self.tracer.emit("outcome", ctx.id, terminal._value_, tuple(sorted(ctx.pending)))
 
     # -- cross-component dispatch ------------------------------------------
 
@@ -286,9 +285,7 @@ class Coordinator:
         handler = self.services.get((component, service))
         if handler is None:
             raise BindingError(f"{component}.{service} has no implementation bound")
-        self.tracer.emit(
-            "propagate", txn=ctx.id, component=component, internal=internal.name, service=service
-        )
+        self.tracer.emit("propagate", ctx.id, component, internal.name, service)
         return handler(ctx, request)
 
     # -- crash and recovery ---------------------------------------------------
@@ -300,7 +297,7 @@ class Coordinator:
         self.contexts.clear()
         self._writer.close()
         self.crashed = True
-        self.tracer.emit("crash", who="coordinator")
+        self.tracer.emit("crash", "coordinator")
 
     def restart(self) -> None:
         """Come back up with empty memory; does not run recovery by itself."""
@@ -309,7 +306,7 @@ class Coordinator:
         self.crashed = False
         self._writer = LogWriter(self.log_path)
         self._next_id = self._scan_next_id()
-        self.tracer.emit("restart", who="coordinator")
+        self.tracer.emit("restart", "coordinator")
 
     def recover(self) -> RecoveryOutcome:
         """Finish every transaction the log left undecided or half-done.
@@ -348,7 +345,7 @@ class Coordinator:
                 live.pending.clear()
                 if finished:
                     del self.contexts[txn_id]
-        self.tracer.emit("recovered", **asdict(outcome))
+        self.tracer.emit("recovered", *astuple(outcome))
         return outcome
 
     def _redrive(self, txn_id: int, rm_ids: list[str], op: str) -> bool:

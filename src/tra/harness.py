@@ -257,7 +257,7 @@ class Runner:
         }
         crashable[target].crash()
         if target in self.endpoints:
-            self.tracer.emit("crash", who=target)
+            self.tracer.emit("crash", target)
 
     def _op_recover(self, ctx, action):
         self._recover_all()
@@ -265,7 +265,7 @@ class Runner:
     def _op_invoke(self, ctx, action):
         response = self.broker.invoke(action["service"], action.get("request", {}))
         if "expect_error" not in action:
-            self.tracer.emit("invoked", service=action["service"], response=_stringify(response))
+            self.tracer.emit("invoked", action["service"], _stringify(response))
         return response
 
     def _op_invoke_via_queue(self, ctx, action):
@@ -279,8 +279,9 @@ class Runner:
 
     def _op_run_process(self, ctx, action):
         instance = self.engine.start(action["process"], action.get("variables", {}))
-        self.engine.execute(instance)
+        # kept before it runs, so a coordinator crash inside leaves it reported as running
         self.instances[action["process"]] = instance
+        self.engine.execute(instance)
         return instance.state.value
 
     def _op_assert(self, ctx, action):

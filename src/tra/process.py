@@ -195,11 +195,7 @@ class ProcessEngine:
             if request[fname] is MISSING:
                 raise ProcessError(f"step {step.name}: unset variable {src.path[0]!r}")
         self.coordinator.tracer.emit(
-            "step",
-            process=instance.definition,
-            step=step.name,
-            component=step.component,
-            service=step.service,
+            "step", instance.definition, step.name, step.component, step.service
         )
         response = self.coordinator.propagate(ctx, step.component, step.service, request)
         for var, src in step.output_map.items():
@@ -212,7 +208,5 @@ class ProcessEngine:
         instance.state = InstanceState.FAILED
         instance.failed_step = step
         instance.reason = reason
-        self.coordinator.tracer.emit(
-            "process_failed", process=instance.definition, step=step, reason=reason
-        )
+        self.coordinator.tracer.emit("process_failed", instance.definition, step, reason)
         return instance

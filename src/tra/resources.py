@@ -10,8 +10,8 @@ prepare stages it and logs the vote -> commit applies / rollback reverts.
 
 from __future__ import annotations
 
-import json
 from collections import deque
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .errors import LogCorruptError, ResourceCrashed, StoreLimitError, TxnStateError
 from .shape import LIST, NAME, OBJECT, STR, UINT, Each, Kind, Obj, check
@@ -24,8 +24,13 @@ MAX_VALUE_BYTES = 64 * 1024
 
 _TOMBSTONE = object()
 
-# compact JSON: never holds a tab or a newline, so it is one log field
-_to_json = json.JSONEncoder(separators=(",", ":")).encode
+# compact JSON, so never a tab or a newline: one log field. One C encoder serves every
+# call (JSONEncoder.encode builds one per call); a payload has no cycles to check for.
+_encode = c_make_encoder(None, None, encode_basestring_ascii, None, ":", ",", False, False, True)
+
+
+def _to_json(payload: dict) -> str:
+    return "".join(_encode(payload, 0))
 
 
 class ResourceManager:
@@ -98,13 +103,13 @@ class ResourceManager:
         payload = self._validate_and_stage(txn_id, self._work.get(txn_id) or self._Work())
         if payload is None:
             self._work.pop(txn_id, None)
-            self.tracer.emit("rm_vote", rm=self.rm_id, txn=txn_id, vote=Vote.NO.value)
+            self.tracer.emit("rm_vote", self.rm_id, txn_id, "no")
             return Vote.NO
         # a failed append leaves the workspace open, so a rollback gives back what it took
-        self._writer.append("PREPARED", txn_id, _to_json(payload))
+        self._writer.append("PREPARED", str(txn_id), _to_json(payload))
         self._prepared[txn_id] = payload
         self._work.pop(txn_id, None)
-        self.tracer.emit("rm_vote", rm=self.rm_id, txn=txn_id, vote=Vote.YES.value)
+        self.tracer.emit("rm_vote", self.rm_id, txn_id, "yes")
         return Vote.YES
 
     def commit(self, txn_id: int) -> None:
@@ -114,9 +119,9 @@ class ResourceManager:
         if txn_id not in self._prepared:
             raise TxnStateError(f"{self.rm_id}: commit of txn {txn_id} without prepare")
         self._apply(txn_id, self._prepared.pop(txn_id))
-        self._writer.append("DONE", txn_id)
+        self._writer.append("DONE", str(txn_id))
         self._done.add(txn_id)
-        self.tracer.emit("rm_commit", rm=self.rm_id, txn=txn_id)
+        self.tracer.emit("rm_commit", self.rm_id, txn_id)
 
     def rollback(self, txn_id: int) -> None:
         self._guard()
@@ -124,11 +129,11 @@ class ResourceManager:
             return
         if txn_id in self._prepared:
             self._unstage(txn_id, self._prepared.pop(txn_id))
-            self._writer.append("DONE", txn_id)
+            self._writer.append("DONE", str(txn_id))
             self._done.add(txn_id)
         else:  # idempotent: there may be no workspace here for this txn
             self._discard(txn_id)
-        self.tracer.emit("rm_rollback", rm=self.rm_id, txn=txn_id)
+        self.tracer.emit("rm_rollback", self.rm_id, txn_id)
 
     def crash(self) -> None:
         """Lose all volatile state. The log file and committed image stay."""
@@ -141,7 +146,7 @@ class ResourceManager:
         self._done.clear()
         self._writer.close()
         self.crashed = True
-        self.tracer.emit("crash", who=self.rm_id)
+        self.tracer.emit("crash", self.rm_id)
 
     def close(self) -> None:
         """Release the log file handle (end of a simulated run)."""
@@ -167,7 +172,7 @@ class ResourceManager:
         self.crashed = False
         self._writer = LogWriter(self.log_path)
         self._prepared, self._done = prepared, done
-        self.tracer.emit("recover", who=self.rm_id, prepared=len(self._prepared))
+        self.tracer.emit("recover", self.rm_id, len(self._prepared))
 
     # -- subclass hooks --------------------------------------------------
 
@@ -339,18 +344,18 @@ class TxnQueue(ResourceManager):
             raise StoreLimitError("messages must be non-empty")
         ws = self._work_for(ctx)
         ws.sends.append(message)
-        self.tracer.emit("send", rm=self.rm_id, txn=ctx.id, staged=True)
+        self.tracer.emit("send", self.rm_id, ctx.id, True)
 
     def receive(self, ctx: TransactionContext) -> str | None:
         """Provisionally take the head message; None when the committed queue
         is empty. A transaction never sees its own staged sends."""
         ws = self._work_for(ctx)
         if not self._messages:
-            self.tracer.emit("receive", rm=self.rm_id, txn=ctx.id, empty=True)
+            self.tracer.emit("receive", self.rm_id, ctx.id, True)
             return None
         msg = self._messages.popleft()
         ws.receives.append(msg)
-        self.tracer.emit("receive", rm=self.rm_id, txn=ctx.id, empty=False)
+        self.tracer.emit("receive", self.rm_id, ctx.id, False)
         return msg
 
     # -- inspection ---------------------------------------------------------

@@ -5,10 +5,10 @@ advanced explicitly, and one tracer that stamps every observable event with the
 current tick. Reports are built from the tracer's events, so two runs with the
 same inputs produce identical traces byte for byte.
 
-A run keeps every event it emits, so each is kept in its cheapest form: one
-tuple `(t, ev, names, *values)`, where `names` is the tuple of field names,
-shared by every event with the same fields. `Tracer.events` turns the kept
-tuples back into dicts on demand.
+`EVENTS` declares each event kind's field names once, as a log declares its
+schema. `Tracer.emit(ev, *values)` takes the values in that order, and a run
+keeps each event in its cheapest form, the tuple `(t, ev, *values)`.
+`Tracer.events` turns the kept tuples back into dicts named from `EVENTS`.
 """
 
 from __future__ import annotations
@@ -35,9 +35,45 @@ class SimClock:
         return self.now
 
 
+# event kind -> its field names, in the order `Tracer.emit` takes the values
+EVENTS = {
+    "begin": ("txn", "originator"),
+    "enlist": ("txn", "rm"),
+    "wal": ("record", "fields"),
+    "phase": ("txn", "phase"),
+    "vote": ("txn", "rm", "vote", "reason"),
+    "decision": ("txn", "decision"),
+    "phase2_pending": ("txn", "rm"),
+    "outcome": ("txn", "status", "pending"),
+    "propagate": ("txn", "component", "internal", "service"),
+    "crash": ("who",),
+    "restart": ("who",),
+    "recovered": ("recommitted", "presumed_aborted", "aborts_completed"),
+    "rm_vote": ("rm", "txn", "vote"),
+    "rm_commit": ("rm", "txn"),
+    "rm_rollback": ("rm", "txn"),
+    "recover": ("who", "prepared"),
+    "send": ("rm", "txn", "staged"),
+    "receive": ("rm", "txn", "empty"),
+    "broker_dispatch": ("call", "endpoint", "mode"),
+    "broker_reply": ("call", "endpoint", "at"),
+    "broker_error": ("call", "endpoint", "at"),
+    "broker_timeout": ("call", "endpoint", "at"),
+    "broker_bad_reply": ("call", "endpoint", "at"),
+    "broker_staged": ("txn", "service", "queue"),
+    "broker_poison": ("queue",),
+    "invoked": ("service", "response"),
+    "step": ("process", "step", "component", "service"),
+    "process_failed": ("process", "step", "reason"),
+}
+
+
 def _event(record: tuple) -> dict:
+    names = EVENTS[record[1]]
+    if len(names) != len(record) - 2:
+        raise ValueError(f"{record[1]} event holds {len(record) - 2} values, declared {len(names)}")
     event = {"t": record[0], "ev": record[1]}
-    event.update(zip(record[2], record[3:]))
+    event.update(zip(names, record[2:]))
     return event
 
 
@@ -72,12 +108,10 @@ class Tracer:
     def __init__(self, clock: SimClock | None = None) -> None:
         self.clock = clock if clock is not None else SimClock()
         self._records: list[tuple] = []
-        self._names: dict[tuple, tuple] = {}  # one shared tuple per field list
         self.events = Events(self._records)
 
-    def emit(self, ev: str, **fields) -> None:
+    def emit(self, ev: str, *values) -> None:
+        """Keep one `ev` event; `values` come in the order `EVENTS[ev]` names."""
         clock = self.clock
-        names = tuple(fields)
-        names = self._names.setdefault(names, names)
-        self._records.append((clock.now, ev, names, *fields.values()))
+        self._records.append((clock.now, ev, *values))
         clock.now += 1

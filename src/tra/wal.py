@@ -1,11 +1,11 @@
 """Append-only write-ahead logs and their one reader.
 
-Every log holds one record per line, `KIND<tab>txn-id[<tab>field]`. Each log
-declares a schema, record kind -> what follows the id: nothing (None), a
-non-empty name (NAME), or a JSON object (PAYLOAD) whose inside its reader
-checks. A last line with no newline is a record whose write a crash tore,
-so it was never written: the reader skips it and the writer cuts it off. Any
-other malformed line is corruption.
+Every log holds one record per line, `KIND<tab>txn-id[<tab>field]`; the writer
+takes the fields as text, which its caller stringified once. Each log declares
+a schema, record kind -> what follows the id: nothing (None), a non-empty name
+(NAME), or a JSON object (PAYLOAD) whose inside its reader checks. A torn last
+line (no newline) was never written: the reader skips it and the writer cuts
+it off. Any other malformed line is corruption.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ class LogWriter:
         if end and os.pread(fd, 1, end - 1) != b"\n":  # cut a torn last record off
             self._fh.truncate(os.pread(fd, end, 0).rfind(b"\n") + 1)
 
-    def append(self, *fields: object) -> None:
-        line = "\t".join([str(f) for f in fields])
+    def append(self, *fields: str) -> None:
+        line = "\t".join(fields)  # text only: a TypeError names any other field
         if line.count("\t") != len(fields) - 1 or "\n" in line:
             raise ValueError("log fields must not contain tabs or newlines")
         data = (line + "\n").encode("utf-8")

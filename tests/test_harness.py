@@ -1,6 +1,7 @@
 """Scenario runner, fault injection, the sweep, and the CLI."""
 
 import json
+import os
 import re
 import signal
 
@@ -12,6 +13,7 @@ from tra.errors import BindingError, ProcessError, ScenarioError, StoreLimitErro
 from tra.faults import FaultSpec
 from tra.harness import Runner, crash_sweep, render_report, render_sweep, run_scenario
 from tra.scenario import load_scenario, load_scenario_file
+from tra.sim import EVENTS, Tracer
 
 
 def transfer_path():
@@ -301,6 +303,72 @@ def test_cli_fault_flag(capsys):
     out = capsys.readouterr().out
     assert rc == 0  # no assertion failed before the crash stopped the script
     assert "fired: coordinator@before_prepare" in out
+
+
+def test_a_process_the_coordinator_crashed_inside_is_reported_running(capsys):
+    # the crash lands after the step's COMMIT record: recovery commits it, and
+    # the process, which never learned that, is still in the report
+    rc = main([
+        "run", tra.fixture_path("process_demo.json"),
+        "--fault", "coordinator@after_commit_record_before_phase2", "--report", "structured",
+    ])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0 and report["log"] == {"1": "committed"}
+    assert report["processes"]["onboarding"]["state"] == "running"
+    assert report["processes"]["onboarding"]["failed_step"] is None
+
+
+def _bundled_doc(name):
+    with open(tra.fixture_path(name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_every_declared_event_kind_is_emitted_with_its_declared_fields(monkeypatch):
+    """The bundled scenarios, run and swept, emit every declared kind but five
+    failure kinds, which variants of two of them add; every event emitted
+    holds one value per declared field."""
+    emitted = []
+    emit = Tracer.emit
+
+    def recording(self, ev, *values):
+        emitted.append((ev, values))
+        emit(self, ev, *values)
+
+    monkeypatch.setattr(Tracer, "emit", recording)
+    reports = []
+    for name in ("transfer.json", "cross_component.json", "process_demo.json", "broker_demo.json"):
+        reports.append(run_scenario(tra.fixture_path(name)))
+        crash_sweep(tra.fixture_path(name))
+    assert set(EVENTS) - {ev for ev, _ in emitted} == {
+        "broker_bad_reply", "broker_error", "broker_timeout", "broker_poison", "process_failed",
+    }
+
+    broker = _bundled_doc("broker_demo.json")
+    broker["endpoints"][0]["script"][:0] = [
+        {"match": {"custId": "C0000007"}, "garbage": "?!"},
+        {"match": {"custId": "C0000008"}, "error": True},
+    ]
+    broker["actions"] += [
+        {"op": "invoke", "service": "getCustomer360", "request": {"custId": cust}, "expect_error": error}
+        for cust, error in (
+            ("C0000007", "undecodable reply"), ("C0000008", "endpoint error"), ("C0000009", "timeout"),
+        )
+    ] + [
+        {"op": "begin", "txn": "t3"},
+        {"op": "send", "txn": "t3", "queue": "requests", "message": "junk"},
+        {"op": "commit", "txn": "t3", "expect": "committed"},
+    ]
+    process = _bundled_doc("process_demo.json")
+    process["actions"] = [{"op": "run_process", "process": "onboarding", "variables": {}, "expect": "failed"}]
+    base_dir = os.path.dirname(tra.fixture_path("process_demo.json"))
+    for doc in (broker, process):
+        reports.append(run_scenario(load_scenario(doc, base_dir)))
+    assert all(report["ok"] for report in reports)
+    assert {ev for ev, _ in emitted} == set(EVENTS)
+    for ev, values in emitted:
+        assert len(values) == len(EVENTS[ev]), (ev, values)
+    for event in (event for report in reports for event in report["events"]):
+        assert list(event)[2:] == list(EVENTS[event["ev"]])
 
 
 def test_cli_failing_scenario_exits_one(tmp_path, capsys):
