@@ -22,7 +22,7 @@ from .model import (
     resolve_binding,
     validate_layering,
 )
-from .process import ProcessDefinition, ProcessEngine, ProcessInstance, TxnPolicy
+from .process import ProcessDefinition, ProcessEngine, ProcessInstance, TxnPolicy, load_processes
 from .records import FieldSpec, MessageSpec, decode_record, encode_record
 from .resources import ManagedStore, TxnQueue
 from .scenario import Scenario, load_scenario, load_scenario_file
@@ -73,6 +73,7 @@ __all__ = [
     "fixture_path",
     "load_edges",
     "load_manifest",
+    "load_processes",
     "load_scenario",
     "load_scenario_file",
     "load_table",

@@ -90,12 +90,11 @@ class Runner:
         elif arm != "always":
             raise ScenarioError(f"unknown arm policy {arm!r}")
 
-        model = scenario.model
         budget = scenario.prepare_budget
         self.coordinator = Coordinator(
             os.path.join(workdir, "coordinator.log"),
             tracer=self.tracer,
-            model=model,
+            model=scenario.model,
             injector=self.injector,
             prepare_budget=budget if budget is not None else DEFAULT_PREPARE_BUDGET,
         )
@@ -126,9 +125,7 @@ class Runner:
         for table in scenario.tables:
             self.broker.register_table(table)
 
-        self.engine = ProcessEngine(model, self.coordinator)
-        for definition in scenario.processes:
-            self.engine.define(definition)
+        self.engine = ProcessEngine(self.coordinator, scenario.processes)
 
         for binding in scenario.bindings:
             self.coordinator.bind_service(

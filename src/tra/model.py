@@ -186,13 +186,18 @@ def resolve_binding(
 
 
 def resolve_transactional(
-    model: ComponentModel, component: str, service: str
+    model: ComponentModel, component: str, service: str, where: str | None = None
 ) -> tuple[InternalComponent, ServiceSignature]:
     """Resolve a service that a transaction calls into: it must also be
-    transactional."""
-    _, internal, sig = resolve_binding(model, component, service)
-    if not sig.transactional:
-        raise BindingError(f"{component}.{service} is not transactional")
+    transactional. A refusal is prefixed with `where` it is named, if given."""
+    try:
+        _, internal, sig = resolve_binding(model, component, service)
+        if not sig.transactional:
+            raise BindingError(f"{component}.{service} is not transactional")
+    except BindingError as exc:
+        if where is None:
+            raise
+        raise BindingError(f"{where}: {exc}") from None
     return internal, sig
 
 

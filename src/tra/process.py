@@ -4,7 +4,10 @@ A process definition is an ordered list of steps. A step either invokes an
 exported service of some component (through the coordinator, inside a
 transaction) or runs a named subprocess in place. The transaction policy is
 per definition: PER_STEP gives every step its own transaction, SPANNING runs
-the whole flattened instance inside one.
+the whole instance inside one.
+
+`load_processes` checks a set of definitions once and expands each into a
+plan of service steps; an engine only starts and executes plans.
 
 Step inputs are mapped from instance variables ("var:NAME") or literals
 ("lit:TEXT"); outputs copy response fields ("resp.FIELD") back into
@@ -13,15 +16,19 @@ variables. Both maps are parsed when the step is built.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from itertools import chain
+from typing import Iterable, Mapping
 
 from .errors import ProcessError, TraError
 from .model import ComponentModel, resolve_transactional
 from .shape import LIST, NAME, OBJECT, Each, Obj, check, one_of
 from .source import MISSING, parse, resolve
 from .txn import TxnStatus
+
+MAX_PLAN_STEPS = 10_000  # service steps in one plan, subprocesses expanded
 
 
 class TxnPolicy(Enum):
@@ -50,6 +57,8 @@ class Step:
             raise ProcessError(f"step {self.name}: component and service go together")
         if is_call == (self.subprocess is not None):
             raise ProcessError(f"step {self.name}: exactly one of service or subprocess")
+        if self.subprocess is not None and (self.input_map or self.output_map):
+            raise ProcessError(f"step {self.name}: a subprocess step takes no input or output")
         for attr, scopes in (("input_map", ("var", "lit")), ("output_map", ("resp",))):
             texts = getattr(self, attr).items()
             parsed = {k: parse(v, scopes, ProcessError, f"step {self.name}") for k, v in texts}
@@ -67,8 +76,13 @@ class ProcessDefinition:
         if len(set(names)) != len(names):
             raise ProcessError(f"{self.name}: duplicate step names")
 
-    def subprocess_names(self) -> list[str]:
-        return [s.subprocess for s in self.steps if s.subprocess is not None]
+
+@dataclass(frozen=True)
+class Plan:
+    """A checked process: its policy and its service steps in run order."""
+
+    policy: TxnPolicy
+    steps: tuple[Step, ...]
 
 
 @dataclass
@@ -101,68 +115,62 @@ def load_definition(doc: dict) -> ProcessDefinition:
     return ProcessDefinition(doc["name"], TxnPolicy(doc.get("policy", "per_step")), steps)
 
 
-def _check_cycles(definitions: Mapping[str, ProcessDefinition], name: str, path: tuple = ()) -> None:
-    """Refuse a subprocess cycle reachable from name. An undefined child is
-    no cycle: it fails the instance at execute."""
-    if name in path:
-        raise ProcessError("subprocess cycle: " + " -> ".join((*path, name)))
-    for child in definitions[name].subprocess_names() if name in definitions else ():
-        _check_cycles(definitions, child, (*path, name))
-
-
-class ProcessEngine:
-    """Holds definitions and runs instances through the coordinator."""
-
-    def __init__(self, model: ComponentModel, coordinator) -> None:
-        self.model = model
-        self.coordinator = coordinator
-        self.definitions: dict[str, ProcessDefinition] = {}
-
-    # -- definition management ---------------------------------------------
-
-    def define(self, definition: ProcessDefinition) -> None:
-        """Register a definition whose services resolve as transactional and
-        that closes no cycle."""
-        if definition.name in self.definitions:
-            raise ProcessError(f"process {definition.name} already defined")
-        for step in definition.steps:
-            if step.service is not None:
-                resolve_transactional(self.model, step.component, step.service)
-        candidate = {**self.definitions, definition.name: definition}
-        _check_cycles(candidate, definition.name)
-        self.definitions = candidate
-
-    def flatten(self, name: str) -> list[Step]:
-        """Expand subprocess steps depth-first into one service-step list;
-        `define` keeps the registry free of cycles."""
-        defn = self.definitions.get(name)
-        if defn is None:
-            raise ProcessError(f"no process {name!r}")
-        out: list[Step] = []
+def load_processes(model: ComponentModel, definitions: Iterable[ProcessDefinition]) -> dict[str, Plan]:
+    """Check a process set and build each plan once, from its children's
+    plans: names are unique, step services resolve as transactional, every
+    subprocess is defined, none closes a cycle, no plan exceeds MAX_PLAN_STEPS."""
+    defs: dict[str, ProcessDefinition] = {}
+    for defn in definitions:
+        if defn.name in defs:
+            raise ProcessError(f"process {defn.name} already defined")
         for step in defn.steps:
-            if step.subprocess is not None:
-                out.extend(self.flatten(step.subprocess))
+            if step.service is not None:
+                resolve_transactional(model, step.component, step.service, f"process {defn.name} step {step.name}")
+        defs[defn.name] = defn
+    plans: dict[str, Plan] = {}
+    for root in defs:
+        # depth first, without recursion: the path from root, each name with its unvisited steps
+        path = {} if root in plans else {root: iter(defs[root].steps)}
+        while path:
+            name = next(reversed(path))
+            children = (s.subprocess for s in path[name] if s.subprocess is not None)
+            child = next((c for c in children if c not in plans), None)
+            if child is None:
+                del path[name]
+                parts = [plans[s.subprocess].steps if s.subprocess is not None else (s,) for s in defs[name].steps]
+                size = sum(map(len, parts))  # counted before a step tuple is built
+                if size > MAX_PLAN_STEPS:
+                    limit = f"over the limit of {MAX_PLAN_STEPS}"
+                    raise ProcessError(f"process {name}: its plan has {size} steps, {limit}")
+                plans[name] = Plan(defs[name].policy, tuple(chain.from_iterable(parts)))
+            elif child in path:
+                names = list(path)
+                raise ProcessError("subprocess cycle: " + " -> ".join(names[names.index(child):] + [child]))
+            elif child not in defs:
+                raise ProcessError(f"process {name} subprocess: no process {child!r}")
             else:
-                out.append(step)
-        return out
+                path[child] = iter(defs[child].steps)
+    return plans
 
-    # -- execution ---------------------------------------------------------------
+
+@dataclass
+class ProcessEngine:
+    """Runs instances of checked plans through the coordinator."""
+
+    coordinator: object
+    plans: Mapping[str, Plan]
 
     def start(self, name: str, variables: dict | None = None) -> ProcessInstance:
-        if name not in self.definitions:
+        if name not in self.plans:
             raise ProcessError(f"no process {name!r}")
         return ProcessInstance(definition=name, variables=dict(variables or {}))
 
     def execute(self, instance: ProcessInstance) -> ProcessInstance:
-        """Run the flattened steps in transaction groups: one step per group
+        """Run the plan's steps in transaction groups: one step per group
         under PER_STEP, all of them in one group under SPANNING."""
-        defn = self.definitions[instance.definition]
-        try:
-            steps = self.flatten(instance.definition)
-        except ProcessError as exc:
-            return self._fail(instance, None, str(exc))
-        spanning = defn.policy is TxnPolicy.SPANNING
-        groups = [steps] if spanning and steps else [[step] for step in steps]
+        plan = self.plans[instance.definition]
+        spanning = plan.policy is TxnPolicy.SPANNING
+        groups = [plan.steps] if spanning and plan.steps else [[step] for step in plan.steps]
         for group in groups:
             ctx = self.coordinator.begin(f"process:{instance.definition}")
             outputs: dict = {}  # the group's variables, kept only if its transaction commits
@@ -170,7 +178,8 @@ class ProcessEngine:
                 try:
                     self._run_step(instance, ctx, step, outputs)
                 except TraError as exc:
-                    self._quiet_rollback(ctx)
+                    with suppress(TraError):  # already rolled back or lost; it fails either way
+                        self.coordinator.rollback(ctx)
                     return self._fail(instance, step.name, str(exc))
             if self.coordinator.commit(ctx) is not TxnStatus.COMMITTED:
                 # a spanning transaction is refused as a whole, not at one step
@@ -181,12 +190,6 @@ class ProcessEngine:
         instance.state = InstanceState.COMPLETED
         return instance
 
-    def _quiet_rollback(self, ctx) -> None:
-        try:
-            self.coordinator.rollback(ctx)
-        except TraError:
-            pass  # already rolled back or lost; the instance fails either way
-
     def _run_step(self, instance: ProcessInstance, ctx, step: Step, outputs: dict) -> None:
         """Run one service step, writing its outputs to the group's `outputs`."""
         request, scopes = {}, {"var": {**instance.variables, **outputs}}
@@ -194,9 +197,7 @@ class ProcessEngine:
             request[fname] = resolve(src, scopes)
             if request[fname] is MISSING:
                 raise ProcessError(f"step {step.name}: unset variable {src.path[0]!r}")
-        self.coordinator.tracer.emit(
-            "step", instance.definition, step.name, step.component, step.service
-        )
+        self.coordinator.tracer.emit("step", instance.definition, step.name, step.component, step.service)
         response = self.coordinator.propagate(ctx, step.component, step.service, request)
         for var, src in step.output_map.items():
             value = resolve(src, {"resp": response})

@@ -16,10 +16,10 @@ from typing import Mapping
 # load_manifest is called through its module, where bench/spans.py wraps it
 from . import model as component_model
 from .broker import DEFAULT_REPLY_BUDGET, SCRIPT, Adapter, BrokerTable, LegacyEndpoint, MessageBroker, load_table
-from .errors import BindingError, ScenarioError
+from .errors import ScenarioError
 from .faults import COORDINATOR_TARGET
 from .model import ComponentModel, resolve_transactional
-from .process import ProcessDefinition, ProcessEngine, load_definition
+from .process import Plan, load_definition, load_processes
 from .resources import _check_key, _check_value
 from .shape import INT, LIST, NAME, OBJECT, STR, UINT, Each, Either, Kind, Obj, Tagged, check, read_json
 from .source import parse
@@ -131,7 +131,7 @@ class Scenario:
     queues: list[ResourceDecl]
     endpoints: list[Adapter]  # templates: each run builds endpoints of its own from them
     tables: list[BrokerTable]
-    processes: list[ProcessDefinition]
+    processes: dict[str, Plan]  # read-only during a run, like tables
     bindings: list[BindingDecl]
     serve_queues: list[str]
     sweep_targets: list[str]
@@ -231,14 +231,14 @@ def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
         Adapter(LegacyEndpoint.from_doc(e), e.get("budget", DEFAULT_REPLY_BUDGET))
         for e in doc.get("endpoints", ())
     ]
-    processes = [_inline_or_file(p, base_dir, "process") for p in doc.get("processes", ())]
-    if processes and model_doc is None:
+    definitions = [_inline_or_file(p, base_dir, "process") for p in doc.get("processes", ())]
+    if definitions and model_doc is None:
         raise ScenarioError("processes need a component model")
-    processes = [load_definition(p) for p in processes]
+    definitions = [load_definition(p) for p in definitions]
     model = component_model.load_manifest(model_doc) if model_doc is not None else None
-    names = _name_table(stores, queues, endpoints, processes)
-    for definition in processes:
-        for child in definition.subprocess_names():
+    names = _name_table(stores, queues, endpoints, definitions)
+    for definition in definitions:
+        for child in (s.subprocess for s in definition.steps if s.subprocess is not None):
             _check_name(names, child, ("process",), f"process {definition.name} subprocess")
 
     services = []  # (component, service, where) of every call and binding; each is transactional
@@ -283,13 +283,8 @@ def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
     for component, service, where in services:
         if model is None:
             raise ScenarioError(f"{where}: services need a component model")
-        try:
-            resolve_transactional(model, component, service)
-        except BindingError as exc:
-            raise BindingError(f"{where}: {exc}") from None
-    engine = ProcessEngine(model, None)
-    for definition in processes:
-        engine.define(definition)
+        resolve_transactional(model, component, service, where)
+    processes = load_processes(model, definitions)
     tables = [load_table(_inline_or_file(t, base_dir, "broker table")) for t in doc.get("tables", ())]
     broker = MessageBroker()
     for adapter in endpoints:

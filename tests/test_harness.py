@@ -928,14 +928,14 @@ def test_initial_entries_over_the_store_limits_are_refused_at_load(changes, mess
 
 def test_processes_and_tables_are_parsed_once_at_load():
     from tra.broker import BrokerTable
-    from tra.process import ProcessDefinition
+    from tra.process import Plan
 
     for fixture, parsed, kind in [
-        ("process_demo.json", "processes", ProcessDefinition),
+        ("process_demo.json", "processes", Plan),
         ("broker_demo.json", "tables", BrokerTable),
     ]:
         scenario = load_scenario_file(tra.fixture_path(fixture))
-        objects = getattr(scenario, parsed)
+        objects = scenario.processes.values() if parsed == "processes" else scenario.tables
         assert objects and all(isinstance(o, kind) for o in objects)
         # runs share the parsed objects, so a second run must report the same
         first = run_scenario(scenario)
@@ -1013,7 +1013,7 @@ def _table_with_endpoint(endpoint):
         ),
         (
             _process_demo(lambda p: p["steps"][0].update(service="ghost")),
-            BindingError, "Customer provides no service 'ghost'",
+            BindingError, "process onboarding step record-customer: Customer provides no service 'ghost'",
         ),
         (
             _process_demo(lambda p: p["steps"].append({"name": "again", "subprocess": "onboarding"})),
@@ -1026,6 +1026,13 @@ def _table_with_endpoint(endpoint):
         (
             _process_demo(lambda p: p["steps"][1].update(name="record-customer")),
             ProcessError, "onboarding: duplicate step names",
+        ),
+        (
+            _changed("process_demo.json", lambda d: d["processes"].append({"name": "outer", "steps": [
+                {"name": "go", "subprocess": "onboarding",
+                 "input": {"id": "var:nobody_set_this"}, "output": {"x": "resp.nope"}},
+            ]})),
+            ProcessError, "step go: a subprocess step takes no input or output",
         ),
         (
             _changed("broker_demo.json", lambda d: d.update(tables=[_table_with_endpoint("ghost")])),
@@ -1075,13 +1082,14 @@ def _table_with_endpoint(endpoint):
             BindingError, "binding Contract.writeContract: Contract.writeContract is not transactional",
         ),
         (
-            _non_transactional(_process_demo(lambda p: None), "createContract"),
-            BindingError, "Contract.createContract is not transactional",
+            # with no Contract.createContract binding, which would be refused first
+            _non_transactional(_changed("process_demo.json", lambda d: d["bindings"].pop(1)), "createContract"),
+            BindingError, "process onboarding step record-contract: Contract.createContract is not transactional",
         ),
     ],
     ids=[
         "step-bogus-source", "step-unknown-service", "self-subprocess", "undeclared-subprocess",
-        "repeated-step-name",
+        "repeated-step-name", "subprocess-step-with-maps",
         "table-undeclared-endpoint", "two-tables-one-service", "second-binding",
         "binding-unknown-service", "call-effect-unknown-component", "propagate-unknown-service",
         "propagate-without-model", "propagate-not-transactional", "call-effect-not-transactional",
@@ -1109,6 +1117,56 @@ def test_every_cross_reference_is_resolved_at_load(doc, error, message):
 def test_negative_counts_are_refused_at_load(changes, error, message):
     with pytest.raises(error, match=re.escape(f"{message} must be a non-negative integer, got -")):
         load_scenario(_world(**changes))
+
+
+def _chain(depth, parent_first):
+    """process_demo.json with a chain p0 -> p1 -> ... whose last process runs one service step."""
+    doc = _fixture("process_demo.json")
+    processes = [{"name": f"p{i}", "steps": [{"name": "next", "subprocess": f"p{i + 1}"}]} for i in range(depth - 1)]
+    processes.append({"name": f"p{depth - 1}", "steps": [{
+        "name": "record", "component": "Customer", "service": "updateCustomer",
+        "input": {"id": "lit:c", "data": "lit:D", "contract": "lit:k", "terms": "lit:t"},
+    }]})
+    doc["processes"] = processes if parent_first else processes[::-1]
+    doc["actions"] = [
+        {"op": "run_process", "process": "p0", "expect": "completed"},
+        {"op": "assert", "kind": "store", "store": "customer-db", "key": "c", "value": "D"},
+    ]
+    return doc
+
+
+@pytest.mark.parametrize("parent_first", [True, False], ids=["parent-first", "child-first"])
+def test_a_deep_subprocess_chain_loads_and_runs(parent_first):
+    scenario = load_scenario(_chain(1500, parent_first), base_dir=tra.fixture_path(""))
+    report = run_scenario(scenario)
+    assert report["ok"], report["errors"]
+    assert report["processes"]["p0"]["state"] == "completed"
+
+
+def test_a_diamond_scenario_is_refused_at_load(tmp_path, capsys):
+    # d{i} runs d{i+1} twice: 30 levels would expand to 2 ** 29 steps
+    doc = _chain(30, True)
+    for process in doc["processes"][:-1]:
+        process["steps"].append({"name": "again", "subprocess": process["steps"][0]["subprocess"]})
+    path = tmp_path / "diamond.json"
+    path.write_text(json.dumps({**doc, "manifest": tra.fixture_path("model.json")}))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: process p15: its plan has 16384 steps, over the limit of 10000\n"
+
+
+def test_a_run_checks_no_process_again(monkeypatch):
+    import tra.process
+    import tra.scenario
+
+    scenario = load_scenario_file(tra.fixture_path("process_demo.json"))
+
+    def refuse(*args):
+        raise AssertionError("a run loaded the processes again")
+
+    for module in (tra.process, tra.scenario):
+        monkeypatch.setattr(module, "load_processes", refuse)
+    assert run_scenario(scenario)["ok"]
 
 
 def test_the_manifest_is_parsed_once_at_load(monkeypatch):

@@ -1,18 +1,22 @@
 """Process engine: policies, subprocess composition, failure shapes."""
 
+import time
+
 import pytest
 
 import tra
 from tra.coordinator import LOG_SCHEMA, Coordinator
-from tra.errors import ProcessError
+from tra.errors import BindingError, ProcessError
 from tra.model import load_manifest_file
 from tra.process import (
+    MAX_PLAN_STEPS,
     InstanceState,
     ProcessDefinition,
     ProcessEngine,
     Step,
     TxnPolicy,
     load_definition,
+    load_processes,
 )
 from tra.resources import ManagedStore
 from tra.sim import SimClock, Tracer
@@ -39,8 +43,11 @@ def world(tmp_path):
 
     coord.bind_service("Customer", "updateCustomer", update_customer)
     coord.bind_service("Contract", "createContract", create_contract)
-    engine = ProcessEngine(model, coord)
-    return engine, coord, store
+
+    def load(*definitions):
+        return ProcessEngine(coord, load_processes(model, definitions))
+
+    return load, coord, store
 
 
 def two_step(policy):
@@ -75,8 +82,8 @@ VARS = {"id": "c1", "data": "D", "contract": "k1", "terms": "basic"}
 
 
 def test_per_step_runs_each_step_in_its_own_transaction(world):
-    engine, coord, store = world
-    engine.define(two_step(TxnPolicy.PER_STEP))
+    load, coord, store = world
+    engine = load(two_step(TxnPolicy.PER_STEP))
     inst = engine.execute(engine.start("onboard", VARS))
     assert inst.state is InstanceState.COMPLETED
     assert inst.completed_steps == 2
@@ -88,8 +95,8 @@ def test_per_step_runs_each_step_in_its_own_transaction(world):
 
 
 def test_spanning_runs_one_transaction(world):
-    engine, coord, store = world
-    engine.define(two_step(TxnPolicy.SPANNING))
+    load, coord, store = world
+    engine = load(two_step(TxnPolicy.SPANNING))
     inst = engine.execute(engine.start("onboard", VARS))
     assert inst.state is InstanceState.COMPLETED
     kinds = [r[0] for r in read_records(coord.log_path, LOG_SCHEMA)]
@@ -97,8 +104,8 @@ def test_spanning_runs_one_transaction(world):
 
 
 def test_per_step_failure_keeps_earlier_steps(world):
-    engine, coord, store = world
-    engine.define(two_step(TxnPolicy.PER_STEP))
+    load, coord, store = world
+    engine = load(two_step(TxnPolicy.PER_STEP))
     inst = engine.execute(engine.start("onboard", {**VARS, "terms": "poison"}))
     assert inst.state is InstanceState.FAILED
     assert inst.failed_step == "contract"
@@ -108,8 +115,8 @@ def test_per_step_failure_keeps_earlier_steps(world):
 
 
 def test_spanning_failure_rolls_everything_back(world):
-    engine, coord, store = world
-    engine.define(two_step(TxnPolicy.SPANNING))
+    load, coord, store = world
+    engine = load(two_step(TxnPolicy.SPANNING))
     inst = engine.execute(engine.start("onboard", {**VARS, "terms": "poison"}))
     assert inst.state is InstanceState.FAILED
     assert inst.failed_step == "contract"
@@ -118,9 +125,9 @@ def test_spanning_failure_rolls_everything_back(world):
 
 
 def test_spanning_commit_refusal_fails_with_no_step(world):
-    engine, coord, store = world
+    load, coord, store = world
     store.seed({"c1": "orig"})
-    engine.define(two_step(TxnPolicy.SPANNING))
+    engine = load(two_step(TxnPolicy.SPANNING))
 
     # every step succeeds but the commit itself is refused
     inst = engine.start("onboard", VARS)
@@ -146,94 +153,83 @@ def test_spanning_commit_refusal_fails_with_no_step(world):
 
 
 def test_composition_flattening_and_cycle_guard(world):
-    engine, coord, store = world
-    engine.define(two_step(TxnPolicy.PER_STEP))
-    engine.define(
-        ProcessDefinition(
-            name="outer",
-            policy=TxnPolicy.PER_STEP,
-            steps=[
-                Step(
-                    name="pre",
-                    component="Customer",
-                    service="updateCustomer",
-                    input_map={
-                        "id": "lit:pre",
-                        "data": "lit:P",
-                        "contract": "lit:x",
-                        "terms": "lit:y",
-                    },
-                ),
-                Step(name="run_onboard", subprocess="onboard"),
-            ],
-        )
+    load, coord, store = world
+    outer = ProcessDefinition(
+        name="outer",
+        policy=TxnPolicy.PER_STEP,
+        steps=[
+            Step(
+                name="pre",
+                component="Customer",
+                service="updateCustomer",
+                input_map={
+                    "id": "lit:pre",
+                    "data": "lit:P",
+                    "contract": "lit:x",
+                    "terms": "lit:y",
+                },
+            ),
+            Step(name="run_onboard", subprocess="onboard"),
+        ],
     )
-    flat = [s.name for s in engine.flatten("outer")]
+    engine = load(outer, two_step(TxnPolicy.PER_STEP))  # a parent may come before its child
+    flat = [s.name for s in engine.plans["outer"].steps]
     assert flat == ["pre", "customer", "contract"]
+    assert engine.plans["outer"].steps[1:] == engine.plans["onboard"].steps
 
     inst = engine.execute(engine.start("outer", VARS))
     assert inst.state is InstanceState.COMPLETED
-    # trace order matches flattened order
+    # trace order matches the plan's order
     steps = [e["step"] for e in coord.tracer.events if e["ev"] == "step"]
     assert steps == flat
     assert store.committed_value("pre") == "P"
 
-    with pytest.raises(ProcessError, match="cycle"):
-        engine.define(ProcessDefinition("self", TxnPolicy.PER_STEP, [Step("again", subprocess="self")]))
-    assert sorted(engine.definitions) == ["onboard", "outer"]
+    with pytest.raises(ProcessError, match="^subprocess cycle: self -> self$"):
+        load(ProcessDefinition("self", TxnPolicy.PER_STEP, [Step("again", subprocess="self")]))
 
 
-def test_cyclic_define_leaves_nothing_registered(world):
-    engine, _, _ = world
+def _calls(name, *children):
+    return ProcessDefinition(name, TxnPolicy.PER_STEP, [Step(f"s{i}", subprocess=c) for i, c in enumerate(children)])
 
-    def calls(name, child):
-        return ProcessDefinition(name, TxnPolicy.PER_STEP, [Step(name="s", subprocess=child)])
 
-    engine.define(calls("a", "b"))
-    with pytest.raises(ProcessError, match="cycle"):
-        engine.define(calls("b", "a"))
-    assert "b" not in engine.definitions
-    # the name is free again, and a sound definition under it registers
-    engine.define(ProcessDefinition("b", TxnPolicy.PER_STEP, []))
-    assert [s.name for s in engine.flatten("a")] == []
+def test_a_cycle_is_named_from_the_first_process_on_it(world):
+    load, _, _ = world
+    with pytest.raises(ProcessError, match="^subprocess cycle: a -> b -> a$"):
+        load(_calls("root", "a"), _calls("a", "b"), _calls("b", "a"))
+    with pytest.raises(ProcessError, match="^subprocess cycle: b -> a -> b$"):
+        load(_calls("b", "a"), _calls("a", "b"))
 
 
 def test_empty_process_completes_without_transactions(world):
-    engine, coord, _ = world
-    engine.define(ProcessDefinition(name="noop", policy=TxnPolicy.SPANNING, steps=[]))
+    load, coord, _ = world
+    engine = load(ProcessDefinition(name="noop", policy=TxnPolicy.SPANNING, steps=[]))
     inst = engine.execute(engine.start("noop"))
     assert inst.state is InstanceState.COMPLETED
     assert read_records(coord.log_path, LOG_SCHEMA) == []
 
 
 def test_definition_validation(world):
-    engine, _, _ = world
+    load, _, _ = world
     with pytest.raises(ProcessError, match="exactly one"):
         Step(name="bad")
     with pytest.raises(ProcessError, match="exactly one"):
         Step(name="bad", component="Customer", service="getCustomer", subprocess="x")
     with pytest.raises(ProcessError, match="go together"):
         Step(name="bad", component="Customer")
-    from tra.errors import BindingError
-
-    with pytest.raises(BindingError):
-        engine.define(
-            ProcessDefinition(
-                name="broken",
-                policy=TxnPolicy.PER_STEP,
-                steps=[
-                    Step(name="s", component="Contract", service="readContract")
-                ],
-            )
-        )
-    engine.define(two_step(TxnPolicy.PER_STEP))
-    with pytest.raises(ProcessError, match="already defined"):
-        engine.define(two_step(TxnPolicy.PER_STEP))
+    broken = ProcessDefinition(
+        name="broken",
+        policy=TxnPolicy.PER_STEP,
+        steps=[Step(name="s", component="Contract", service="readContract")],
+    )
+    with pytest.raises(BindingError, match="^process broken step s: Contract.readContract exists but is not exported$"):
+        load(broken)
+    with pytest.raises(ProcessError, match="^process onboard already defined$"):
+        load(two_step(TxnPolicy.PER_STEP), two_step(TxnPolicy.SPANNING))
 
 
 def test_unset_variable_fails_cleanly(world):
-    engine, coord, store = world
-    engine.define(two_step(TxnPolicy.PER_STEP))
+    load, coord, store = world
+    engine = load(two_step(TxnPolicy.PER_STEP))
     inst = engine.execute(engine.start("onboard", {"id": "c1"}))
     assert inst.state is InstanceState.FAILED
     assert inst.failed_step == "customer"
@@ -241,18 +237,39 @@ def test_unset_variable_fails_cleanly(world):
     assert store.committed_value("c1") is None
 
 
-def test_undefined_subprocess_fails_at_execute(world):
-    engine, coord, _ = world
-    engine.define(
-        ProcessDefinition(
-            name="outer",
-            policy=TxnPolicy.PER_STEP,
-            steps=[Step(name="go", subprocess="ghost")],
-        )
-    )
-    inst = engine.execute(engine.start("outer"))
-    assert inst.state is InstanceState.FAILED
-    assert inst.failed_step is None
+def test_undefined_subprocess_is_refused_when_the_set_loads(world):
+    load, _, _ = world
+    with pytest.raises(ProcessError, match="^process outer subprocess: no process 'ghost'$"):
+        load(_calls("outer", "ghost"))
+
+
+def test_a_subprocess_step_takes_no_maps():
+    for maps in ({"input_map": {"id": "var:id"}}, {"output_map": {"x": "resp.x"}}):
+        with pytest.raises(ProcessError, match="^step go: a subprocess step takes no input or output$"):
+            Step(name="go", subprocess="onboard", **maps)
+
+
+LEAF = ProcessDefinition("leaf", TxnPolicy.PER_STEP, [Step("s", "Customer", "updateCustomer")])
+
+
+def test_a_plan_holds_at_most_max_plan_steps(world):
+    load, _, _ = world
+    engine = load(LEAF, _calls("wide", *["leaf"] * MAX_PLAN_STEPS))
+    assert len(engine.plans["wide"].steps) == MAX_PLAN_STEPS
+    message = f"^process wider: its plan has {MAX_PLAN_STEPS + 1} steps, over the limit of {MAX_PLAN_STEPS}$"
+    with pytest.raises(ProcessError, match=message):
+        load(LEAF, _calls("wider", *["leaf"] * (MAX_PLAN_STEPS + 1)))
+
+
+def test_a_diamond_is_refused_at_its_first_process_over_the_limit(world):
+    # d{i} runs d{i+1} twice, so d{i}'s plan has 2 ** (29 - i) steps
+    load, _, _ = world
+    diamond = [_calls(f"d{i}", f"d{i + 1}", f"d{i + 1}") for i in range(29)]
+    diamond.append(ProcessDefinition("d29", TxnPolicy.PER_STEP, LEAF.steps))
+    started = time.perf_counter()
+    with pytest.raises(ProcessError, match=f"^process d15: its plan has 16384 steps, over the limit of {MAX_PLAN_STEPS}$"):
+        load(*diamond)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_load_definition_matches_bundled_fixture():
@@ -302,7 +319,7 @@ def test_bad_sources_are_refused_when_the_step_is_built(input_map, output_map):
 
 
 def test_a_step_holds_its_sources_parsed():
-    step = Step(name="s", subprocess="p", input_map={"id": "var:id"}, output_map={"st": "resp.st"})
+    step = Step("s", "Customer", "updateCustomer", input_map={"id": "var:id"}, output_map={"st": "resp.st"})
     assert [(src.scope, src.path) for src in step.input_map.values()] == [("var", ("id",))]
     assert [(src.scope, src.path) for src in step.output_map.values()] == [("resp", ("st",))]
 
@@ -313,24 +330,8 @@ def test_duplicate_step_names_are_refused_when_the_definition_is_built():
         ProcessDefinition("p", TxnPolicy.PER_STEP, steps)
 
 
-def test_a_refused_define_leaves_the_registered_definitions_unchanged(world):
-    engine, _, _ = world
-    engine.define(two_step(TxnPolicy.PER_STEP))
-    engine.define(ProcessDefinition("outer", TxnPolicy.PER_STEP, [Step("go", subprocess="onboard")]))
-    registered = dict(engine.definitions)
-    steps = {name: list(defn.steps) for name, defn in registered.items()}
-    with pytest.raises(ProcessError, match="cycle"):
-        engine.define(ProcessDefinition("outer2", TxnPolicy.PER_STEP, [Step("x", subprocess="outer2")]))
-    with pytest.raises(ProcessError, match="already defined"):
-        engine.define(ProcessDefinition("onboard", TxnPolicy.PER_STEP, []))
-    assert engine.definitions == registered
-    for name, defn in registered.items():
-        assert engine.definitions[name] is defn
-        assert defn.steps == steps[name]
-
-
 def test_missing_response_field_fails_the_step(world):
-    engine, _, store = world
+    load, _, store = world
     step = Step(
         name="s",
         component="Customer",
@@ -338,7 +339,7 @@ def test_missing_response_field_fails_the_step(world):
         input_map={"id": "lit:c9", "data": "lit:D", "contract": "lit:k", "terms": "lit:t"},
         output_map={"st": "resp.nope"},
     )
-    engine.define(ProcessDefinition(name="p", policy=TxnPolicy.PER_STEP, steps=[step]))
+    engine = load(ProcessDefinition(name="p", policy=TxnPolicy.PER_STEP, steps=[step]))
     inst = engine.execute(engine.start("p"))
     assert inst.state is InstanceState.FAILED
     assert inst.reason == "step s: response has no field 'nope'"
@@ -363,8 +364,8 @@ def _refusing_second_commit(coord):
 
 
 def test_per_step_commit_refusal_names_the_step(world):
-    engine, coord, store = world
-    engine.define(two_step(TxnPolicy.PER_STEP))
+    load, coord, store = world
+    engine = load(two_step(TxnPolicy.PER_STEP))
     coord.commit = _refusing_second_commit(coord)
     inst = engine.execute(engine.start("onboard", VARS))
     assert inst.state is InstanceState.FAILED
@@ -377,7 +378,7 @@ def test_per_step_commit_refusal_names_the_step(world):
 
 
 def test_a_step_reads_an_earlier_output_of_its_own_transaction(world):
-    engine, _, store = world
+    load, _, store = world
     defn = two_step(TxnPolicy.SPANNING)
     contract = defn.steps[1]
     defn.steps[1] = Step(
@@ -385,7 +386,7 @@ def test_a_step_reads_an_earlier_output_of_its_own_transaction(world):
         input_map={"contract": "var:contract", "terms": "var:cust_status"},
         output_map={"ctr_status": "resp.status"},
     )
-    engine.define(defn)
+    engine = load(defn)
     inst = engine.execute(engine.start("onboard", VARS))
     assert inst.state is InstanceState.COMPLETED
     assert store.committed_value("k1") == "ok"
@@ -393,14 +394,14 @@ def test_a_step_reads_an_earlier_output_of_its_own_transaction(world):
 
 
 def test_a_step_that_takes_the_coordinator_down_fails_the_instance(world):
-    engine, coord, store = world
+    load, coord, store = world
 
     def crash_first(ctx, request):
         coord.crash()
         return coord.propagate(ctx, "Contract", "createContract", request)
 
     coord.bind_service("Customer", "updateCustomer", crash_first)
-    engine.define(two_step(TxnPolicy.SPANNING))
+    engine = load(two_step(TxnPolicy.SPANNING))
     inst = engine.execute(engine.start("onboard", VARS))  # its rollback is refused too
     assert inst.state is InstanceState.FAILED
     assert inst.failed_step == "customer"
@@ -408,15 +409,15 @@ def test_a_step_that_takes_the_coordinator_down_fails_the_instance(world):
 
 
 def test_only_a_defined_process_starts(world):
-    engine, _, _ = world
+    load, _, _ = world
     with pytest.raises(ProcessError, match="no process 'ghost'"):
-        engine.start("ghost")
+        load(LEAF).start("ghost")
 
 
 def test_spanning_step_failure_completes_no_steps(world):
     # completed_steps counts committed steps, and the spanning rollback undid both
-    engine, coord, _ = world
-    engine.define(two_step(TxnPolicy.SPANNING))
+    load, coord, _ = world
+    engine = load(two_step(TxnPolicy.SPANNING))
     inst = engine.execute(engine.start("onboard", {**VARS, "terms": "poison"}))
     assert inst.failed_step == "contract"
     assert inst.completed_steps == 0

@@ -78,10 +78,20 @@ def main() -> int:
         hit.setdefault(filename, set())
         return local
 
+    class Rearm:
+        """Python switches a trace function off when it cannot call it: at the
+        recursion limit, say, where a collection runs a finalizer. Put the
+        probe back after each test, so one such test blinds no later one."""
+
+        @staticmethod
+        def pytest_runtest_logfinish(nodeid, location):
+            if sys.gettrace() is None:
+                sys.settrace(probe)
+
     threading.settrace(probe)
     sys.settrace(probe)
     try:
-        code = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+        code = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")], plugins=[Rearm()])
     finally:
         sys.settrace(None)
         threading.settrace(None)
