@@ -29,6 +29,7 @@ from .source import MISSING, parse, resolve
 from .txn import TxnStatus
 
 MAX_PLAN_STEPS = 10_000  # service steps in one plan, subprocesses expanded
+MAX_TOTAL_PLAN_STEPS = 100_000  # service steps summed over every plan of one process set
 
 
 class TxnPolicy(Enum):
@@ -118,7 +119,8 @@ def load_definition(doc: dict) -> ProcessDefinition:
 def load_processes(model: ComponentModel, definitions: Iterable[ProcessDefinition]) -> dict[str, Plan]:
     """Check a process set and build each plan once, from its children's
     plans: names are unique, step services resolve as transactional, every
-    subprocess is defined, none closes a cycle, no plan exceeds MAX_PLAN_STEPS."""
+    subprocess is defined, none closes a cycle, no plan exceeds MAX_PLAN_STEPS
+    and all of them together hold at most MAX_TOTAL_PLAN_STEPS."""
     defs: dict[str, ProcessDefinition] = {}
     for defn in definitions:
         if defn.name in defs:
@@ -128,6 +130,7 @@ def load_processes(model: ComponentModel, definitions: Iterable[ProcessDefinitio
                 resolve_transactional(model, step.component, step.service, f"process {defn.name} step {step.name}")
         defs[defn.name] = defn
     plans: dict[str, Plan] = {}
+    total = 0
     for root in defs:
         # depth first, without recursion: the path from root, each name with its unvisited steps
         path = {} if root in plans else {root: iter(defs[root].steps)}
@@ -142,6 +145,10 @@ def load_processes(model: ComponentModel, definitions: Iterable[ProcessDefinitio
                 if size > MAX_PLAN_STEPS:
                     limit = f"over the limit of {MAX_PLAN_STEPS}"
                     raise ProcessError(f"process {name}: its plan has {size} steps, {limit}")
+                total += size
+                if total > MAX_TOTAL_PLAN_STEPS:
+                    limit = f"over the limit of {MAX_TOTAL_PLAN_STEPS}"
+                    raise ProcessError(f"process {name}: the plans hold {total} steps in all, {limit}")
                 plans[name] = Plan(defs[name].policy, tuple(chain.from_iterable(parts)))
             elif child in path:
                 names = list(path)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import Iterable
 
 from .errors import LogCorruptError, ResourceCrashed, StoreLimitError, TxnStateError
 from .shape import LIST, NAME, OBJECT, STR, UINT, Each, Kind, Obj, check
@@ -183,22 +184,27 @@ class ResourceManager:
         self._work.pop(txn_id, None)
 
 
-def _check_key(key: str) -> None:
-    if not isinstance(key, str) or not key:
-        raise StoreLimitError("keys must be non-empty strings")
-    if len(key) > MAX_KEY_LEN:
-        raise StoreLimitError(f"key longer than {MAX_KEY_LEN} characters")
+def _check_keys(keys: Iterable) -> None:
+    for key in keys:
+        if not isinstance(key, str) or not key:
+            raise StoreLimitError("keys must be non-empty strings")
+        if len(key) > MAX_KEY_LEN:
+            raise StoreLimitError(f"key longer than {MAX_KEY_LEN} characters")
 
 
-def _check_value(value: str) -> None:
-    if not isinstance(value, str):
-        raise StoreLimitError("values must be strings")
-    try:
-        size = len(value.encode("utf-8"))
-    except UnicodeEncodeError:  # a lone surrogate has no UTF-8 form
-        raise StoreLimitError("values must be valid Unicode text, with no lone surrogates") from None
-    if size > MAX_VALUE_BYTES:
-        raise StoreLimitError(f"value larger than {MAX_VALUE_BYTES} bytes")
+def _check_values(values: Iterable, empty: bool = True) -> None:
+    """Text of at most MAX_VALUE_BYTES in UTF-8; a message (empty=False) is also non-empty."""
+    for value in values:
+        if not isinstance(value, str):
+            raise StoreLimitError("values must be strings")
+        if not value and not empty:
+            raise StoreLimitError("messages must be non-empty")
+        try:  # the UTF-8 size: only non-ASCII text is encoded to find it
+            size = len(value) if value.isascii() else len(value.encode("utf-8"))
+        except UnicodeEncodeError:  # a lone surrogate has no UTF-8 form
+            raise StoreLimitError("values must be valid Unicode text, with no lone surrogates") from None
+        if size > MAX_VALUE_BYTES:
+            raise StoreLimitError(f"value larger than {MAX_VALUE_BYTES} bytes")
 
 
 # one prepared write of a store: ["put", value] or ["del"]
@@ -239,16 +245,15 @@ class ManagedStore(ResourceManager):
         self._versions: dict[str, int] = {}
 
     def seed(self, initial: dict[str, str]) -> None:
-        """Install committed state directly (scenario setup, no transaction)."""
-        for k, v in initial.items():
-            _check_key(k)
-            _check_value(v)
-            self._data[k] = v
+        """Install committed state (scenario setup, no transaction); a refused seed installs nothing."""
+        _check_keys(initial)
+        _check_values(initial.values())
+        self._data.update(initial)
 
     # -- transactional operations ----------------------------------------
 
     def get(self, ctx: TransactionContext, key: str) -> str | None:
-        _check_key(key)
+        _check_keys((key,))
         ws = self._work_for(ctx)
         if key in ws.writes:
             buffered = ws.writes[key]
@@ -257,13 +262,13 @@ class ManagedStore(ResourceManager):
         return self._data.get(key)
 
     def put(self, ctx: TransactionContext, key: str, value: str) -> None:
-        _check_key(key)
-        _check_value(value)
+        _check_keys((key,))
+        _check_values((value,))
         ws = self._work_for(ctx)
         ws.writes[key] = value
 
     def delete(self, ctx: TransactionContext, key: str) -> None:
-        _check_key(key)
+        _check_keys((key,))
         ws = self._work_for(ctx)
         ws.writes[key] = _TOMBSTONE
 
@@ -333,15 +338,13 @@ class TxnQueue(ResourceManager):
         self.committed_receives = 0
 
     def seed(self, messages: list[str]) -> None:
-        for m in messages:
-            _check_value(m)
+        """Append committed messages (scenario setup, no transaction); a refused seed appends nothing."""
+        _check_values(messages, empty=False)
         self._messages.extend(messages)
         self.initial_depth = len(self._messages)
 
     def send(self, ctx: TransactionContext, message: str) -> None:
-        _check_value(message)
-        if not message:
-            raise StoreLimitError("messages must be non-empty")
+        _check_values((message,), empty=False)
         ws = self._work_for(ctx)
         ws.sends.append(message)
         self.tracer.emit("send", self.rm_id, ctx.id, True)

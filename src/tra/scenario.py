@@ -20,7 +20,7 @@ from .errors import ScenarioError
 from .faults import COORDINATOR_TARGET
 from .model import ComponentModel, resolve_transactional
 from .process import Plan, load_definition, load_processes
-from .resources import _check_key, _check_value
+from .resources import _check_keys, _check_values
 from .shape import INT, LIST, NAME, OBJECT, STR, UINT, Each, Either, Kind, Obj, Tagged, check, read_json
 from .source import parse
 
@@ -161,13 +161,11 @@ def _resource_decls(raw: list, what: str) -> list[ResourceDecl]:
             entry = {"name": entry}
         if what == "store":
             initial = {str(k): str(v) for k, v in entry.get("initial", {}).items()}
-            for key, value in initial.items():
-                _check_key(key)
-                _check_value(value)
+            _check_keys(initial)
+            _check_values(initial.values())
         else:
             initial = [str(m) for m in entry.get("initial", [])]
-            for message in initial:
-                _check_value(message)
+            _check_values(initial, empty=False)
         out.append(ResourceDecl(entry["name"], initial, entry.get("prepare_delay", 0)))
     return out
 

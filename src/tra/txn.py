@@ -18,6 +18,8 @@ class TxnStatus(Enum):
     ABORTING = "aborting"
     ABORTED = "aborted"
 
+    __hash__ = object.__hash__  # members compare by identity; Enum.__hash__ is Python code
+
 
 # status -> statuses it may move to
 _TRANSITIONS = {

@@ -915,10 +915,13 @@ TOO_LARGE = "v" * (64 * 1024 + 1)
         ({"stores": [{"name": "s", "initial": {"k": TOO_LARGE}}]}, "value larger than 65536 bytes"),
         ({"queues": [{"name": "q", "initial": ["m", "\udfff"]}]}, SURROGATE),
         ({"queues": [{"name": "q", "initial": [TOO_LARGE]}]}, "value larger than 65536 bytes"),
+        ({"queues": [{"name": "q", "initial": [""]}]}, "messages must be non-empty"),
+        ({"stores": [{"name": "s", "initial": {"k": "\u20ac" * 21845 + "ab"}}]}, "value larger than 65536 bytes"),
     ],
     ids=[
         "store-key-300-chars", "store-key-empty", "store-value-surrogate", "store-value-over-64k",
-        "queue-message-surrogate", "queue-message-over-64k",
+        "queue-message-surrogate", "queue-message-over-64k", "queue-message-empty",
+        "store-value-65537-bytes-in-21847-chars",
     ],
 )
 def test_initial_entries_over_the_store_limits_are_refused_at_load(changes, message):

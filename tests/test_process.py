@@ -10,6 +10,7 @@ from tra.errors import BindingError, ProcessError
 from tra.model import load_manifest_file
 from tra.process import (
     MAX_PLAN_STEPS,
+    MAX_TOTAL_PLAN_STEPS,
     InstanceState,
     ProcessDefinition,
     ProcessEngine,
@@ -270,6 +271,25 @@ def test_a_diamond_is_refused_at_its_first_process_over_the_limit(world):
     with pytest.raises(ProcessError, match=f"^process d15: its plan has 16384 steps, over the limit of {MAX_PLAN_STEPS}$"):
         load(*diamond)
     assert time.perf_counter() - started < 1.0
+
+
+def _growing_chain(depth):
+    # c{i} runs one service step, then c{i+1}: c{i}'s plan has depth - i steps
+    chain = [
+        ProcessDefinition(f"c{i}", TxnPolicy.PER_STEP, [*LEAF.steps, Step("next", subprocess=f"c{i + 1}")])
+        for i in range(depth - 1)
+    ]
+    return [*chain, ProcessDefinition(f"c{depth - 1}", TxnPolicy.PER_STEP, LEAF.steps)]
+
+
+def test_the_plans_of_a_set_hold_at_most_max_total_plan_steps(world):
+    load, _, _ = world
+    engine = load(*_growing_chain(446))  # 446 * 447 / 2 = 99,681 steps in all
+    assert sum(len(plan.steps) for plan in engine.plans.values()) == 99_681 <= MAX_TOTAL_PLAN_STEPS
+    # 500 levels would hold 125,250; plans are built leaf first, and the 447th, c53, crosses the limit
+    message = f"^process c53: the plans hold 100128 steps in all, over the limit of {MAX_TOTAL_PLAN_STEPS}$"
+    with pytest.raises(ProcessError, match=message):
+        load(*_growing_chain(500))
 
 
 def test_load_definition_matches_bundled_fixture():

@@ -125,6 +125,39 @@ def test_message_limits(rig):
         queue.seed(["m", "\udfff"])
 
 
+EDGE = "\u20ac" * 21845 + "a"  # 65,536 bytes of UTF-8 in 21,846 characters
+
+
+def test_a_message_is_sized_in_utf8_bytes(rig):
+    coord, _, queue = rig
+    queue.seed([EDGE])
+    t = coord.begin("p")
+    queue.send(t, EDGE)
+    with pytest.raises(StoreLimitError, match="^value larger than 65536 bytes$"):
+        queue.send(t, EDGE + "b")
+    assert coord.commit(t) is TxnStatus.COMMITTED
+    assert queue.peek() == (EDGE, EDGE)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("", "messages must be non-empty"),
+        ("\udfff", "values must be valid Unicode text, with no lone surrogates"),
+        (EDGE + "b", "value larger than 65536 bytes"),
+        (7, "values must be strings"),
+    ],
+    ids=["empty", "surrogate", "too-large", "not-a-string"],
+)
+def test_a_refused_seed_appends_nothing(rig, bad, message):
+    _, _, queue = rig
+    queue.seed(["a", "b"])
+    with pytest.raises(StoreLimitError, match=f"^{message}$"):
+        queue.seed([*(f"m{i}" for i in range(2000)), bad])  # the bad message comes after 2,000 good ones
+    assert queue.peek() == ("a", "b")
+    assert queue.initial_depth == 2
+
+
 def test_fifo_order_across_transactions(rig):
     coord, _, queue = rig
     for i in range(3):

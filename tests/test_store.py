@@ -170,6 +170,45 @@ def test_limits(rig):
         store.seed({"k": "\ud800"})
 
 
+EDGE = "\u20ac" * 21845 + "a"  # 65,536 bytes of UTF-8 in 21,846 characters
+
+
+def test_a_value_is_sized_in_utf8_bytes(rig):
+    coord, store, _ = rig
+    assert len(EDGE.encode("utf-8")) == MAX_VALUE_BYTES
+    store.seed({"edge": EDGE})
+    t = coord.begin("c")
+    store.put(t, "k", EDGE)
+    with pytest.raises(StoreLimitError, match=f"^value larger than {MAX_VALUE_BYTES} bytes$"):
+        store.put(t, "k", EDGE + "b")  # 21,847 characters
+    assert coord.commit(t) is TxnStatus.COMMITTED
+    assert store.committed_snapshot() == {"edge": EDGE, "k": EDGE}
+
+
+ASCII = {f"acct{i:04d}": str(i) for i in range(2000)}
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"k" * (MAX_KEY_LEN + 1): "v"}, f"key longer than {MAX_KEY_LEN} characters"),
+        ({7: "v"}, "keys must be non-empty strings"),
+        ({"k": "\ud800"}, "values must be valid Unicode text, with no lone surrogates"),
+        ({"k": EDGE + "b"}, f"value larger than {MAX_VALUE_BYTES} bytes"),
+        ({"k": 7}, "values must be strings"),
+        ({"k": "\ud800", "": "v"}, "keys must be non-empty strings"),  # every key is checked before any value
+    ],
+    ids=["key-too-long", "key-not-a-string", "value-surrogate", "value-too-large", "value-not-a-string", "key-first"],
+)
+def test_a_refused_seed_installs_nothing(rig, bad, message):
+    _, store, _ = rig
+    store.seed({"acct0000": "seeded", "other": "x"})
+    before = store.committed_snapshot()
+    with pytest.raises(StoreLimitError, match=f"^{message}$"):
+        store.seed({**ASCII, **bad})  # the bad entry comes after 2,000 good ones
+    assert store.committed_snapshot() == before
+
+
 def test_access_after_finish_rejected(tmp_path):
     store = standalone(tmp_path)
     ctx = TransactionContext(id=1, originator="a")
