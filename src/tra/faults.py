@@ -38,10 +38,12 @@ class CoordinatorCrash(Exception):
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """One injected crash: who dies, and at which protocol point."""
+    """One injected crash: who dies, at which protocol point, and in which
+    transaction (by id; None for the first one to reach the point)."""
 
     target: str
     point: CrashPoint
+    txn: int | None = None
 
     @classmethod
     def parse(cls, text: str) -> "FaultSpec":
@@ -67,22 +69,18 @@ class FaultSpec:
 class FaultInjector:
     """Fires configured faults when the coordinator passes their points.
 
-    Each fault fires at most once. Resource targets only fire for a
-    transaction they are enlisted in (otherwise the fault waits for one).
-    The injector can be disarmed so a harness can aim faults at a specific
-    commit in a longer script.
+    Each fault fires at most once, and only in its own transaction when it
+    names one. Resource targets only fire for a transaction they are
+    enlisted in (otherwise the fault waits for one).
     """
 
     def __init__(self, faults: list[FaultSpec] | None = None) -> None:
         self.faults = list(faults or ())
         self.fired: list[FaultSpec] = []
-        self.armed = True
 
     def fire(self, point: CrashPoint, ctx, registry: dict) -> None:
-        if not self.armed:
-            return
         for spec in self.faults:
-            if spec in self.fired or spec.point is not point:
+            if spec in self.fired or spec.point is not point or spec.txn not in (None, ctx.id):
                 continue
             if spec.target == COORDINATOR_TARGET:
                 self.fired.append(spec)

@@ -9,8 +9,9 @@ identical structured reports.
 crash_sweep() is the atomicity oracle: it runs the scenario once cleanly to
 capture the committed state, once with the final commit turned into a
 rollback to capture the aborted state, then once per (target, crash point)
-combination with a fault armed at that final commit. Every faulted run, after
-recovery, must land exactly on one of the two captured states.
+combination with a fault aimed at that final commit's transaction. Every
+faulted run, after recovery, must land exactly on one of the two captured
+states.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import os
 import random
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from .broker import Adapter, LegacyEndpoint, MessageBroker
 from .coordinator import DEFAULT_PREPARE_BUDGET, Coordinator, replay_log
@@ -69,7 +70,6 @@ class Runner:
         workdir: str,
         seed: int | None = None,
         faults: list[FaultSpec] | None = None,
-        arm: str = "always",
     ) -> None:
         for spec in faults or ():
             if scenario.names.get(spec.target) not in ("coordinator", "store", "queue"):
@@ -84,11 +84,6 @@ class Runner:
         self.tracer = Tracer()
         self.faults = list(faults or ())
         self.injector = FaultInjector(self.faults)
-        self.arm = arm
-        if arm == "final_commit":
-            self.injector.armed = False
-        elif arm != "always":
-            raise ScenarioError(f"unknown arm policy {arm!r}")
 
         budget = scenario.prepare_budget
         self.coordinator = Coordinator(
@@ -169,11 +164,8 @@ class Runner:
     # -- the script -------------------------------------------------------------
 
     def run(self) -> dict:
-        last_commit = self.scenario.last_commit_index()
         stopped_by_fault = False
         for idx, action in enumerate(self.scenario.actions):
-            if self.arm == "final_commit":
-                self.injector.armed = idx == last_commit
             op, expect_error = action["op"], action.get("expect_error")
             try:
                 # load_scenario admits only the ops and assert kinds of scenario.ACTION
@@ -385,14 +377,13 @@ def run_scenario(
     seed: int | None = None,
     faults: list[FaultSpec] | None = None,
     workdir: str | None = None,
-    arm: str = "always",
 ) -> dict:
     """Load (if needed) and run a scenario, returning the report dict."""
     scenario = _as_scenario(scenario_or_path)
     if workdir is not None:
-        return _run_once(scenario, workdir, seed=seed, faults=faults, arm=arm)
+        return _run_once(scenario, workdir, seed=seed, faults=faults)
     with tempfile.TemporaryDirectory(prefix="tra-run-") as wd:
-        return _run_once(scenario, wd, seed=seed, faults=faults, arm=arm)
+        return _run_once(scenario, wd, seed=seed, faults=faults)
 
 
 def _run_once(scenario: Scenario, workdir: str, **kwargs) -> dict:
@@ -415,7 +406,7 @@ def crash_sweep(scenario_or_path) -> dict:
     scenario = _as_scenario(scenario_or_path)
     result: dict = {"scenario": scenario.name, "combinations": [], "ok": True}
 
-    last = scenario.last_commit_index()
+    last = max((i for i, a in enumerate(scenario.actions) if a["op"] == "commit"), default=None)
     if last is None:
         result["ok"] = False
         result["error"] = "scenario has no commit action to sweep"
@@ -432,9 +423,9 @@ def crash_sweep(scenario_or_path) -> dict:
 
         # Abort oracle: same script, but the swept commit becomes a rollback
         # and the rest of the script is dropped.
-        abort_actions = list(scenario.actions[:last])
-        abort_actions.append({"op": "rollback", "txn": scenario.actions[last].get("txn")})
-        abort_run = _run_once(scenario.with_actions(abort_actions), os.path.join(root, "abort"))
+        swept_txn = scenario.actions[last]["txn"]
+        abort_actions = [*scenario.actions[:last], {"op": "rollback", "txn": swept_txn}]
+        abort_run = _run_once(replace(scenario, actions=abort_actions), os.path.join(root, "abort"))
         if abort_run["errors"]:
             result["ok"] = False
             result["error"] = f"abort baseline errored: {abort_run['errors']}"
@@ -443,18 +434,18 @@ def crash_sweep(scenario_or_path) -> dict:
         result["commit_state"] = commit_state
         result["abort_state"] = abort_state
 
-        swept_txn = scenario.actions[last].get("txn")
-        swept_id = baseline["transactions"][swept_txn]["id"] if swept_txn in baseline["transactions"] else None
+        # the rollback found the swept transaction begun, so the baseline began it too
+        swept_id = baseline["transactions"][swept_txn]["id"]
 
         targets = [COORDINATOR_TARGET] + list(scenario.sweep_targets)
         for target in targets:
             for point in ALL_POINTS:
-                spec = FaultSpec(target, point)
+                spec = FaultSpec(target, point, swept_id)
                 rundir = os.path.join(root, f"{target}-{point.value}")
-                report = _run_once(scenario, rundir, faults=[spec], arm="final_commit")
+                report = _run_once(scenario, rundir, faults=[spec])
                 post = {"stores": report["stores"], "queues": report["queues"]}
                 log = report["log"]
-                decided = log.get(str(swept_id)) if swept_id is not None else None
+                decided = log.get(str(swept_id))
                 if post == commit_state == abort_state:
                     # the swept transaction changes no state (it only reads, say),
                     # so only the log's decision tells commit from abort

@@ -341,7 +341,7 @@ class TxnQueue(ResourceManager):
         """Append committed messages (scenario setup, no transaction); a refused seed appends nothing."""
         _check_values(messages, empty=False)
         self._messages.extend(messages)
-        self.initial_depth = len(self._messages)
+        self.initial_depth += len(messages)
 
     def send(self, ctx: TransactionContext, message: str) -> None:
         _check_values((message,), empty=False)

@@ -79,7 +79,7 @@ def _resources(initial: Kind) -> Each:
 # tables, processes and a manifest are inline or in a file its own loader checks
 SCENARIO = Obj({"name": NAME}, {
     "seed": INT, "prepare_budget": UINT, "model": OBJECT, "manifest": Either(STR, OBJECT),
-    "stores": _resources(OBJECT), "queues": _resources(LIST),
+    "stores": _resources(Each(OBJECT, STR)), "queues": _resources(Each(LIST, STR)),
     "endpoints": Each(LIST, Obj({"endpoint_id": NAME}, {"budget": UINT, "script": SCRIPT})),
     "tables": Each(LIST, Either(STR, OBJECT)),
     "processes": Each(LIST, Either(STR, Obj({"name": NAME}))),
@@ -138,33 +138,21 @@ class Scenario:
     actions: list[dict]
     names: dict[str, str]
 
-    def with_actions(self, actions: list[dict]) -> "Scenario":
-        clone = Scenario(**{**self.__dict__})
-        clone.actions = list(actions)
-        return clone
-
-    def last_commit_index(self) -> int | None:
-        last = None
-        for i, a in enumerate(self.actions):
-            if a.get("op") == "commit":
-                last = i
-        return last
-
 
 def _resource_decls(raw: list, what: str) -> list[ResourceDecl]:
-    """Stores start from an object of key -> value, queues from a list; both
-    hold text, so the initial state is converted once here and checked against
-    the store limits a seeded manager enforces."""
+    """Stores start from an object of key -> text, queues from a list of text;
+    the initial state is checked here against the store limits a seeded
+    manager enforces."""
     out = []
     for entry in raw:
         if type(entry) is str:
             entry = {"name": entry}
         if what == "store":
-            initial = {str(k): str(v) for k, v in entry.get("initial", {}).items()}
+            initial = dict(entry.get("initial", {}))
             _check_keys(initial)
             _check_values(initial.values())
         else:
-            initial = [str(m) for m in entry.get("initial", [])]
+            initial = list(entry.get("initial", ()))
             _check_values(initial, empty=False)
         out.append(ResourceDecl(entry["name"], initial, entry.get("prepare_delay", 0)))
     return out
@@ -235,9 +223,6 @@ def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
     definitions = [load_definition(p) for p in definitions]
     model = component_model.load_manifest(model_doc) if model_doc is not None else None
     names = _name_table(stores, queues, endpoints, definitions)
-    for definition in definitions:
-        for child in (s.subprocess for s in definition.steps if s.subprocess is not None):
-            _check_name(names, child, ("process",), f"process {definition.name} subprocess")
 
     services = []  # (component, service, where) of every call and binding; each is transactional
     actions = []

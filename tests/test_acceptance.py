@@ -228,7 +228,6 @@ def test_log_replay_matches_reported_outcomes(tmp_path):
                 fixture_path("transfer.json"),
                 faults=[FaultSpec(target, point)],
                 workdir=str(wd),
-                arm="final_commit",
             )
             statuses, ended = _replay_outcomes(os.path.join(str(wd), "coordinator.log"))
             if statuses != report["log"]:
@@ -487,7 +486,7 @@ def test_same_seed_reports_are_byte_identical():
     fault = [FaultSpec.parse("coordinator@after_vote_before_decision")]
     repeats = [
         render_report(
-            run_scenario(fixture_path("transfer.json"), faults=fault, arm="final_commit"),
+            run_scenario(fixture_path("transfer.json"), faults=fault),
             mode="structured",
         )
         for _ in range(2)

@@ -14,7 +14,7 @@ from tra.errors import (
     TxnStateError,
     UnknownResourceError,
 )
-from tra.faults import CrashPoint, FaultInjector, FaultSpec
+from tra.faults import CoordinatorCrash, CrashPoint, FaultInjector, FaultSpec
 from tra.model import load_manifest, load_manifest_file
 from tra.resources import ManagedStore, TxnQueue
 from tra.sim import SimClock, Tracer
@@ -155,6 +155,35 @@ def test_a_resource_fault_waits_for_a_transaction_it_is_enlisted_in(rig):
     queue.send(second, "m")
     assert coord.commit(second) is TxnStatus.ABORTED
     assert coord.injector.fired == [spec] and queue.crashed
+
+
+@pytest.mark.parametrize("txn, crashed_in", [(2, 2), (None, 1)], ids=["aimed", "first-to-reach"])
+def test_a_fault_fires_in_the_transaction_it_names(rig, txn, crashed_in):
+    coord, store, _ = rig
+    spec = FaultSpec("coordinator", CrashPoint.BEFORE_PREPARE, txn=txn)
+    coord.injector = FaultInjector([spec])
+    for txn_id in (1, 2):
+        ctx = coord.begin("c")
+        store.put(ctx, "k", f"v{txn_id}")
+        if txn_id == crashed_in:
+            with pytest.raises(CoordinatorCrash, match="^coordinator@before_prepare$"):
+                coord.commit(ctx)
+            break
+        assert coord.commit(ctx) is TxnStatus.COMMITTED
+    assert ctx.id == crashed_in and coord.injector.fired == [spec]
+    assert store.committed_value("k") == ("v1" if crashed_in == 2 else None)
+
+
+def test_a_store_fault_aimed_at_a_transaction_without_that_store_never_fires(rig):
+    coord, store, queue = rig
+    coord.injector = FaultInjector([FaultSpec("queue", CrashPoint.BEFORE_PREPARE, txn=1)])
+    first = coord.begin("c")
+    store.put(first, "k", "v")
+    assert coord.commit(first) is TxnStatus.COMMITTED
+    second = coord.begin("c")
+    queue.send(second, "m")
+    assert coord.commit(second) is TxnStatus.COMMITTED
+    assert coord.injector.fired == [] and not queue.crashed
 
 
 def test_prepare_timeout_flips_vote(tmp_path, tracer):

@@ -87,10 +87,8 @@ def test_unknown_fault_spec_rejected():
         FaultSpec.parse("@before_prepare")
 
 
-def test_unknown_arm_policies_and_report_modes_are_refused(tmp_path):
+def test_unknown_report_modes_are_refused():
     scenario = load_scenario_file(transfer_path())
-    with pytest.raises(ScenarioError, match="unknown arm policy 'sometimes'"):
-        Runner(scenario, str(tmp_path), arm="sometimes")
     with pytest.raises(ScenarioError, match="unknown report mode 'xml'"):
         render_report(run_scenario(scenario), mode="xml")
 
@@ -268,6 +266,9 @@ def test_scenario_validation():
         ({"stores": [{"name": "a", "prepare_delay": "5x"}]}, "prepare_delay must be a non-negative integer, got '5x'"),
         ({"stores": [{"name": "a", "initial": ["k"]}]}, r"stores\[0\]\.initial must be an object, got \['k'\]"),
         ({"queues": [{"name": "a", "initial": {"k": "v"}}]}, r"queues\[0\]\.initial must be a list, got \{'k': 'v'\}"),
+        ({"stores": [{"name": "a", "initial": {"k": None}}]}, r"stores\[0\]\.initial\.k must be a string, got None"),
+        ({"stores": [{"name": "a", "initial": {"k": {"a": 1}}}]}, r"stores\[0\]\.initial\.k must be a string, got \{'a': 1\}"),
+        ({"queues": [{"name": "a", "initial": ["m", 3]}]}, r"queues\[0\]\.initial\[1\] must be a string, got 3"),
         ({"endpoints": ["a"]}, r"endpoints\[0\] must be an object, got 'a'"),
     ]:
         with pytest.raises(ScenarioError, match=message):
@@ -1024,7 +1025,7 @@ def _table_with_endpoint(endpoint):
         ),
         (
             _process_demo(lambda p: p["steps"].append({"name": "g", "subprocess": "ghost"})),
-            ScenarioError, "process onboarding subprocess: no process is declared as 'ghost'",
+            ProcessError, "process onboarding subprocess: no process 'ghost'",
         ),
         (
             _process_demo(lambda p: p["steps"][1].update(name="record-customer")),

@@ -158,6 +158,18 @@ def test_a_refused_seed_appends_nothing(rig, bad, message):
     assert queue.initial_depth == 2
 
 
+def test_a_second_seed_counts_only_its_own_messages(rig):
+    coord, _, queue = rig
+    queue.seed(["a"])
+    t = coord.begin("p")
+    queue.send(t, "b")
+    assert coord.commit(t) is TxnStatus.COMMITTED
+    queue.seed(["c"])  # the committed send of "b" is counted once, as a send
+    assert queue.peek() == ("a", "b", "c")
+    assert queue.initial_depth == 2
+    assert queue.conservation_holds()
+
+
 def test_fifo_order_across_transactions(rig):
     coord, _, queue = rig
     for i in range(3):
