@@ -81,7 +81,7 @@ class Runner:
         self.scenario = scenario
         self.seed = scenario.seed if seed is None else seed
         self.rng = random.Random(self.seed)
-        self.tracer = Tracer()
+        self.tracer = Tracer(keep_all=True)
         self.faults = list(faults or ())
         self.injector = FaultInjector(self.faults)
 

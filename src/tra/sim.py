@@ -3,7 +3,9 @@
 The whole runtime is single-threaded and deterministic: one integer clock,
 advanced explicitly, and one tracer that stamps every observable event with the
 current tick. Reports are built from the tracer's events, so two runs with the
-same inputs produce identical traces byte for byte.
+same inputs produce identical traces byte for byte. A run's tracer keeps every
+event; any other tracer keeps only the last `RECENT_EVENTS`, so a long-lived
+runtime's memory does not grow with its history.
 
 `EVENTS` declares each event kind's field names once, as a log declares its
 schema. `Tracer.emit(ev, *values)` takes the values in that order, and a run
@@ -13,7 +15,11 @@ keeps each event in its cheapest form, the tuple `(t, ev, *values)`.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Sequence
+
+# how many of the newest events a tracer keeps unless it is made with keep_all
+RECENT_EVENTS = 4096
 
 
 class SimClock:
@@ -84,7 +90,7 @@ class Events(Sequence):
 
     __slots__ = ("_records",)
 
-    def __init__(self, records: list[tuple]) -> None:
+    def __init__(self, records: deque[tuple]) -> None:
         self._records = records
 
     def __len__(self) -> int:
@@ -92,7 +98,7 @@ class Events(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [_event(r) for r in self._records[index]]
+            return [_event(r) for r in list(self._records)[index]]
         return _event(self._records[index])
 
     def __iter__(self):
@@ -103,11 +109,12 @@ class Tracer:
     """Collects timestamped events. Each emitted event consumes one tick so
     that distinct events never share a timestamp unless the caller moved the
     clock itself (broker completions do). `events` is a read-only view that
-    gives each kept event as a fresh dict."""
+    gives each kept event as a fresh dict. It holds the last `RECENT_EVENTS`
+    events, or every one with `keep_all`, which a run's report needs."""
 
-    def __init__(self, clock: SimClock | None = None) -> None:
+    def __init__(self, clock: SimClock | None = None, keep_all: bool = False) -> None:
         self.clock = clock if clock is not None else SimClock()
-        self._records: list[tuple] = []
+        self._records: deque[tuple] = deque(maxlen=None if keep_all else RECENT_EVENTS)
         self.events = Events(self._records)
 
     def emit(self, ev: str, *values) -> None:

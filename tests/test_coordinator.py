@@ -131,6 +131,15 @@ def test_restart_continues_ids(rig):
     assert t3.id == 3
 
 
+def test_a_crashed_coordinator_refuses_a_rollback(rig):
+    coord, store, _ = rig
+    t = coord.begin("a")
+    store.put(t, "k", "v")
+    coord.crash()
+    with pytest.raises(CoordinatorDown):
+        coord.rollback(t)
+
+
 def test_crash_and_restart_act_once(rig, tracer):
     coord, store, _ = rig
     coord.restart()  # already up: nothing to do

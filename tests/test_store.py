@@ -121,6 +121,22 @@ def test_write_lock_blocks_second_preparer(tmp_path):
     assert store.committed_value("k") == "2"
 
 
+@pytest.mark.parametrize("cause", ["moved-read-version", "held-key"])
+def test_a_no_vote_is_the_newest_event_of_a_default_trace(tmp_path, cause):
+    store = standalone(tmp_path)
+    store.seed({"k": "0"})
+    t1 = TransactionContext(id=1, originator="a")
+    t2 = TransactionContext(id=2, originator="b")
+    assert store.get(t2, "k") == "0"
+    store.put(t1, "k", "1")
+    assert store.prepare(1) is Vote.YES  # t1 now holds k
+    if cause == "moved-read-version":
+        store.commit(1)
+    assert store.prepare(2) is Vote.NO
+    newest = store.tracer.events[-1]
+    assert newest == {"t": newest["t"], "ev": "rm_vote", "rm": "s", "txn": 2, "vote": "no"}
+
+
 def test_delete_bumps_version(rig):
     coord, store, _ = rig
     store.seed({"k": "v"})

@@ -7,10 +7,12 @@ import tracemalloc
 import pytest
 
 import tra
+from tra import sim
 from tra.errors import LogCorruptError, ResourceCrashed, TxnStateError
-from tra.sim import SimClock, Tracer
+from tra.resources import ManagedStore, TxnQueue
+from tra.sim import RECENT_EVENTS, SimClock, Tracer
 from tra.txn import TransactionContext, TxnStatus
-from tra.coordinator import LOG_SCHEMA
+from tra.coordinator import LOG_SCHEMA, Coordinator
 from tra.harness import Runner, run_scenario
 from tra.scenario import load_scenario_file
 from tra.wal import PAYLOAD, LogWriter, read_records
@@ -102,12 +104,14 @@ def test_tracer_events_are_a_read_only_view_of_copies(tmp_path):
     assert run_scenario(scenario) == kept
 
 
-def test_the_trace_keeps_an_event_in_under_180_bytes(rig):
-    """The trace is most of what a run keeps, so its size per event is pinned.
-    Keeping each event as one tuple `(t, ev, *values)` measured 154 B per
-    event on Python 3.11 (with a shared field-name tuple in it: 162 B; a dict
-    per event: 273 B)."""
-    coord, store, queue = rig
+def _put_send_commits(tmp_path, tracer):
+    """A coordinator, a store and a queue on one tracer, and a function that
+    commits n put+send transactions on them."""
+    coord = Coordinator(str(tmp_path / "coordinator.log"), tracer=tracer)
+    store = ManagedStore("store", str(tmp_path / "store.log"), tracer=tracer)
+    queue = TxnQueue("queue", str(tmp_path / "queue.log"), tracer=tracer)
+    coord.register(store)
+    coord.register(queue)
 
     def commits(n):
         for _ in range(n):
@@ -116,19 +120,67 @@ def test_the_trace_keeps_an_event_in_under_180_bytes(rig):
             queue.send(t, "m")
             assert coord.commit(t) is TxnStatus.COMMITTED
 
+    return commits, (coord, store, queue)
+
+
+def test_the_trace_keeps_an_event_in_under_180_bytes(tmp_path):
+    """A run's trace keeps every event and is most of what the run keeps, so
+    its size per event is pinned. Keeping each event as one tuple
+    `(t, ev, *values)` measured 154 B per event on Python 3.11 (with a shared
+    field-name tuple in it: 162 B; a dict per event: 273 B)."""
+    tracer = Tracer(SimClock(), keep_all=True)
+    commits, managers = _put_send_commits(tmp_path, tracer)
     commits(50)  # the first commits fill caches that later ones share
     gc.collect()
     tracemalloc.start()
     try:
-        first, before = len(coord.tracer.events), tracemalloc.get_traced_memory()[0]
+        first, before = len(tracer.events), tracemalloc.get_traced_memory()[0]
         commits(2000)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-        for manager in (coord, store, queue):
+        for manager in managers:
             manager.close()
-    assert retained / (len(coord.tracer.events) - first) < 180
+    assert retained / (len(tracer.events) - first) < 180
+
+
+def test_a_tracer_keeps_the_newest_events_unless_it_keeps_all():
+    window, full = Tracer(SimClock()), Tracer(SimClock(), keep_all=True)
+    for i in range(RECENT_EVENTS + 100):
+        for tracer in (window, full):
+            tracer.emit("crash", f"rm{i}")
+    events, tail = window.events, list(full.events)[-RECENT_EVENTS:]
+    assert len(full.events) == RECENT_EVENTS + 100 and len(events) == RECENT_EVENTS
+    assert [e["t"] for e in events] == list(range(100, RECENT_EVENTS + 100))  # emit order
+    assert list(events) == tail and events[0] == full.events[100]
+    for index in (0, 1, 2047, -1, -2, -RECENT_EVENTS):
+        assert events[index] == tail[index]
+    for part in (slice(5, 9), slice(-3, None), slice(None, 4), slice(None, None, -97)):
+        assert events[part] == tail[part]
+    for index in (RECENT_EVENTS, -RECENT_EVENTS - 1):
+        with pytest.raises(IndexError):
+            events[index]
+
+
+def test_a_default_trace_does_not_grow_with_history(tmp_path):
+    """20,000 put+send commits emit 460,000 events; a default tracer keeps
+    the memory of at most its window of them."""
+    tracer = Tracer(SimClock())
+    commits, managers = _put_send_commits(tmp_path, tracer)
+    commits(500)  # fill the window and the caches first
+    gc.collect()
+    tracemalloc.start()
+    try:
+        commits(20_000)
+        gc.collect()
+        kept = tracemalloc.take_snapshot().filter_traces([tracemalloc.Filter(True, sim.__file__)])
+    finally:
+        tracemalloc.stop()
+        for manager in managers:
+            manager.close()
+    assert sum(stat.size for stat in kept.statistics("filename")) < RECENT_EVENTS * 180
+    assert len(tracer.events) == RECENT_EVENTS
 
 
 def test_log_round_trip(tmp_path):
