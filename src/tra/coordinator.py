@@ -35,7 +35,7 @@ DEFAULT_PREPARE_BUDGET = 1000
 LOG_SCHEMA = {"BEGIN": None, "ENLIST": NAME, "COMMIT": None, "ABORT": None, "END": None}
 
 
-@dataclass
+@dataclass(slots=True)
 class TxnLogRecord:
     """Replayed per-transaction view of the coordinator log."""
 
@@ -54,7 +54,8 @@ def replay_log(path: str) -> dict[int, TxnLogRecord]:
     """Reconstruct transaction outcomes from the coordinator log alone.
 
     Interleaved records from concurrent transactions are fine; per
-    transaction the record order must be legal.
+    transaction the record order must be legal. The log streams through
+    once, and only this table of transactions stays alive.
     """
     txns: dict[int, TxnLogRecord] = {}
     for rec in read_records(path, LOG_SCHEMA):
@@ -78,7 +79,7 @@ def replay_log(path: str) -> dict[int, TxnLogRecord]:
         else:
             if entry.decision is not None:
                 raise LogCorruptError(f"{path}: duplicate decision for txn {txn_id}")
-            entry.decision = kind.lower()
+            entry.decision = "commit" if kind == "COMMIT" else "abort"
     return txns
 
 

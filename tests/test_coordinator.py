@@ -32,7 +32,7 @@ def test_zero_participant_commit_logs_no_enlist(rig):
     coord, _, _ = rig
     t = coord.begin("c")
     assert coord.commit(t) is TxnStatus.COMMITTED
-    assert read_records(coord.log_path, LOG_SCHEMA) == [
+    assert list(read_records(coord.log_path, LOG_SCHEMA)) == [
         ("BEGIN", 1),
         ("COMMIT", 1),
         ("END", 1),
@@ -45,7 +45,7 @@ def test_log_sequence_for_a_full_commit(rig):
     store.put(t, "k", "v")
     queue.send(t, "m")
     coord.commit(t)
-    assert read_records(coord.log_path, LOG_SCHEMA) == [
+    assert list(read_records(coord.log_path, LOG_SCHEMA)) == [
         ("BEGIN", 1),
         ("ENLIST", 1, "store"),
         ("ENLIST", 1, "queue"),

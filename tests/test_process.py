@@ -206,7 +206,7 @@ def test_empty_process_completes_without_transactions(world):
     engine = load(ProcessDefinition(name="noop", policy=TxnPolicy.SPANNING, steps=[]))
     inst = engine.execute(engine.start("noop"))
     assert inst.state is InstanceState.COMPLETED
-    assert read_records(coord.log_path, LOG_SCHEMA) == []
+    assert list(read_records(coord.log_path, LOG_SCHEMA)) == []
 
 
 def test_definition_validation(world):
