@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from .errors import CodecError, InvokeError, TableError, TraError
+from .errors import CodecError, InvokeError, StoreLimitError, TableError, TraError
 from .model import SIGNATURE, ServiceSignature, load_signature
 from .records import MESSAGE_SPEC, MessageSpec, decode_record, encode_record, typed
 from .shape import BOOL, LIST, NAME, NULL, OBJECT, STR, UINT, Each, Either, Obj, check, read_json
@@ -229,7 +229,6 @@ class LegacyEndpoint:
                     break
             else:
                 return rule
-        return None
 
     @classmethod
     def from_doc(cls, doc: Mapping) -> "LegacyEndpoint":
@@ -369,8 +368,6 @@ class MessageBroker:
             for call in stage:
                 record = self._encode_request(call, scopes)
                 emit("broker_dispatch", call.call_id, call.endpoint, mode)
-                if not staged:  # a lone call starts once it is dispatched
-                    t0 = clock.now
                 delay, event, outcome = self._exchange(call, record)
                 tie = self.rng.random() if staged else 0.0
                 exchanges.append((t0 + delay, tie, call, event, outcome))
@@ -395,7 +392,7 @@ class MessageBroker:
     # -- transactional access path ---------------------------------------------
 
     # a queued request, as invoke_via_queue stages it; drain consumes any other message as poison
-    REQUEST_MESSAGE = Obj({"service": STR, "request": OBJECT, "reply_to": STR})
+    REQUEST_MESSAGE = Obj({"service": NAME, "request": OBJECT, "reply_to": STR})
 
     def invoke_via_queue(self, ctx, queue, service: str, request: Mapping, reply_to: str) -> None:
         """Stage a brokered invocation inside a transaction: the request
@@ -447,4 +444,7 @@ class MessageBroker:
             payload = {"service": service, "ok": True, "response": response}
         except InvokeError as exc:
             payload = {"service": service, "ok": False, "error": str(exc)}
-        reply_queue.send(ctx, json.dumps(payload, sort_keys=True, default=str))
+        try:
+            reply_queue.send(ctx, json.dumps(payload, sort_keys=True, default=str))
+        except StoreLimitError as exc:  # e.g. an error quoting a large request: refused on every pass
+            reply_queue.send(ctx, json.dumps({"service": service, "ok": False, "error": f"reply: {exc}"}, sort_keys=True))

@@ -47,10 +47,10 @@ class FaultSpec:
 
     @classmethod
     def parse(cls, text: str) -> "FaultSpec":
-        """Parse the CLI form `<target>@<point>`."""
+        """Parse the CLI form `<target>@<point>`; a target name may hold `@`."""
         if "@" not in text:
             raise ScenarioError(f"fault {text!r}: expected <target>@<point>")
-        target, _, point_raw = text.partition("@")
+        target, _, point_raw = text.rpartition("@")
         if not target:
             raise ScenarioError(f"fault {text!r}: empty target")
         try:

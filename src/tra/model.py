@@ -305,7 +305,6 @@ def check_edge(model: ComponentModel, edge: CallEdge) -> Violation | None:
         return Violation(
             edge, "not-exported", f"{edge.callee_component} does not export {edge.service}"
         )
-    return None
 
 
 def validate_layering(model: ComponentModel, edges: Sequence[CallEdge]) -> list[Violation]:

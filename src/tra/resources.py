@@ -45,12 +45,9 @@ class ResourceManager:
     (roll back a prepared payload) and `_discard` (drop a workspace) where
     they must give something back. A prepared transaction holds nothing but
     its payload in `_prepared`. The subclasses' committed image stands in for
-    durable state; a crash only wipes workspace and prepared memory, which
-    recover() rebuilds from the log.
+    durable state; a crash only drops the workspaces, and recover() replaces
+    the prepared and finished sets with what the log holds.
     """
-
-    _Work: type
-    _payload: Obj
 
     def __init__(
         self,
@@ -102,8 +99,7 @@ class ResourceManager:
         if self.prepare_delay:
             self.tracer.clock.advance(self.prepare_delay)
         payload = self._validate_and_stage(txn_id, self._work.get(txn_id) or self._Work())
-        if payload is None:
-            self._work.pop(txn_id, None)
+        if payload is None:  # the workspace goes with the abort's rollback, a recovery's or a crash
             self.tracer.emit("rm_vote", self.rm_id, txn_id, "no")
             return Vote.NO
         # a failed append leaves the workspace open, so a rollback gives back what it took
@@ -137,14 +133,12 @@ class ResourceManager:
         self.tracer.emit("rm_rollback", self.rm_id, txn_id)
 
     def crash(self) -> None:
-        """Lose all volatile state. The log file and committed image stay."""
+        """Drop every workspace and close the log; recover() rebuilds the rest from it."""
         if self.crashed:
             return
         # latest first, so a queue's earliest receive lands back at the head
         for txn_id in reversed(list(self._work)):
             self._discard(txn_id)
-        self._prepared.clear()
-        self._done.clear()
         self._writer.close()
         self.crashed = True
         self.tracer.emit("crash", self.rm_id)

@@ -93,7 +93,6 @@ class Obj(Kind):
         for key in self.required:
             if key not in value:
                 raise _Mismatch(self, value, missing=key)
-        key = None
         try:
             for key, shape in self.fields:
                 if key in value:

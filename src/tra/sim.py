@@ -28,17 +28,15 @@ class SimClock:
     def __init__(self) -> None:
         self.now = 0
 
-    def advance(self, ticks: int = 1) -> int:
+    def advance(self, ticks: int = 1) -> None:
         if ticks < 0:
             raise ValueError("clock cannot move backwards")
         self.now += ticks
-        return self.now
 
-    def advance_to(self, t: int) -> int:
+    def advance_to(self, t: int) -> None:
         # No-op when t is in the past; simultaneous completions share a tick.
         if t > self.now:
             self.now = t
-        return self.now
 
 
 # event kind -> its field names, in the order `Tracer.emit` takes the values

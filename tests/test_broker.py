@@ -209,6 +209,8 @@ def _depend_in_a_cycle(doc):
     [
         (_drop_request_field, None, "cover the request spec"),
         (_map_from_undeclared_call, None, "must name a declared dependency"),
+        (lambda doc: doc["calls"][0]["request_map"].update(uid="req.nobody"), None,
+         "profile.dir.uid: source req.nobody does not exist"),
         (None, {"segment": ["call:seg.limit"], "limit": ["call:seg.limit"]}, "kind mismatch"),
         (None, {"segment": ["call:seg.segment"]}, "cover the response exactly"),
         (None, {"segment": ["call:seg.segment"], "limit": ["call:dir.limit"]}, "does not exist"),
@@ -217,7 +219,7 @@ def _depend_in_a_cycle(doc):
         (lambda doc: doc["calls"][1].update(depends_on=["ghost"]), None, "profile.seg: unknown dependency ghost"),
         (None, {"segment": [], "limit": ["call:seg.limit"]}, "profile.aggregate.segment: response field has no sources"),
     ],
-    ids=["request-coverage", "undeclared-dependency", "kind-mismatch", "response-coverage",
+    ids=["request-coverage", "undeclared-dependency", "missing-request-source", "kind-mismatch", "response-coverage",
          "missing-source", "cycle", "duplicate-call-id", "unknown-dependency", "no-aggregate-source"],
 )
 def test_load_table_checks_every_reference_in_the_table(mutate, aggregate, message):
@@ -503,7 +505,7 @@ def _spec_field(**changes):
             {},
             r"service.request\[0\].kind must be one of 'text', 'integer', 'decimal', got 'float'",
         ),
-        ({"request": [{"name": "x", "kind": "text"}] * 2}, {}, "duplicate field x"),
+        ({"request": [{"name": "x", "kind": "text"}] * 2}, {}, r"^service\.s request: duplicate field x$"),
         ({"response": ["x"]}, {}, r"service.response\[0\] must be an object, got 'x'"),
         ({"transactional": "yes"}, {}, "transactional must be a bool"),
         ({}, {"calls": [{**_CALL, "call_id": ["x"]}]}, r"calls\[0\]\.call_id must be a name .*, got \['x'\]"),
@@ -789,3 +791,8 @@ def test_staged_and_sequential_agree_with_kept_replies(first):
     for amount in ("2.25", "0.5", "2.25"):
         request = {"amount": amount, "n": 1}
         assert getattr(staged, first)("quote", request) == getattr(sequential, second)("quote", request)
+
+
+def test_a_script_rule_shows_every_field():
+    rule = ScriptRule(delay=3)
+    assert repr(rule) == "ScriptRule(match={}, delay=3, reply=None, error=False, garbage=None)"

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import os
 import types
 
 import pytest
@@ -115,6 +116,12 @@ def test_foreign_context_rejected(rig, tmp_path, tracer):
     foreign = other.begin("x")
     with pytest.raises(TxnStateError):
         coord.commit(foreign)
+    with pytest.raises(TxnStateError):
+        coord.rollback(foreign)
+    with pytest.raises(TxnStateError):
+        coord.enlist(foreign, "store")
+    with pytest.raises(TxnStateError):
+        coord.propagate(foreign, "Customer", "updateCustomer", {})
 
 
 def test_restart_continues_ids(rig):
@@ -131,13 +138,31 @@ def test_restart_continues_ids(rig):
     assert t3.id == 3
 
 
-def test_a_crashed_coordinator_refuses_a_rollback(rig):
+def test_a_restarted_coordinator_takes_its_next_id_from_the_log(rig):
+    coord, _, _ = rig
+    for _ in range(3):
+        coord.commit(coord.begin("a"))
+    coord.crash()
+    os.remove(coord.log_path)  # the disk came back empty: no transaction was ever begun
+    coord.restart()
+    assert coord.begin("b").id == 1
+
+
+@pytest.mark.parametrize("call", ["rollback", "commit", "enlist", "propagate", "recover"])
+def test_a_crashed_coordinator_refuses_every_call(rig, call):
     coord, store, _ = rig
     t = coord.begin("a")
     store.put(t, "k", "v")
     coord.crash()
+    calls = {
+        "rollback": lambda: coord.rollback(t),
+        "commit": lambda: coord.commit(t),
+        "enlist": lambda: coord.enlist(t, "queue"),
+        "propagate": lambda: coord.propagate(t, "Customer", "updateCustomer", {}),
+        "recover": coord.recover,
+    }
     with pytest.raises(CoordinatorDown):
-        coord.rollback(t)
+        calls[call]()
 
 
 def test_crash_and_restart_act_once(rig, tracer):
@@ -147,6 +172,7 @@ def test_crash_and_restart_act_once(rig, tracer):
     coord.crash()
     store.crash()
     store.crash()
+    assert coord._writer._fh.closed and store._writer._fh.closed  # a crash lets go of its log
     coord.restart()
     events = [(e["ev"], e["who"]) for e in tracer.events]
     assert events == [("crash", "coordinator"), ("crash", "store"), ("restart", "coordinator")]
@@ -207,6 +233,25 @@ def test_prepare_timeout_flips_vote(tmp_path, tracer):
     assert slow.committed_value("k") is None
 
 
+def test_a_participant_down_at_prepare_votes_no_as_crashed(rig, tracer):
+    coord, store, queue = rig
+    t = coord.begin("c")
+    store.put(t, "k", "v")
+    queue.send(t, "m")
+    store.crash()
+    assert coord.commit(t) is TxnStatus.ABORTED
+    # the first NO ends the vote, so the queue is never asked to prepare
+    kinds = {"vote", "rm_vote", "decision", "phase2_pending", "rm_rollback"}
+    protocol = [{k: v for k, v in e.items() if k != "t"} for e in tracer.events if e["ev"] in kinds]
+    assert protocol == [
+        {"ev": "vote", "txn": t.id, "rm": "store", "vote": "no", "reason": "crashed"},
+        {"ev": "decision", "txn": t.id, "decision": "abort"},
+        {"ev": "phase2_pending", "txn": t.id, "rm": "store"},
+        {"ev": "rm_rollback", "rm": "queue", "txn": t.id},
+    ]
+    assert t.pending == {"store"}
+
+
 def test_commit_with_crashed_participant_stays_committed(rig):
     coord, store, queue = rig
     t = coord.begin("c")
@@ -224,6 +269,8 @@ def test_commit_with_crashed_participant_stays_committed(rig):
     queue.prepare = prepare_then_die
     assert coord.commit(t) is TxnStatus.COMMITTED
     assert t.pending == {"queue"}
+    pending = [(e["txn"], e["rm"]) for e in coord.tracer.events if e["ev"] == "phase2_pending"]
+    assert pending == [(t.id, "queue")]
     assert "END" not in kinds(coord.log_path)
     assert store.committed_value("k") == "v"
     assert queue.peek() == ()
@@ -459,7 +506,7 @@ def test_propagate_refuses_a_service_that_is_not_transactional(tmp_path):
     coord.bind_service("Customer", "updateCustomer", lambda ctx, request: {"status": "ok"})
     t = coord.begin("c")
     request = {"id": "c1", "data": "D", "contract": "x", "terms": "y"}
-    with pytest.raises(BindingError, match="Customer.updateCustomer is not transactional"):
+    with pytest.raises(BindingError, match="^Customer.updateCustomer is not transactional$"):
         coord.propagate(t, "Customer", "updateCustomer", request)
 
 
@@ -518,3 +565,36 @@ def test_a_failed_prepared_append_settles_the_transaction_as_aborted(rig, monkey
     store.put(t2, "k", "w")
     assert coord.commit(t2) is TxnStatus.COMMITTED
     assert store.committed_value("k") == "w"
+
+
+def test_a_transaction_that_settled_with_a_participant_down_takes_no_more_work(rig):
+    coord, store, queue = rig
+    t = coord.begin("c")
+    store.put(t, "k", "v")
+    queue.send(t, "m")
+    queue.crash()
+    assert coord.rollback(t) is TxnStatus.ABORTED
+    assert coord.contexts[t.id] is t and t.pending == {"queue"}  # live until recovery settles the queue
+    with pytest.raises(TxnStateError):
+        coord.propagate(t, "Customer", "updateCustomer", {})
+
+
+def test_a_failed_commit_append_leaves_the_transaction_for_recovery_to_abort(rig, monkeypatch):
+    coord, store, _ = rig
+    t = coord.begin("c")
+    store.put(t, "k", "v")
+    append = coord._writer.append
+
+    def fail_commit(kind, *fields):
+        if kind == "COMMIT":
+            raise OSError("disk full")
+        append(kind, *fields)
+
+    monkeypatch.setattr(coord._writer, "append", fail_commit)
+    with pytest.raises(OSError, match="disk full"):
+        coord.commit(t)
+    monkeypatch.undo()
+    assert t.status is TxnStatus.PREPARING  # no decision was logged
+    assert coord.recover().presumed_aborted == 1
+    assert t.status is TxnStatus.ABORTED and coord.contexts == {}
+    assert store.committed_value("k") is None

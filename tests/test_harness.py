@@ -1,20 +1,27 @@
 """Scenario runner, fault injection, the sweep, and the CLI."""
 
 import gc
+import io
 import json
 import os
 import re
 import signal
+import subprocess
+import sys
+from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
 import tra
-from tra.cli import main
+from tra.cli import _write, main
+from tra.coordinator import Coordinator, replay_log
 from tra.errors import BindingError, ProcessError, ScenarioError, StoreLimitError, TableError, TraError
-from tra.faults import FaultSpec
-from tra.harness import Runner, crash_sweep, render_report, render_sweep, run_scenario
+from tra.faults import CrashPoint, FaultSpec
+from tra.harness import Runner, _stringify, crash_sweep, render_report, render_sweep, run_scenario
 from tra.scenario import load_scenario, load_scenario_file
 from tra.sim import EVENTS, RECENT_EVENTS, Tracer
+from tra.txn import TxnStatus
 
 
 def transfer_path():
@@ -79,6 +86,18 @@ def test_coordinator_fault_aborts_and_recovers():
     assert report["queues"]["audit-q"] == []
     assert report["recovery"]["presumed_aborted"] == 1
     assert all(report["queue_conservation"].values())
+    assert render_report(report, mode="text") == (
+        "scenario transfer (seed 11)\n"
+        "faults: coordinator@before_prepare (fired: coordinator@before_prepare)\n"
+        "txn t1 (id 1): aborted\n"
+        "store accounts-a: alice=100\n"
+        "store accounts-b: bob=10\n"
+        "queue audit-q: 0 message(s)\n"
+        "recovery: 0 recommitted, 1 presumed aborted, 0 aborts completed\n"
+        "  [ok ] get accounts-a[alice] == '100'\n"
+        "  [ok ] get accounts-b[bob] == '10'\n"
+        "result: OK\n"
+    )
 
 
 def test_store_fault_after_decision_still_commits():
@@ -105,12 +124,73 @@ def test_endpoint_fault_targets_are_rejected(tmp_path):
 
 
 def test_unknown_fault_spec_rejected():
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match="expected <target>@<point>"):
         FaultSpec.parse("no-separator")
     with pytest.raises(ScenarioError):
         FaultSpec.parse("coordinator@bogus_point")
     with pytest.raises(ScenarioError, match="empty target"):
         FaultSpec.parse("@before_prepare")
+
+
+def test_a_fault_spec_parses_back_from_its_text_when_its_target_holds_an_at():
+    spec = FaultSpec("a@b", CrashPoint.BEFORE_PREPARE)
+    assert str(spec) == "a@b@before_prepare"
+    assert FaultSpec.parse(str(spec)) == spec
+
+
+def test_the_package_exports_every_name_it_lists_and_its_version():
+    assert [name for name in tra.__all__ if not hasattr(tra, name)] == []
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert tra.__version__ == re.search(r'^version = "(.+)"$', pyproject, re.M).group(1)
+
+
+def test_expected_and_observed_values_compare_as_json_text():
+    assert _stringify({"a": (1, [Decimal("2.50"), None, True])}) == {"a": [1, ["2.50", None, True]]}
+
+
+def test_a_transaction_the_log_has_not_decided_reports_its_live_status(tmp_path):
+    coord = Coordinator(str(tmp_path / "c.log"))
+    ctx = coord.begin("c")
+    ctx.transition(TxnStatus.PREPARING)  # as a commit does before its decision is logged
+    assert Runner._txn_status(ctx, replay_log(coord.log_path)) == "preparing"
+    coord.close()
+
+
+def test_run_scenario_closes_the_runner_it_made(monkeypatch):
+    closed = []
+    close = Runner.close
+    monkeypatch.setattr(Runner, "close", lambda runner: closed.append(runner) or close(runner))
+    run_scenario(transfer_path())
+    assert len(closed) == 1 and closed[0].coordinator._writer._fh.closed
+
+
+def test_a_served_queue_is_drained_after_a_commit_not_before():
+    with open(tra.fixture_path("broker_demo.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    request = {"service": "getCustomer360", "request": {"custId": "C0000042"}, "reply_to": "replies"}
+    doc["queues"][0]["initial"] = [json.dumps(request)]
+    doc["actions"] = [
+        {"op": "invoke", "service": "getCustomer360", "request": {"custId": "C0000042"}},
+        {"op": "begin", "txn": "t"},
+        {"op": "commit", "txn": "t", "expect": "committed"},
+    ]
+    report = run_scenario(load_scenario(doc, base_dir=tra.fixture_path("")))
+    assert report["ok"] is True
+    assert report["transactions"]["t"]["id"] == 1  # the drain's transaction comes after it
+    assert len(report["queues"]["replies"]) == 1 and report["queues"]["requests"] == []
+
+
+def test_recovery_brings_a_crashed_endpoint_back():
+    with open(tra.fixture_path("broker_demo.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["actions"] = [
+        {"op": "crash", "target": "POLADM"},
+        {"op": "recover"},
+        {"op": "invoke", "service": "getCustomer360", "request": {"custId": "C0000042"},
+         "expect": {"name": "HELEN OSEI", "policyCount": 3, "balance": "1204.50"}},
+    ]
+    report = run_scenario(load_scenario(doc, base_dir=tra.fixture_path("")))
+    assert report["errors"] == [] and report["ok"] is True
 
 
 def test_unknown_report_modes_are_refused():
@@ -180,6 +260,9 @@ def test_sweep_on_bundled_transfer():
     assert outcomes[("coordinator", "after_commit_record_before_phase2")] == "committed"
     assert outcomes[("accounts-a", "before_prepare")] == "aborted"
     assert outcomes[("accounts-a", "mid_phase2_one_committed")] == "committed"
+    text = render_sweep(result)
+    assert "\n  [ok ] accounts-a@before_prepare: aborted\n" in text
+    assert text.endswith("\nresult: OK (15/15 combinations atomic)\n")
 
 
 def test_sweep_requires_a_commit():
@@ -627,6 +710,36 @@ def test_a_wrongly_typed_queued_request_is_poison_and_every_transaction_settles(
     assert set(report["log"].values()) <= {"committed", "aborted"}
     assert [e["ev"] for e in report["events"]].count("broker_poison") == 1
     assert report["queues"] == {"requests": [], "replies": []}
+    assert all(report["queue_conservation"].values())
+
+
+@pytest.mark.parametrize(
+    "request_, reply",
+    [
+        ({"service": "x" * 40000, "request": {}}, None),  # not a name: poison
+        # the error quotes the request, and escapes each é to six bytes
+        ({"service": "getCustomer360", "request": {"custId": ["é" * 20000]}},
+         {"service": "getCustomer360", "ok": False, "error": "reply: value larger than 65536 bytes"}),
+    ],
+    ids=["service-not-a-name", "reply-too-large"],
+)
+def test_a_request_whose_reply_would_be_too_large_wedges_no_request_behind_it(request_, reply):
+    with open(tra.fixture_path("broker_demo.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["actions"] = [
+        {"op": "begin", "txn": "t"},
+        {"op": "send", "txn": "t", "queue": "requests",
+         "message": json.dumps({**request_, "reply_to": "replies"}, ensure_ascii=False)},
+        {"op": "invoke_via_queue", "txn": "t", "queue": "requests", "service": "getCustomer360",
+         "request": {"custId": "C0000042"}, "reply_to": "replies"},
+        {"op": "commit", "txn": "t", "expect": "committed"},
+    ]
+    report = run_scenario(load_scenario(doc, base_dir=tra.fixture_path("")))
+    assert report["errors"] == []
+    served = {"service": "getCustomer360", "ok": True,
+              "response": {"balance": "1204.50", "name": "HELEN OSEI", "policyCount": 3}}
+    assert [json.loads(m) for m in report["queues"]["replies"]] == [reply] * (reply is not None) + [served]
+    assert report["queues"]["requests"] == []
     assert all(report["queue_conservation"].values())
 
 
@@ -1087,6 +1200,12 @@ def _table_with_endpoint(endpoint):
             BindingError, "binding Customer.ghost: Customer provides no service 'ghost'",
         ),
         (
+            _changed("cross_component.json", lambda d: d["bindings"].insert(
+                0, {"component": "Customer", "service": "ghost"}
+            )),
+            BindingError, "binding Customer.ghost: Customer provides no service 'ghost'",
+        ),
+        (
             _changed("cross_component.json", lambda d: d["bindings"][0]["effects"][1].update(
                 component="Nobody"
             )),
@@ -1125,7 +1244,7 @@ def _table_with_endpoint(endpoint):
         "step-bogus-source", "step-unknown-service", "self-subprocess", "undeclared-subprocess",
         "repeated-step-name", "subprocess-step-with-maps",
         "table-undeclared-endpoint", "two-tables-one-service", "second-binding",
-        "binding-unknown-service", "call-effect-unknown-component", "propagate-unknown-service",
+        "binding-unknown-service", "first-binding-unknown-service", "call-effect-unknown-component", "propagate-unknown-service",
         "propagate-without-model", "propagate-not-transactional", "call-effect-not-transactional",
         "binding-not-transactional", "step-not-transactional",
     ],
@@ -1235,6 +1354,27 @@ def test_cli_writes_a_lone_surrogate_as_an_escape(tmp_path, capsys):
     path.write_text('{"name": "s", "stores": ["\\ud800"]}', encoding="utf-8")
     assert main(["run", str(path)]) == 2
     assert "\\ud800" in capsys.readouterr().err
+
+
+def test_cli_writes_what_its_stream_cannot_encode_as_an_escape():
+    raw = io.BytesIO()
+    ascii_out = io.TextIOWrapper(raw, encoding="ascii")
+    _write(ascii_out, "caf\u00e9\n")
+    ascii_out.flush()
+    assert raw.getvalue() == b"caf\\xe9\n"
+    no_encoding = io.StringIO()  # written as UTF-8 would be
+    _write(no_encoding, "\ud800")
+    assert no_encoding.getvalue() == "\\ud800"
+
+
+def test_the_cli_module_runs_as_a_script():
+    env = {**os.environ, "PYTHONPATH": str(Path(tra.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "tra.cli", "validate", tra.fixture_path("model.json"), tra.fixture_path("edges.json")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stdout.splitlines()[-1] == "12 edge(s) checked, 6 violation(s)"
 
 
 READ_ONLY_SWEEP = {

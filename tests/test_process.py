@@ -123,6 +123,9 @@ def test_spanning_failure_rolls_everything_back(world):
     assert inst.failed_step == "contract"
     assert store.committed_value("c1") is None
     assert store.committed_value("k1") is None
+    # the failed step's transaction is rolled back, not left open
+    assert [r[0] for r in read_records(coord.log_path, LOG_SCHEMA)][-2:] == ["ABORT", "END"]
+    assert coord.contexts == {}
 
 
 def test_spanning_commit_refusal_fails_with_no_step(world):

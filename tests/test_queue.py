@@ -108,6 +108,8 @@ def test_empty_receive_returns_none(rig):
     coord, _, queue = rig
     t = coord.begin("c")
     assert queue.receive(t) is None
+    newest = coord.tracer.events[-1]
+    assert newest == {"t": newest["t"], "ev": "receive", "rm": "queue", "txn": t.id, "empty": True}
     assert coord.commit(t) is TxnStatus.COMMITTED
 
 

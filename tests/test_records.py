@@ -215,12 +215,13 @@ def test_non_finite_decimals_are_refused(value):
         ("decimal", "1e999990", "overflows width 8"),
         ("decimal", Decimal("1e999999999"), "overflows width 8"),
         ("decimal", "1e-999999999", "does not fit scale 2"),
+        ("decimal", "1e-1500000000000000000", "does not fit scale 2"),
         ("integer", "9" * 5000, "integer has too many digits"),
         ("integer", 10**5000, "integer overflows width 8"),
     ],
     ids=[
         "decimal-huge", "decimal-huge-negative", "decimal-past-int-digits", "decimal-object-huge",
-        "decimal-tiny", "integer-string-5000-digits", "integer-5000-digits",
+        "decimal-tiny", "decimal-tiny-past-etiny", "integer-string-5000-digits", "integer-5000-digits",
     ],
 )
 def test_oversized_numbers_are_codec_errors(kind, value, message):

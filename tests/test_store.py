@@ -3,6 +3,7 @@
 import pytest
 
 from tra.errors import StoreLimitError, TxnStateError
+from tra.faults import CoordinatorCrash, CrashPoint, FaultInjector, FaultSpec
 from tra.resources import MAX_KEY_LEN, MAX_VALUE_BYTES, ManagedStore
 from tra.sim import SimClock, Tracer
 from tra.txn import TransactionContext, TxnStatus, Vote
@@ -137,6 +138,31 @@ def test_a_no_vote_is_the_newest_event_of_a_default_trace(tmp_path, cause):
     assert newest == {"t": newest["t"], "ev": "rm_vote", "rm": "s", "txn": 2, "vote": "no"}
 
 
+@pytest.mark.parametrize("settle", ["abort", "presumed-abort", "crash"])
+def test_a_no_vote_leaves_its_workspace_to_the_path_that_settles_it(rig, settle):
+    coord, store, _ = rig
+    store.seed({"k": "0"})
+    reader = coord.begin("r")
+    assert store.get(reader, "k") == "0"
+    writer = coord.begin("w")
+    store.put(writer, "k", "1")
+    assert coord.commit(writer) is TxnStatus.COMMITTED  # moves the version the reader saw
+    if settle == "abort":
+        assert coord.commit(reader) is TxnStatus.ABORTED
+    else:
+        coord.injector = FaultInjector([FaultSpec("coordinator", CrashPoint.AFTER_VOTE)])
+        with pytest.raises(CoordinatorCrash):
+            coord.commit(reader)
+        coord.crash()
+        assert reader.id in store._work  # voted NO, but nothing has settled it yet
+        if settle == "crash":
+            store.crash()
+        else:
+            coord.restart()
+            assert coord.recover().presumed_aborted == 1
+    assert reader.id not in store._work
+
+
 def test_delete_bumps_version(rig):
     coord, store, _ = rig
     store.seed({"k": "v"})
@@ -179,6 +205,8 @@ def test_limits(rig):
         store.put(t, "k", "v" * (MAX_VALUE_BYTES + 1))
     with pytest.raises(StoreLimitError):
         store.get(t, "")
+    with pytest.raises(StoreLimitError):
+        store.delete(t, "k" * (MAX_KEY_LEN + 1))
     with pytest.raises(StoreLimitError, match="lone surrogate"):
         store.put(t, "k", "a\ud800")
     coord.rollback(t)
@@ -243,6 +271,33 @@ def test_a_prepare_delay_that_is_not_a_non_negative_integer_is_refused(tmp_path,
     with pytest.raises(ValueError, match=f"prepare_delay must be a non-negative integer, got {delay}"):
         ManagedStore("s", str(tmp_path / "s.log"), prepare_delay=delay)
     assert list(tmp_path.iterdir()) == []  # refused before the log is opened
+
+
+@pytest.mark.parametrize("rm_id", ["", "a/b", 7])
+def test_an_rm_id_that_is_not_a_name_is_refused(tmp_path, rm_id):
+    with pytest.raises(ValueError, match=f"rm_id must be a name .*, got {rm_id!r}"):
+        ManagedStore(rm_id, str(tmp_path / "s.log"))
+
+
+def test_a_finished_transaction_answers_a_redrive_quietly_before_and_after_a_crash(tmp_path):
+    store = standalone(tmp_path)
+    for txn_id, finish in ((1, store.commit), (2, store.rollback)):
+        store.put(TransactionContext(id=txn_id, originator="a"), f"k{txn_id}", "v")
+        assert store.prepare(txn_id) is Vote.YES
+        finish(txn_id)
+    seen = len(store.tracer.events)
+    store.recover()  # not crashed: nothing to do
+    for crashed in (False, True):
+        if crashed:
+            store.crash()
+            store.recover()
+            newest = store.tracer.events[-1]
+            assert newest == {"t": newest["t"], "ev": "recover", "who": "s", "prepared": 0}
+            seen = len(store.tracer.events)
+        # a recovery re-drives phase 2: each finished transaction answers from its DONE record
+        store.commit(1)
+        store.rollback(2)
+        assert len(store.tracer.events) == seen
 
 
 @pytest.mark.parametrize("settle", ["commit", "rollback"])

@@ -434,6 +434,9 @@ def test_a_torn_last_line_was_never_written(tmp_path):
     w.append("COMMIT", "1")
     w.close()
     assert path.read_text(encoding="utf-8") == "BEGIN\t1\nCOMMIT\t1\n"
+    path.write_text("BEGIN\t", encoding="utf-8")  # the first record was torn: nothing was written
+    LogWriter(str(path)).close()
+    assert path.read_bytes() == b""
     # only the last line may be torn: a finished malformed line is corruption
     path.write_text("BEGIN\t1\nEN\nBEGIN\t2", encoding="utf-8")
     with pytest.raises(LogCorruptError, match=r"x\.log:2: bad record 'EN': unknown kind"):
