@@ -20,10 +20,11 @@ import json
 import os
 import random
 import tempfile
+from contextlib import ExitStack
 from dataclasses import asdict, replace
 
 from .broker import Adapter, LegacyEndpoint, MessageBroker
-from .coordinator import DEFAULT_PREPARE_BUDGET, Coordinator, replay_log
+from .coordinator import Coordinator, replay_log
 from .errors import ScenarioError, TraError
 from .faults import ALL_POINTS, COORDINATOR_TARGET, CoordinatorCrash, FaultInjector, FaultSpec
 from .model import load_manifest  # noqa: F401 -- unused; bench/spans.py wraps this name here
@@ -62,12 +63,12 @@ EFFECT_OPS = {"call": "propagate"}
 
 
 class Runner:
-    """One scenario execution in an isolated working directory."""
+    """One scenario execution. Its logs live in a temporary directory of its
+    own, which close() removes."""
 
     def __init__(
         self,
         scenario: Scenario,
-        workdir: str,
         seed: int | None = None,
         faults: list[FaultSpec] | None = None,
     ) -> None:
@@ -77,61 +78,64 @@ class Runner:
                     f"fault target {spec.target!r} is not the coordinator or a declared "
                     "store/queue (endpoint behavior is scripted in the scenario, not injected)"
                 )
-        os.makedirs(workdir, exist_ok=True)
         self.scenario = scenario
         self.seed = scenario.seed if seed is None else seed
         self.rng = random.Random(self.seed)
         self.tracer = Tracer(keep_all=True)
         self.faults = list(faults or ())
         self.injector = FaultInjector(self.faults)
-
-        budget = scenario.prepare_budget
-        self.coordinator = Coordinator(
-            os.path.join(workdir, "coordinator.log"),
-            tracer=self.tracer,
-            model=scenario.model,
-            injector=self.injector,
-            prepare_budget=budget if budget is not None else DEFAULT_PREPARE_BUDGET,
-        )
-
-        self.stores: dict[str, ManagedStore] = {}
-        self.queues: dict[str, TxnQueue] = {}
-        for decls, make, into in (
-            (scenario.stores, ManagedStore, self.stores),
-            (scenario.queues, TxnQueue, self.queues),
-        ):
-            for decl in decls:
-                rm = make(
-                    decl.name,
-                    os.path.join(workdir, f"rm-{decl.name}.log"),
-                    tracer=self.tracer,
-                    prepare_delay=decl.prepare_delay,
-                )
-                rm.seed(decl.initial)
-                self.coordinator.register(rm)
-                into[decl.name] = rm
-
-        self.broker = MessageBroker(tracer=self.tracer, rng=self.rng)
-        self.endpoints: dict[str, LegacyEndpoint] = {}
-        for template in scenario.endpoints:
-            ep = LegacyEndpoint(template.endpoint_id, template.endpoint.script)
-            self.endpoints[ep.endpoint_id] = ep
-            self.broker.register_adapter(Adapter(ep, template.budget))
-        for table in scenario.tables:
-            self.broker.register_table(table)
-
-        self.engine = ProcessEngine(self.coordinator, scenario.processes)
-
-        for binding in scenario.bindings:
-            self.coordinator.bind_service(
-                binding.component, binding.service, self._make_handler(binding)
-            )
-
         self.txns: dict[str, object] = {}
         self.instances: dict[str, object] = {}
         self.asserts: list[dict] = []
         self.errors: list[str] = []
         self.recovery_totals: dict | None = None
+
+        # a constructor that fails part way closes what it opened and removes the directory
+        with ExitStack() as opened:
+            logdir = opened.enter_context(tempfile.TemporaryDirectory(prefix="tra-run-"))
+            self.coordinator = Coordinator(
+                os.path.join(logdir, "coordinator.log"),
+                tracer=self.tracer,
+                model=scenario.model,
+                injector=self.injector,
+                prepare_budget=scenario.prepare_budget,
+            )
+            opened.callback(self.coordinator.close)
+
+            self.stores: dict[str, ManagedStore] = {}
+            self.queues: dict[str, TxnQueue] = {}
+            for decls, make, into in (
+                (scenario.stores, ManagedStore, self.stores),
+                (scenario.queues, TxnQueue, self.queues),
+            ):
+                for decl in decls:
+                    rm = make(
+                        decl.name,
+                        os.path.join(logdir, f"rm-{decl.name}.log"),
+                        tracer=self.tracer,
+                        prepare_delay=decl.prepare_delay,
+                    )
+                    opened.callback(rm.close)
+                    rm.seed(decl.initial)
+                    self.coordinator.register(rm)
+                    into[decl.name] = rm
+
+            self.broker = MessageBroker(tracer=self.tracer, rng=self.rng)
+            self.endpoints: dict[str, LegacyEndpoint] = {}
+            for template in scenario.endpoints:
+                ep = LegacyEndpoint(template.endpoint_id, template.endpoint.script)
+                self.endpoints[ep.endpoint_id] = ep
+                self.broker.register_adapter(Adapter(ep, template.budget))
+            for table in scenario.tables:
+                self.broker.register_table(table)
+
+            self.engine = ProcessEngine(self.coordinator, scenario.processes)
+
+            for binding in scenario.bindings:
+                self.coordinator.bind_service(
+                    binding.component, binding.service, self._make_handler(binding)
+                )
+            self._opened = opened.pop_all()
 
     # -- service bindings --------------------------------------------------
 
@@ -203,9 +207,8 @@ class Runner:
         return self._report(stopped_by_fault)
 
     def close(self) -> None:
-        self.coordinator.close()
-        for rm in list(self.stores.values()) + list(self.queues.values()):
-            rm.close()
+        """Close every log, then remove the run's directory."""
+        self._opened.close()
 
     def _op_begin(self, ctx, action):
         name = action.get("txn")
@@ -376,18 +379,9 @@ def run_scenario(
     scenario_or_path,
     seed: int | None = None,
     faults: list[FaultSpec] | None = None,
-    workdir: str | None = None,
 ) -> dict:
     """Load (if needed) and run a scenario, returning the report dict."""
-    scenario = _as_scenario(scenario_or_path)
-    if workdir is not None:
-        return _run_once(scenario, workdir, seed=seed, faults=faults)
-    with tempfile.TemporaryDirectory(prefix="tra-run-") as wd:
-        return _run_once(scenario, wd, seed=seed, faults=faults)
-
-
-def _run_once(scenario: Scenario, workdir: str, **kwargs) -> dict:
-    runner = Runner(scenario, workdir, **kwargs)
+    runner = Runner(_as_scenario(scenario_or_path), seed=seed, faults=faults)
     try:
         return runner.run()
     finally:
@@ -412,78 +406,76 @@ def crash_sweep(scenario_or_path) -> dict:
         result["error"] = "scenario has no commit action to sweep"
         return result
 
-    with tempfile.TemporaryDirectory(prefix="tra-sweep-") as root:
-        baseline = _run_once(scenario, os.path.join(root, "baseline"))
-        result["baseline_ok"] = baseline["ok"]
-        if not baseline["ok"]:
-            result["ok"] = False
-            result["error"] = "baseline (no-fault) run failed its own assertions"
-            return result
-        commit_state = {"stores": baseline["stores"], "queues": baseline["queues"]}
+    baseline = run_scenario(scenario)
+    result["baseline_ok"] = baseline["ok"]
+    if not baseline["ok"]:
+        result["ok"] = False
+        result["error"] = "baseline (no-fault) run failed its own assertions"
+        return result
+    commit_state = {"stores": baseline["stores"], "queues": baseline["queues"]}
 
-        # Abort oracle: same script, but the swept commit becomes a rollback
-        # and the rest of the script is dropped.
-        swept_txn = scenario.actions[last]["txn"]
-        abort_actions = [*scenario.actions[:last], {"op": "rollback", "txn": swept_txn}]
-        abort_run = _run_once(replace(scenario, actions=abort_actions), os.path.join(root, "abort"))
-        if abort_run["errors"]:
-            result["ok"] = False
-            result["error"] = f"abort baseline errored: {abort_run['errors']}"
-            return result
-        abort_state = {"stores": abort_run["stores"], "queues": abort_run["queues"]}
-        result["commit_state"] = commit_state
-        result["abort_state"] = abort_state
+    # Abort oracle: same script, but the swept commit becomes a rollback
+    # and the rest of the script is dropped.
+    swept_txn = scenario.actions[last]["txn"]
+    abort_actions = [*scenario.actions[:last], {"op": "rollback", "txn": swept_txn}]
+    abort_run = run_scenario(replace(scenario, actions=abort_actions))
+    if abort_run["errors"]:
+        result["ok"] = False
+        result["error"] = f"abort baseline errored: {abort_run['errors']}"
+        return result
+    abort_state = {"stores": abort_run["stores"], "queues": abort_run["queues"]}
+    result["commit_state"] = commit_state
+    result["abort_state"] = abort_state
 
-        # the rollback found the swept transaction begun, so the baseline began it too
-        swept_id = baseline["transactions"][swept_txn]["id"]
+    # the rollback found the swept transaction begun, so the baseline began it too
+    swept_id = baseline["transactions"][swept_txn]["id"]
 
-        targets = [COORDINATOR_TARGET] + list(scenario.sweep_targets)
-        for target in targets:
-            for point in ALL_POINTS:
-                spec = FaultSpec(target, point, swept_id)
-                rundir = os.path.join(root, f"{target}-{point.value}")
-                report = _run_once(scenario, rundir, faults=[spec])
-                post = {"stores": report["stores"], "queues": report["queues"]}
-                log = report["log"]
-                decided = log.get(str(swept_id))
-                if post == commit_state == abort_state:
-                    # the swept transaction changes no state (it only reads, say),
-                    # so only the log's decision tells commit from abort
-                    outcome = decided if decided in ("committed", "aborted") else "undecided"
-                elif post == commit_state:
-                    outcome = "committed"
-                elif post == abort_state:
-                    outcome = "aborted"
-                else:
-                    outcome = "split"
-                fired = bool(report["fired"])
-                conservation = all(report["queue_conservation"].values())
-                log_ok = decided == outcome
-                prefix_ok = all(
-                    txn_id == str(swept_id) or baseline["log"].get(txn_id) == status
-                    for txn_id, status in log.items()
-                )
-                row_ok = (
-                    fired
-                    and outcome in ("committed", "aborted")
-                    and not report["errors"]
-                    and conservation
-                    and log_ok
-                    and prefix_ok
-                )
-                result["combinations"].append(
-                    {
-                        "target": target,
-                        "point": point.value,
-                        "fired": fired,
-                        "outcome": outcome,
-                        "conservation": conservation,
-                        "log_matches_outcome": log_ok,
-                        "ok": row_ok,
-                    }
-                )
-                if not row_ok:
-                    result["ok"] = False
+    targets = [COORDINATOR_TARGET] + list(scenario.sweep_targets)
+    for target in targets:
+        for point in ALL_POINTS:
+            spec = FaultSpec(target, point, swept_id)
+            report = run_scenario(scenario, faults=[spec])
+            post = {"stores": report["stores"], "queues": report["queues"]}
+            log = report["log"]
+            decided = log.get(str(swept_id))
+            if post == commit_state == abort_state:
+                # the swept transaction changes no state (it only reads, say),
+                # so only the log's decision tells commit from abort
+                outcome = decided if decided in ("committed", "aborted") else "undecided"
+            elif post == commit_state:
+                outcome = "committed"
+            elif post == abort_state:
+                outcome = "aborted"
+            else:
+                outcome = "split"
+            fired = bool(report["fired"])
+            conservation = all(report["queue_conservation"].values())
+            log_ok = decided == outcome
+            prefix_ok = all(
+                txn_id == str(swept_id) or baseline["log"].get(txn_id) == status
+                for txn_id, status in log.items()
+            )
+            row_ok = (
+                fired
+                and outcome in ("committed", "aborted")
+                and not report["errors"]
+                and conservation
+                and log_ok
+                and prefix_ok
+            )
+            result["combinations"].append(
+                {
+                    "target": target,
+                    "point": point.value,
+                    "fired": fired,
+                    "outcome": outcome,
+                    "conservation": conservation,
+                    "log_matches_outcome": log_ok,
+                    "ok": row_ok,
+                }
+            )
+            if not row_ok:
+                result["ok"] = False
     return result
 
 

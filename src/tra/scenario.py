@@ -16,6 +16,7 @@ from typing import Mapping
 # load_manifest is called through its module, where bench/spans.py wraps it
 from . import model as component_model
 from .broker import DEFAULT_REPLY_BUDGET, SCRIPT, Adapter, BrokerTable, LegacyEndpoint, MessageBroker, load_table
+from .coordinator import DEFAULT_PREPARE_BUDGET
 from .errors import ScenarioError
 from .faults import COORDINATOR_TARGET
 from .model import ComponentModel, resolve_transactional
@@ -78,7 +79,7 @@ def _resources(initial: Kind) -> Each:
 
 # tables, processes and a manifest are inline or in a file its own loader checks
 SCENARIO = Obj({"name": NAME}, {
-    "seed": INT, "prepare_budget": UINT, "model": OBJECT, "manifest": Either(STR, OBJECT),
+    "seed": INT, "prepare_budget": UINT, "manifest": Either(STR, OBJECT),
     "stores": _resources(Each(OBJECT, STR)), "queues": _resources(Each(LIST, STR)),
     "endpoints": Each(LIST, Obj({"endpoint_id": NAME}, {"budget": UINT, "script": SCRIPT})),
     "tables": Each(LIST, Either(STR, OBJECT)),
@@ -125,7 +126,7 @@ class Scenario:
 
     name: str
     seed: int
-    prepare_budget: int | None
+    prepare_budget: int
     model: ComponentModel | None  # read-only during a run, so every run shares it
     stores: list[ResourceDecl]
     queues: list[ResourceDecl]
@@ -207,9 +208,7 @@ def _sources(texts: Mapping, where: str) -> dict:
 
 def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
     check(SCENARIO, doc, ScenarioError, "scenario")
-    model_doc = doc.get("model")
-    if model_doc is None and "manifest" in doc:
-        model_doc = _inline_or_file(doc["manifest"], base_dir, "manifest")
+    model_doc = _inline_or_file(doc["manifest"], base_dir, "manifest") if "manifest" in doc else None
 
     stores = _resource_decls(doc.get("stores", ()), "store")
     queues = _resource_decls(doc.get("queues", ()), "queue")
@@ -278,7 +277,7 @@ def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
     return Scenario(
         name=doc["name"],
         seed=doc.get("seed", 0),
-        prepare_budget=doc.get("prepare_budget"),
+        prepare_budget=doc.get("prepare_budget", DEFAULT_PREPARE_BUDGET),
         model=model,
         stores=stores,
         queues=queues,

@@ -22,7 +22,7 @@ def tracer():
 @pytest.fixture
 def rig(tmp_path, tracer):
     """Coordinator wired to one store and one queue, logs under tmp_path."""
-    coord = Coordinator(str(tmp_path / "coordinator.log"), tracer=tracer)
+    coord = Coordinator(str(tmp_path / "coord.log"), tracer=tracer)
     store = ManagedStore("store", str(tmp_path / "store.log"), tracer=tracer)
     queue = TxnQueue("queue", str(tmp_path / "queue.log"), tracer=tracer)
     coord.register(store)

@@ -1,25 +1,27 @@
-"""List the mutants of src/tra that no test notices.
+"""List the statements of src/tra that no test runs, and the mutants of
+src/tra that no test notices.
 
     python tests/mutants.py        # every mutant site in src/tra
     python tests/mutants.py REF    # only the src/tra lines changed since git REF
+
+First it runs Tier-1 once, in a forked child, under a `sys.settrace` line
+probe, and prints `file:line: text` for every src/tra statement with code of
+its own that no test reached. That pass also records which lines each test
+runs and how long it takes.
 
 A mutant makes one small change to one statement of src/tra: it flips a
 comparison to its negation, swaps `and` and `or`, drops a `not`, or replaces a
 simple statement with `pass`. Each is written into a scratch copy of the
 repository, and only the tests that run its lines are run against it, with
 `-x`. The mutant is killed when one of them fails and survives when all pass.
-
-Which test runs which lines comes from one Tier-1 pass under `unrun.py`'s line
-probe, which also times each test. Lines that run on import, or in no test
-the probe sees (in a child process, say), count as run by every test. A
+Lines that run on import, or in no test, count as run by every test. A
 mutant whose tests are still running after 10 s plus three times their
 traced time is killed, together with its process group.
 
-First prints `unrun.py`'s report of unrun statements from that same pass,
-then `file:line: mutant: text` for every survivor. Exits 1 when an unrun
-statement is not in `unrun.ALLOWED` or a survivor is not in EQUIVALENT
-below, and with pytest's code when the unmutated tests fail. Standard
-library only; the name has no `test_` prefix, so pytest does not collect it.
+Prints `file:line: mutant: text` for every survivor. Exits 1 when a
+statement is unrun or a survivor is not in EQUIVALENT below, and with
+pytest's code when the unmutated tests fail. Standard library only; the name
+has no `test_` prefix, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -33,11 +35,118 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
-from unrun import ROOT, SRC, code_lines, report, trace
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "tra"
+
+
+def code_lines(module_code) -> set[int]:
+    """Lines that hold bytecode, over a module's code objects."""
+    lines, todo = set(), [module_code]
+    while todo:
+        code = todo.pop()
+        lines.update(line for _, _, line in code.co_lines() if line is not None)
+        todo.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
+    return lines
+
+
+def statements(source: str, path: str):
+    """Each statement as (first line, its own lines): a compound statement
+    owns its header, from its first decorator to the line before its body."""
+    for node in ast.walk(ast.parse(source, path)):
+        if not isinstance(node, ast.stmt):
+            continue
+        first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
+        body = getattr(node, "body", None)
+        last = body[0].lineno - 1 if isinstance(body, list) and body else node.end_lineno
+        yield node.lineno, range(first, max(first, last) + 1)
+
+
+def unrun(hit: dict[str, set[int]]):
+    """Unrun statements, given the lines run in each file by name."""
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text()
+        text = source.splitlines()
+        has_code = code_lines(compile(source, str(path), "exec"))
+        ran = hit.get(path.name, set())
+        for line, own in sorted(statements(source, str(path))):
+            mine = has_code.intersection(own)
+            if mine and not mine & ran:
+                yield path.name, line, text[line - 1].strip()
+
+
+def trace(args: list[str]):
+    """Run pytest with `args` in this process under a `sys.settrace` line
+    probe. Returns pytest's exit code, the `src/tra` lines each test ran as
+    {test id: {file name: lines}}, and each test's wall time in seconds.
+    Lines run outside every test, as imports and collection run them, are
+    under the test id ""."""
+    sys.path.insert(0, str(SRC.parent))
+    import pytest  # tra itself is first imported by the tests, under the probe
+
+    runs: dict[str, dict[str, set[int]]] = {}
+    times: dict[str, float] = {}
+    hit = runs[""] = defaultdict(set)
+    started = 0.0
+    prefix = str(SRC) + "/"
+
+    def local(frame, event, arg):
+        if event == "line":
+            hit[frame.f_code.co_filename].add(frame.f_lineno)
+        return local
+
+    def probe(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(prefix) else None
+
+    class PerTest:
+        @staticmethod
+        def pytest_runtest_logstart(nodeid, location):
+            nonlocal hit, started
+            hit = runs.setdefault(nodeid, defaultdict(set))
+            started = time.perf_counter()
+
+        @staticmethod
+        def pytest_runtest_logfinish(nodeid, location):
+            """Python switches a trace function off when it cannot call it:
+            at the recursion limit, say, where a collection runs a finalizer.
+            Put the probe back after each test, so one such test blinds no
+            later one."""
+            nonlocal hit
+            times[nodeid] = time.perf_counter() - started
+            hit = runs[""]
+            if sys.gettrace() is None:
+                sys.settrace(probe)
+
+    threading.settrace(probe)
+    sys.settrace(probe)
+    try:
+        code = pytest.main(["-p", "no:cacheprovider", *args], plugins=[PerTest()])
+    finally:
+        sys.settrace(None)
+        threading.settrace(None)
+    names = {str(path): path.name for path in SRC.glob("*.py")}
+    lines = {test: {names[f]: ran for f, ran in files.items() if f in names} for test, files in runs.items()}
+    return int(code), lines, times
+
+
+def report(runs: dict[str, dict[str, set[int]]]) -> int:
+    """Print the unrun statements, given `trace`'s lines per test, and
+    return how many there are."""
+    hit: dict[str, set[int]] = defaultdict(set)
+    for files in runs.values():
+        for name, ran in files.items():
+            hit[name] |= ran
+    found = list(unrun(hit))
+    for name, line, text in found:
+        print(f"src/tra/{name}:{line}: {text}")
+    print(f"{len(found)} unrun statement(s)")
+    return len(found)
+
 
 _TYPING = "its names appear only in annotations, which `from __future__ import annotations` never evaluates"
 _SLOTS = "slots only make each instance smaller: nothing sets an attribute they do not list"
@@ -164,7 +273,7 @@ def changed_lines(ref: str) -> dict[str, set[int]]:
 
 
 def line_map() -> tuple[dict, dict]:
-    """Run Tier-1 once under unrun.py's probe, in a child so that this
+    """Run Tier-1 once under `trace`'s probe, in a child so that this
     process never imports tra. Returns the lines each test ran and its time."""
     fd, out = tempfile.mkstemp(suffix=".json")
     os.close(fd)
@@ -190,8 +299,7 @@ def line_map() -> tuple[dict, dict]:
 
 def select(mutant: Mutant, runs: dict, times: dict) -> list[str]:
     """The tests that run a mutant's lines, fastest first. Every test when
-    the lines run on import, or in no test the probe sees, as in a child
-    process a test starts."""
+    the lines run on import, or in no test."""
     span = range(mutant.line, mutant.last + 1)
     tests = [t for t, files in runs.items() if t and not files.get(mutant.name, set()).isdisjoint(span)]
     if not tests or not runs[""].get(mutant.name, set()).isdisjoint(span):
@@ -208,11 +316,15 @@ def install(copy: Path, name: str, source: str) -> None:
 
 
 def run_tests(copy: Path, tests: list[str]) -> None:
-    """In a forked child: run `tests` in `copy` and exit with pytest's code."""
+    """In a forked child: run `tests` in `copy` and exit with pytest's code.
+    Temporary files go inside the copy, so the run directories of a child
+    killed by timeout are removed with the copies."""
     code = 70
     try:
         os.setpgid(0, 0)
         os.chdir(copy)
+        tempfile.tempdir = os.environ["TMPDIR"] = str(copy / "tempdir")
+        os.makedirs(tempfile.tempdir, exist_ok=True)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, 1)
         os.dup2(devnull, 2)

@@ -24,6 +24,7 @@ from tra import (
     ManagedStore,
     MessageBroker,
     MessageSpec,
+    Runner,
     SimClock,
     Tracer,
     TxnQueue,
@@ -32,6 +33,7 @@ from tra import (
     decode_record,
     encode_record,
     fixture_path,
+    load_scenario_file,
     load_table,
     render_report,
     run_scenario,
@@ -216,20 +218,19 @@ def _replay_outcomes(path: str) -> tuple[dict, set]:
     return statuses, ended
 
 
-def test_log_replay_matches_reported_outcomes(tmp_path):
+def test_log_replay_matches_reported_outcomes():
+    scenario = load_scenario_file(fixture_path("transfer.json"))
     mismatches = []
     combos = 0
     for target in (COORDINATOR_TARGET, "accounts-a", "accounts-b"):
         for point in ALL_POINTS:
             combos += 1
-            wd = tmp_path / f"{target}-{point.value}"
-            wd.mkdir()
-            report = run_scenario(
-                fixture_path("transfer.json"),
-                faults=[FaultSpec(target, point)],
-                workdir=str(wd),
-            )
-            statuses, ended = _replay_outcomes(os.path.join(str(wd), "coordinator.log"))
+            runner = Runner(scenario, faults=[FaultSpec(target, point)])
+            try:
+                report = runner.run()
+                statuses, ended = _replay_outcomes(runner.coordinator.log_path)
+            finally:
+                runner.close()
             if statuses != report["log"]:
                 mismatches.append(f"{target}@{point.value}: {statuses} != {report['log']}")
             if set(statuses) != ended:

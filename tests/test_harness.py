@@ -5,9 +5,11 @@ import io
 import json
 import os
 import re
+import runpy
 import signal
-import subprocess
 import sys
+import tempfile
+from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -19,7 +21,7 @@ from tra.coordinator import Coordinator, replay_log
 from tra.errors import BindingError, ProcessError, ScenarioError, StoreLimitError, TableError, TraError
 from tra.faults import CrashPoint, FaultSpec
 from tra.harness import Runner, _stringify, crash_sweep, render_report, render_sweep, run_scenario
-from tra.scenario import load_scenario, load_scenario_file
+from tra.scenario import ResourceDecl, load_scenario, load_scenario_file
 from tra.sim import EVENTS, RECENT_EVENTS, Tracer
 from tra.txn import TxnStatus
 
@@ -40,13 +42,37 @@ def test_clean_run_passes_all_asserts():
     assert report["recovery"] is None
 
 
-def test_closing_a_runner_closes_every_log(tmp_path):
-    runner = Runner(load_scenario_file(transfer_path()), str(tmp_path))
+def test_closing_a_runner_closes_every_log(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    runner = Runner(load_scenario_file(transfer_path()))
     runner.run()
+    (logs,) = tmp_path.iterdir()  # the run's own directory holds its logs until close
+    assert logs.name.startswith("tra-run-") and Path(runner.coordinator.log_path).parent == logs
     runner.close()
     managers = [runner.coordinator, *runner.stores.values(), *runner.queues.values()]
     assert len(managers) == 4
     assert all(manager._writer._fh.closed for manager in managers)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        run_scenario,
+        lambda s: run_scenario(s, faults=[FaultSpec.parse("accounts-a@before_prepare")]),
+        crash_sweep,
+        lambda s: pytest.raises(ScenarioError, Runner, s, faults=[FaultSpec.parse("ghost@before_prepare")]),
+        # refused after its directory and the first logs were made
+        lambda s: pytest.raises(
+            StoreLimitError, Runner, replace(s, stores=[*s.stores, ResourceDecl("bad", {"k": 5})])
+        ),
+    ],
+    ids=["plain", "faulted", "sweep", "refused-fault-target", "refused-seed"],
+)
+def test_no_run_leaves_a_directory(tmp_path, monkeypatch, run):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    run(load_scenario_file(transfer_path()))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_run_reports_every_event_of_a_trace_longer_than_the_window():
@@ -113,14 +139,10 @@ def test_store_fault_after_decision_still_commits():
     assert report["recovery"]["recommitted"] == 1
 
 
-def test_endpoint_fault_targets_are_rejected(tmp_path):
+def test_endpoint_fault_targets_are_rejected():
     scenario = load_scenario_file(tra.fixture_path("broker_demo.json"))
     with pytest.raises(ScenarioError, match="scripted"):
-        Runner(
-            scenario,
-            str(tmp_path),
-            faults=[FaultSpec.parse("POLADM@before_prepare")],
-        )
+        Runner(scenario, faults=[FaultSpec.parse("POLADM@before_prepare")])
 
 
 def test_unknown_fault_spec_rejected():
@@ -695,7 +717,7 @@ def test_reply_queue_that_never_commits_does_not_hang_the_run():
 )
 def test_a_wrongly_typed_queued_request_is_poison_and_every_transaction_settles(message):
     # A cyclic collection inside nested-too-deep's json.loads recursion can
-    # switch tests/unrun.py's line probe off; when one falls there depends
+    # switch tests/mutants.py's line probe off; when one falls there depends
     # only on allocation counts, so start the case with none pending.
     gc.collect()
     with open(tra.fixture_path("broker_demo.json"), encoding="utf-8") as fh:
@@ -891,9 +913,9 @@ def _world(**changes):
             "endpoint name 'coordinator' is reserved",
         ),
         ({"processes": [{"name": "p", "steps": []}]}, "processes need a component model"),
-        ({"processes": [{"steps": []}], "model": {}}, r"processes\[0\]: missing 'name'"),
+        ({"processes": [{"steps": []}], "manifest": {}}, r"processes\[0\]: missing 'name'"),
         (
-            {"processes": [{"name": "s", "steps": []}], "model": {"components": []}},
+            {"processes": [{"name": "s", "steps": []}], "manifest": {"components": []}},
             "process name 's' is declared twice",
         ),
         ({"stores": ["a\tb"]}, r"stores\[0\] must be a name .*, got 'a\\tb'"),
@@ -932,11 +954,10 @@ def test_sweep_with_an_undeclared_target_fails_before_any_run(tmp_path, monkeypa
 
 
 @pytest.mark.parametrize("target", ["ghost", "ep"])
-def test_fault_targets_read_the_name_table(tmp_path, target):
+def test_fault_targets_read_the_name_table(target):
     scenario = load_scenario(_world())
     with pytest.raises(ScenarioError, match=f"fault target '{target}'"):
-        Runner(scenario, str(tmp_path), faults=[FaultSpec.parse(f"{target}@before_prepare")])
-    assert list(tmp_path.iterdir()) == []  # refused before any log is opened
+        Runner(scenario, faults=[FaultSpec.parse(f"{target}@before_prepare")])
 
 
 def test_every_crash_target_kind_is_crashed_by_name():
@@ -982,7 +1003,7 @@ def test_expect_is_one_rule_over_what_each_op_observed():
 @pytest.mark.parametrize(
     "changes, message",
     [
-        ({"model": "abc"}, "model must be an object, got 'abc'"),
+        ({"manifest": 5}, "manifest must be a string or an object, got 5"),
         ({"seed": "abc"}, "seed must be an integer, got 'abc'"),
         ({"seed": True}, "seed must be an integer, got True"),
         ({"prepare_budget": 1.5}, "prepare_budget must be a non-negative integer, got 1.5"),
@@ -990,7 +1011,7 @@ def test_expect_is_one_rule_over_what_each_op_observed():
         ({"stores": "ab"}, "stores must be a list, got 'ab'"),
         ({"queues": {"q": []}}, "queues must be a list"),
         ({"actions": "ab"}, "actions must be a list"),
-        ({"model": {}, "processes": [{"name": "p", "steps": "ab"}]}, "steps must be a list"),
+        ({"manifest": {}, "processes": [{"name": "p", "steps": "ab"}]}, "steps must be a list"),
         ({"bindings": [{"component": [1], "service": "s"}]}, "bindings[0].component must be a name"),
         ({"bindings": [{"component": "A", "service": "s", "effects": 5}]}, "bindings[0].effects must be a list, got 5"),
         ({"actions": [{"op": "begin", "txn": ["t"]}]}, "actions[0].txn must be a string, got ['t']"),
@@ -1009,7 +1030,7 @@ def test_expect_is_one_rule_over_what_each_op_observed():
         ),
     ],
     ids=[
-        "model-a-string", "seed-a-string", "seed-a-bool", "budget-a-float", "prepare-delay-negative",
+        "manifest-a-number", "seed-a-string", "seed-a-bool", "budget-a-float", "prepare-delay-negative",
         "stores-a-string", "queues-an-object", "actions-a-string", "process-steps-a-string",
         "binding-component-a-list", "binding-effects-an-int", "begin-txn-a-list",
         "endpoint-script-an-int", "process-variables-a-list", "expect-error-an-int",
@@ -1134,8 +1155,7 @@ def _non_transactional(doc, service):
             for sig in internal["provides"]:
                 if sig["name"] == service:
                     sig["transactional"] = False
-    doc.pop("manifest")
-    doc["model"] = model
+    doc["manifest"] = model
     return doc
 
 
@@ -1327,7 +1347,7 @@ def test_the_manifest_is_parsed_once_at_load(monkeypatch):
     import tra.model
 
     with pytest.raises(TraError, match=re.escape("components must be a list, got 5")):
-        load_scenario({"name": "x", "model": {"components": 5}})
+        load_scenario({"name": "x", "manifest": {"components": 5}})
 
     scenario = load_scenario_file(tra.fixture_path("cross_component.json"))
     assert isinstance(scenario.model, tra.model.ComponentModel)
@@ -1367,14 +1387,15 @@ def test_cli_writes_what_its_stream_cannot_encode_as_an_escape():
     assert no_encoding.getvalue() == "\\ud800"
 
 
-def test_the_cli_module_runs_as_a_script():
-    env = {**os.environ, "PYTHONPATH": str(Path(tra.__file__).resolve().parents[1])}
-    done = subprocess.run(
-        [sys.executable, "-m", "tra.cli", "validate", tra.fixture_path("model.json"), tra.fixture_path("edges.json")],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == 1
-    assert done.stdout.splitlines()[-1] == "12 edge(s) checked, 6 violation(s)"
+def test_the_cli_module_runs_as_a_script(monkeypatch, capsys):
+    # in this process, as `python -m tra.cli` runs it, so the line probes see it run
+    argv = ["tra", "validate", tra.fixture_path("model.json"), tra.fixture_path("edges.json")]
+    monkeypatch.setattr(sys, "argv", argv)
+    monkeypatch.delitem(sys.modules, "tra.cli")  # else runpy warns that it is already imported
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("tra.cli", run_name="__main__")
+    assert exited.value.code == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "12 edge(s) checked, 6 violation(s)"
 
 
 READ_ONLY_SWEEP = {
@@ -1407,15 +1428,15 @@ def test_a_sweep_of_a_read_only_commit_is_classified_by_the_log(tmp_path, capsys
 def test_a_swept_transaction_the_log_leaves_undecided_fails_its_row(monkeypatch):
     import tra.harness
 
-    run_once = tra.harness._run_once
+    run = tra.harness.run_scenario
 
-    def undecided(scenario, workdir, **kwargs):
-        report = run_once(scenario, workdir, **kwargs)
+    def undecided(scenario, **kwargs):
+        report = run(scenario, **kwargs)
         if kwargs.get("faults"):
             report["log"] = {k: "active" for k in report["log"]}
         return report
 
-    monkeypatch.setattr(tra.harness, "_run_once", undecided)
+    monkeypatch.setattr(tra.harness, "run_scenario", undecided)
     result = crash_sweep(load_scenario(READ_ONLY_SWEEP))
     assert result["ok"] is False
     assert {r["outcome"] for r in result["combinations"]} == {"undecided"}
@@ -1459,15 +1480,15 @@ def test_a_process_assert_reads_the_instance_state():
 def test_a_state_that_is_neither_commit_nor_abort_is_a_split_row(monkeypatch):
     import tra.harness
 
-    run_once = tra.harness._run_once
+    run = tra.harness.run_scenario
 
-    def torn(scenario, workdir, **kwargs):
-        report = run_once(scenario, workdir, **kwargs)
+    def torn(scenario, **kwargs):
+        report = run(scenario, **kwargs)
         if kwargs.get("faults"):
             report["stores"] = {"a": {"k": "1"}, "b": {}}  # half of t1 applied
         return report
 
-    monkeypatch.setattr(tra.harness, "_run_once", torn)
+    monkeypatch.setattr(tra.harness, "run_scenario", torn)
     result = crash_sweep(load_scenario(TWO_COMMITS))
     assert result["ok"] is False
     assert {r["outcome"] for r in result["combinations"]} == {"split"}

@@ -79,7 +79,7 @@ def test_a_kept_event_is_read_back_only_as_its_declaration():
         tracer.events[2]
 
 
-def test_tracer_events_are_a_read_only_view_of_copies(tmp_path):
+def test_tracer_events_are_a_read_only_view_of_copies():
     tracer = Tracer(SimClock())
     tracer.emit("crash", "coordinator")
     tracer.events[0]["who"] = "s"
@@ -93,7 +93,7 @@ def test_tracer_events_are_a_read_only_view_of_copies(tmp_path):
         tracer.events[0] = {}
 
     scenario = load_scenario_file(tra.fixture_path("transfer.json"))
-    runner = Runner(scenario, str(tmp_path))
+    runner = Runner(scenario)
     try:
         report = runner.run()
     finally:
@@ -109,7 +109,7 @@ def test_tracer_events_are_a_read_only_view_of_copies(tmp_path):
 def _put_send_commits(tmp_path, tracer):
     """A coordinator, a store and a queue on one tracer, and a function that
     commits n put+send transactions on them."""
-    coord = Coordinator(str(tmp_path / "coordinator.log"), tracer=tracer)
+    coord = Coordinator(str(tmp_path / "coord.log"), tracer=tracer)
     store = ManagedStore("store", str(tmp_path / "store.log"), tracer=tracer)
     queue = TxnQueue("queue", str(tmp_path / "queue.log"), tracer=tracer)
     coord.register(store)
