@@ -194,8 +194,8 @@ _RULE = {
     "match": OBJECT, "delay": UINT, "reply": Either(OBJECT, NULL), "error": BOOL,
     "garbage": Either(STR, NULL),
 }
-SCRIPT = Each(LIST, Obj({}, _RULE, error=TableError))  # also declared by a scenario's endpoints
-_ENDPOINT = Obj({"endpoint_id": NAME}, {"script": SCRIPT})
+# also a scenario's endpoint, whose `budget` its Adapter takes
+ENDPOINT = Obj({"endpoint_id": NAME}, {"budget": UINT, "script": Each(LIST, Obj({}, _RULE, error=TableError))})
 
 
 class LegacyEndpoint:
@@ -232,7 +232,7 @@ class LegacyEndpoint:
 
     @classmethod
     def from_doc(cls, doc: Mapping) -> "LegacyEndpoint":
-        check(_ENDPOINT, doc, TableError, "endpoint")
+        check(ENDPOINT, doc, TableError, "endpoint")
         rules = []
         for r in doc.get("script", ()):
             try:

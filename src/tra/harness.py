@@ -154,7 +154,6 @@ class Runner:
                 return found
 
             for op, eff in zip(ops, binding.effects):
-                # load keeps only the fields an effect's shape declares
                 args = {**eff, **{f: fetch(eff[f]) for f in SOURCE_FIELDS if f in eff}}
                 if "request" in eff:
                     args["request"] = {f: fetch(s) for f, s in eff["request"].items()}
@@ -179,7 +178,7 @@ class Runner:
                         raise ScenarioError(f"unknown transaction name {action['txn']!r}")
                     ctx = self.txns[action["txn"]]
                 got = getattr(self, f"_op_{op}")(ctx, action)
-                if op in EXPECT_DESC and "expect" in action:
+                if "expect" in action:  # scenario.ACTION declares it on the ops of EXPECT_DESC
                     self._assert(
                         EXPECT_DESC[op].format_map(action),
                         _stringify(got) == _stringify(action["expect"]),
@@ -430,8 +429,9 @@ def crash_sweep(scenario_or_path) -> dict:
     # the rollback found the swept transaction begun, so the baseline began it too
     swept_id = baseline["transactions"][swept_txn]["id"]
 
-    targets = [COORDINATOR_TARGET] + list(scenario.sweep_targets)
-    for target in targets:
+    # the coordinator, then each participant the swept transaction enlisted, in enlist order
+    enlisted = [e["rm"] for e in baseline["events"] if e["ev"] == "enlist" and e["txn"] == swept_id]
+    for target in [COORDINATOR_TARGET, *enlisted]:
         for point in ALL_POINTS:
             spec = FaultSpec(target, point, swept_id)
             report = run_scenario(scenario, faults=[spec])

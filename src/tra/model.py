@@ -226,13 +226,12 @@ class CallEdge:
 
 
 _END = {"component": NAME, "internal": NAME}
-EDGES = Each(LIST, Obj({"caller": Obj(_END), "callee": Obj({**_END, "service": NAME})}))
+EDGES = Each(LIST, Obj({"caller": Obj(_END), "callee": Obj({**_END, "service": NAME})}, {"note": STR}))
 
 
 def load_edges(doc: Sequence) -> list[CallEdge]:
     """Parse an edge list document: [{caller: {component, internal},
-    callee: {component, internal, service}}, ...]. Extra keys (notes) are
-    ignored."""
+    callee: {component, internal, service}, note?}, ...]."""
     check(EDGES, doc, EdgeError, "edges")
     return [
         CallEdge(

@@ -15,14 +15,14 @@ from typing import Mapping
 
 # load_manifest is called through its module, where bench/spans.py wraps it
 from . import model as component_model
-from .broker import DEFAULT_REPLY_BUDGET, SCRIPT, Adapter, BrokerTable, LegacyEndpoint, MessageBroker, load_table
+from .broker import DEFAULT_REPLY_BUDGET, ENDPOINT, Adapter, BrokerTable, LegacyEndpoint, MessageBroker, load_table
 from .coordinator import DEFAULT_PREPARE_BUDGET
 from .errors import ScenarioError
 from .faults import COORDINATOR_TARGET
 from .model import ComponentModel, resolve_transactional
-from .process import Plan, load_definition, load_processes
+from .process import PROCESS, Plan, load_definition, load_processes
 from .resources import _check_keys, _check_values
-from .shape import INT, LIST, NAME, OBJECT, STR, UINT, Each, Either, Kind, Obj, Tagged, check, read_json
+from .shape import INT, JSON, LIST, NAME, OBJECT, STR, UINT, Each, Either, Kind, Obj, Tagged, check, read_json
 from .source import parse
 
 
@@ -32,31 +32,32 @@ def _op(required: dict, optional: dict | None = None) -> Obj:
 
 
 _TXN = {"txn": STR}
+_EXPECT = {"expect": JSON}  # compared with what the op observed, as harness.EXPECT_DESC reads
 
 # an action's op (an assert's kind) picks the fields its runner handler reads
 ACTION = Tagged("op", {
     "begin": _op(_TXN, {"originator": STR}),
-    "get": _op({**_TXN, "store": STR, "key": STR}),
+    "get": _op({**_TXN, "store": STR, "key": STR}, _EXPECT),
     "put": _op({**_TXN, "store": STR, "key": STR, "value": STR}),
     "delete": _op({**_TXN, "store": STR, "key": STR}),
     "send": _op({**_TXN, "queue": STR, "message": STR}),
-    "receive": _op({**_TXN, "queue": STR}),
-    "propagate": _op({**_TXN, "component": NAME, "service": NAME}, {"request": OBJECT}),
-    "commit": _op(_TXN),
+    "receive": _op({**_TXN, "queue": STR}, _EXPECT),
+    "propagate": _op({**_TXN, "component": NAME, "service": NAME}, {"request": OBJECT, **_EXPECT}),
+    "commit": _op(_TXN, _EXPECT),
     "rollback": _op(_TXN),
     "crash": _op({"target": STR}),
     "recover": _op({}),
-    "invoke": _op({"service": NAME}, {"request": OBJECT}),
+    "invoke": _op({"service": NAME}, {"request": OBJECT, **_EXPECT}),
     "invoke_via_queue": _op(
         {**_TXN, "queue": STR, "service": NAME, "reply_to": STR}, {"request": OBJECT}
     ),
-    "run_process": _op({"process": STR}, {"variables": OBJECT}),
+    "run_process": _op({"process": STR}, {"variables": OBJECT, **_EXPECT}),
     "assert": Tagged("kind", {
-        "store": _op({"store": STR, "key": STR}),
+        "store": _op({"store": STR, "key": STR}, {"value": STR}),
         "queue": _op({"queue": STR}, {"messages": LIST}),
         "txn": _op({**_TXN, "status": STR}),
         "process": _op({"process": STR, "state": STR}),
-        "process_var": _op({"process": STR, "var": STR}),
+        "process_var": _op({"process": STR, "var": STR}, {"value": JSON}),
     }),
 })
 
@@ -77,19 +78,18 @@ def _resources(initial: Kind) -> Each:
     return Each(LIST, Either(NAME, Obj({"name": NAME}, {"initial": initial, "prepare_delay": UINT})))
 
 
-# tables, processes and a manifest are inline or in a file its own loader checks
+# a table or a manifest is inline or in a file its own loader checks; a process in a file too
 SCENARIO = Obj({"name": NAME}, {
     "seed": INT, "prepare_budget": UINT, "manifest": Either(STR, OBJECT),
     "stores": _resources(Each(OBJECT, STR)), "queues": _resources(Each(LIST, STR)),
-    "endpoints": Each(LIST, Obj({"endpoint_id": NAME}, {"budget": UINT, "script": SCRIPT})),
+    "endpoints": Each(LIST, ENDPOINT),
     "tables": Each(LIST, Either(STR, OBJECT)),
-    "processes": Each(LIST, Either(STR, Obj({"name": NAME}))),
+    "processes": Each(LIST, Either(STR, PROCESS)),
     "bindings": Each(LIST, Obj(
         {"component": NAME, "service": NAME}, {"effects": Each(LIST, EFFECT), "response": OBJECT}
     )),
     "actions": Each(LIST, ACTION),
     "serve_queues": Each(LIST, STR),
-    "sweep_targets": Each(LIST, STR),
 })
 
 # a field that names part of the declared world -> the kinds it may name
@@ -135,7 +135,6 @@ class Scenario:
     processes: dict[str, Plan]  # read-only during a run, like tables
     bindings: list[BindingDecl]
     serve_queues: list[str]
-    sweep_targets: list[str]
     actions: list[dict]
     names: dict[str, str]
 
@@ -237,11 +236,8 @@ def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
         where = f"binding {raw['component']}.{raw['service']}"
         effects = []
         for eff in raw.get("effects", ()):
-            shape = EFFECT.pick(eff)
-            _check_fields(names, shape, eff, f"{where}: {eff['do']}")
-            # an effect keeps only the fields its shape declares, as the op it runs reads them
-            eff = {"do": eff["do"], **{f: eff[f] for f, _ in shape.fields if f in eff}}
-            eff.update(_sources({f: eff[f] for f in SOURCE_FIELDS if f in eff}, where))
+            _check_fields(names, EFFECT.pick(eff), eff, f"{where}: {eff['do']}")
+            eff = {**eff, **_sources({f: eff[f] for f in SOURCE_FIELDS if f in eff}, where)}
             if eff["do"] == "call":
                 eff["request"] = _sources(eff.get("request", {}), where)
                 services.append((eff["component"], eff["service"], f"{where}: call"))
@@ -249,9 +245,8 @@ def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
         response = _sources(raw.get("response", {}), where)
         bindings.append(BindingDecl(raw["component"], raw["service"], effects, response))
 
-    for listed, kinds in (("serve_queues", ("queue",)), ("sweep_targets", ("store", "queue"))):
-        for value in doc.get(listed, ()):
-            _check_name(names, value, kinds, listed)
+    for value in doc.get("serve_queues", ()):
+        _check_name(names, value, ("queue",), "serve_queues")
 
     # After the name checks, so that their refusals come first: resolve what a
     # run registers, by the rules it registers with.
@@ -286,7 +281,6 @@ def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
         processes=processes,
         bindings=bindings,
         serve_queues=list(doc.get("serve_queues", ())),
-        sweep_targets=list(doc.get("sweep_targets", ())),
         actions=actions,
         names=names,
     )

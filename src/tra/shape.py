@@ -1,11 +1,11 @@
 """One checker for the shape of every loaded document, and one JSON reader.
 
 A loader declares its document as a shape next to its parser and calls
-`check` with its own error class before it reads anything. A refusal reads
-`<path> must be <kind>, got <value!r>` or `<path>: missing '<key>'`, with the
-path in JSON form (`actions[3].txn`). The path is built only while a refusal
-unwinds, so a document that passes pays for the type checks alone. Keys an
-object shape does not declare are ignored.
+`check` with its own error class before it reads anything; an object shape
+refuses a key it does not declare. A refusal reads `<path> must be <kind>,
+got <value!r>`, `<path>: missing '<key>'` or `<path>: unknown key '<key>'`,
+with the path in JSON form (`actions[3].txn`). The path is built only while a
+refusal unwinds, so a document that passes pays for the checks alone.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import json
 
 
 class _Mismatch(Exception):
-    def __init__(self, shape, value, missing=None):
-        self.shape, self.value, self.missing, self.path = shape, value, missing, []
+    def __init__(self, shape, value, note=None):
+        self.note, self.path = note or f" must be {shape.kind}, got {value!r}", []
         self.error = getattr(shape, "error", None)
 
 
@@ -39,6 +39,7 @@ BOOL = Kind((bool,), "a bool")
 NULL = Kind((type(None),), "null")
 OBJECT = Kind((dict,), "an object")
 LIST = Kind((list, tuple), "a list")
+JSON = Kind((dict, list, tuple, str, int, float, bool, type(None)), "a JSON value")
 
 
 def _is_name(v: str) -> bool:
@@ -78,21 +79,24 @@ class Each(Kind):
 
 
 class Obj(Kind):
-    """An object with required and optional keys. A refusal from within it is
-    an `error`, when one is given, so that a part another loader owns keeps
-    that loader's error class inside a larger document."""
+    """An object with required and optional keys and no other (bar the tag of a
+    `Tagged` that picks it). A refusal from within it is an `error`, when one is
+    given, so a part another loader owns keeps that loader's error class."""
 
     def __init__(self, required: dict, optional: dict | None = None, error=None) -> None:
         super().__init__(OBJECT.types, OBJECT.kind, deep=True)
         self.required, self.error = required, error
         self.fields = tuple({**required, **(optional or {})}.items())
+        self.keys = set(required).union(optional or ())
 
     def _check(self, value) -> None:
         if type(value) is not dict:
             raise _Mismatch(self, value)
         for key in self.required:
             if key not in value:
-                raise _Mismatch(self, value, missing=key)
+                raise _Mismatch(self, value, f": missing {key!r}")
+        if not self.keys.issuperset(value):
+            raise _Mismatch(self, value, f": unknown key {next(k for k in value if k not in self.keys)!r}")
         try:
             for key, shape in self.fields:
                 if key in value:
@@ -113,9 +117,13 @@ class Tagged(Kind):
     def __init__(self, tag: str, shapes: dict) -> None:
         super().__init__(OBJECT.types, OBJECT.kind, deep=True)
         self.tag, self.shapes, self._tag = tag, shapes, Obj({tag: one_of(*shapes)})
+        for shape in shapes.values():  # each declares the tag, and so does each shape a nested one picks
+            for obj in shape.shapes.values() if isinstance(shape, Tagged) else (shape,):
+                obj.keys.add(tag)
 
     def _check(self, value) -> None:
-        self._tag._check(value)
+        # the tag alone first: a value without a known tag has no shape to check the rest
+        self._tag._check({self.tag: value[self.tag]} if type(value) is dict and self.tag in value else value)
         self.shapes[value[self.tag]]._check(value)
 
     def pick(self, value) -> Obj:
@@ -148,10 +156,7 @@ def check(shape: Kind, value, error: type[Exception], root: str) -> None:
         for at in reversed(m.path):
             path += f"[{at}]" if type(at) is int else f".{at}" if path else at
         path = root + path if path[:1] in ("", "[") else path
-        error = m.error or error
-        if m.missing is not None:
-            raise error(f"{path}: missing {m.missing!r}") from None
-        raise error(f"{path} must be {m.shape.kind}, got {m.value!r}") from None
+        raise (m.error or error)(path + m.note) from None
 
 
 def read_json(path: str, error: type[Exception], what: str):

@@ -58,7 +58,7 @@ def test_transfer_crash_matrix_is_atomic():
     elapsed = time.monotonic() - t0
     rows = result["combinations"]
     atomic = sum(1 for r in rows if r["ok"])
-    ok = result["ok"] and len(rows) == 15 and atomic == 15 and elapsed < 10.0
+    ok = result["ok"] and len(rows) == 20 and atomic == 20 and elapsed < 10.0
     _criterion(1, ok, f"{atomic}/{len(rows)} crash combinations atomic in {elapsed:.2f}s")
 
 

@@ -274,7 +274,7 @@ def test_scripted_crash_and_recover_ops():
 def test_sweep_on_bundled_transfer():
     result = crash_sweep(transfer_path())
     assert result["ok"] is True
-    assert len(result["combinations"]) == 15
+    assert len(result["combinations"]) == 20
     assert all(row["ok"] for row in result["combinations"])
     outcomes = {(r["target"], r["point"]): r["outcome"] for r in result["combinations"]}
     # decision-side faults abort; post-decision faults must still commit
@@ -284,7 +284,7 @@ def test_sweep_on_bundled_transfer():
     assert outcomes[("accounts-a", "mid_phase2_one_committed")] == "committed"
     text = render_sweep(result)
     assert "\n  [ok ] accounts-a@before_prepare: aborted\n" in text
-    assert text.endswith("\nresult: OK (15/15 combinations atomic)\n")
+    assert text.endswith("\nresult: OK (20/20 combinations atomic)\n")
 
 
 def test_sweep_requires_a_commit():
@@ -332,7 +332,6 @@ def test_a_sweep_whose_baseline_fails_runs_no_fault(actions, error):
 TWO_COMMITS = {
     "name": "two-commits",
     "stores": ["a", "b"],
-    "sweep_targets": ["a", "b"],
     "actions": [
         {"op": "begin", "txn": "t0"},
         {"op": "put", "txn": "t0", "store": "a", "key": "k", "value": "0"},
@@ -352,6 +351,29 @@ def test_the_sweep_aims_every_fault_at_the_last_commit():
     assert len(result["combinations"]) == 15
     assert all(row["fired"] and row["ok"] for row in result["combinations"])
     assert result["ok"] is True
+
+
+def test_the_sweep_aims_at_what_the_swept_transaction_enlisted_in_enlist_order():
+    # c is declared and touched by t0, but the swept t1 never enlists it
+    doc = {**TWO_COMMITS, "stores": ["a", "b", "c"], "actions": [
+        {"op": "begin", "txn": "t0"},
+        {"op": "put", "txn": "t0", "store": "c", "key": "k", "value": "0"},
+        {"op": "commit", "txn": "t0"},
+        {"op": "begin", "txn": "t1"},
+        {"op": "put", "txn": "t1", "store": "b", "key": "k", "value": "1"},
+        {"op": "put", "txn": "t1", "store": "a", "key": "k", "value": "1"},
+        {"op": "commit", "txn": "t1"},
+    ]}
+    result = crash_sweep(load_scenario(doc))
+    assert [r["target"] for r in result["combinations"]] == ["coordinator"] * 5 + ["b"] * 5 + ["a"] * 5
+    assert result["ok"] is True
+
+
+def test_the_broker_demo_sweep_crashes_the_queue_its_last_transaction_receives_from():
+    result = crash_sweep(tra.fixture_path("broker_demo.json"))
+    rows = result["combinations"]
+    assert [r["target"] for r in rows] == ["coordinator"] * 5 + ["replies"] * 5
+    assert result["ok"] is True and all(r["ok"] and r["conservation"] for r in rows)
 
 
 def test_scenario_validation():
@@ -417,7 +439,7 @@ def test_cli_run_sweep_validate(capsys):
 
     assert main(["sweep", transfer_path()]) == 0
     out = capsys.readouterr().out
-    assert "15/15 combinations atomic" in out
+    assert "20/20 combinations atomic" in out
 
     assert (
         main(["validate", tra.fixture_path("model.json"), tra.fixture_path("edges.json")])
@@ -712,8 +734,10 @@ def test_reply_queue_that_never_commits_does_not_hang_the_run():
         json.dumps({"service": "getCustomer360", "request": "custId", "reply_to": "replies"}),
         json.dumps({"service": "getCustomer360", "request": ["custId"], "reply_to": "replies"}),
         "[" * 5000 + "]" * 5000,  # nested deeper than json.loads recurses
+        json.dumps({"service": "getCustomer360", "request": {"custId": "C0000042"}, "reply_to": "replies",
+                    "priority": 1}),
     ],
-    ids=["service-a-list", "request-a-string", "request-a-list", "nested-too-deep"],
+    ids=["service-a-list", "request-a-string", "request-a-list", "nested-too-deep", "an-extra-key"],
 )
 def test_a_wrongly_typed_queued_request_is_poison_and_every_transaction_settles(message):
     # A cyclic collection inside nested-too-deep's json.loads recursion can
@@ -791,15 +815,6 @@ def test_binding_delete_and_send_effects_run_the_script_ops():
     assert report["stores"] == {"customer-db": {}, "contract-db": {"ctr-77": "gold"}}
     assert report["queues"] == {"audit": ["NEW"]}
     assert all(report["queue_conservation"].values())
-
-
-def test_effect_fields_its_do_does_not_declare_are_ignored():
-    doc = _cross_component(response__before="eff.old")
-    put = doc["bindings"][0]["effects"][0]
-    put.update(into="old", message="not a source", request={"x": "req.nope"})
-    report = run_scenario(load_scenario(doc, base_dir=tra.fixture_path("")))
-    # the put stores nothing under `into`, so the response source is unset
-    assert report["errors"] == ["action 1 (propagate): binding source 'eff.old' is unset"]
 
 
 def test_every_op_naming_a_transaction_needs_one_that_began():
@@ -904,9 +919,6 @@ def _world(**changes):
             r"binding A.s: send queue: no queue is declared as 'ghost'",
         ),
         ({"serve_queues": ["ghost"]}, "serve_queues: no queue is declared as 'ghost'"),
-        ({"sweep_targets": ["ghost"]}, "sweep_targets: no store/queue is declared as 'ghost'"),
-        ({"sweep_targets": ["ep"]}, "sweep_targets: 'ep' is declared as endpoint, not as store/queue"),
-        ({"sweep_targets": ["coordinator"]}, "'coordinator' is declared as coordinator"),
         ({"stores": ["coordinator"]}, "store name 'coordinator' is reserved for the coordinator"),
         (
             {"endpoints": [{"endpoint_id": "coordinator"}]},
@@ -928,7 +940,6 @@ def _world(**changes):
         "put-undeclared-store", "send-to-a-store", "assert-undeclared-queue",
         "crash-undeclared", "run-undeclared-process", "assert-process-names-a-queue",
         "effect-undeclared-store", "effect-undeclared-queue", "serve-undeclared-queue",
-        "sweep-undeclared", "sweep-an-endpoint", "sweep-the-coordinator",
         "store-named-coordinator", "endpoint-named-coordinator", "processes-without-model",
         "process-without-name", "process-shares-a-store-name", "store-name-with-a-tab",
         "queue-name-with-a-newline", "store-name-empty", "store-name-with-a-slash",
@@ -938,19 +949,6 @@ def _world(**changes):
 def test_every_name_a_scenario_uses_is_checked_at_load(changes, message):
     with pytest.raises(ScenarioError, match=message):
         load_scenario(_world(**changes))
-
-
-def test_sweep_with_an_undeclared_target_fails_before_any_run(tmp_path, monkeypatch):
-    with open(transfer_path(), encoding="utf-8") as fh:
-        doc = json.load(fh)
-    doc["sweep_targets"].append("ghost")
-    path = tmp_path / "ghost.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    runs = []
-    monkeypatch.setattr(Runner, "run", lambda self: runs.append(self))
-    with pytest.raises(ScenarioError, match="sweep_targets: no store/queue is declared as 'ghost'"):
-        crash_sweep(str(path))
-    assert runs == []
 
 
 @pytest.mark.parametrize("target", ["ghost", "ep"])
@@ -1028,13 +1026,17 @@ def test_expect_is_one_rule_over_what_each_op_observed():
             {"endpoints": [{"endpoint_id": "ep", "script": [{"error": "no"}]}]},
             "endpoints[0].script[0].error must be a bool, got 'no'",
         ),
+        (  # a misspelt `expect` would otherwise switch its check off in silence
+            {"actions": [{"op": "begin", "txn": "t"}, {"op": "commit", "txn": "t", "expected": "committed"}]},
+            "actions[1]: unknown key 'expected'",
+        ),
     ],
     ids=[
         "manifest-a-number", "seed-a-string", "seed-a-bool", "budget-a-float", "prepare-delay-negative",
         "stores-a-string", "queues-an-object", "actions-a-string", "process-steps-a-string",
         "binding-component-a-list", "binding-effects-an-int", "begin-txn-a-list",
         "endpoint-script-an-int", "process-variables-a-list", "expect-error-an-int",
-        "script-error-a-string",
+        "script-error-a-string", "commit-expected-misspelt",
     ],
 )
 def test_wrongly_typed_scenario_fields_end_in_exit_2(tmp_path, capsys, changes, message):
@@ -1401,7 +1403,6 @@ def test_the_cli_module_runs_as_a_script(monkeypatch, capsys):
 READ_ONLY_SWEEP = {
     "name": "s",
     "stores": ["s"],
-    "sweep_targets": ["s"],
     "actions": [
         {"op": "begin", "txn": "t"},
         {"op": "get", "txn": "t", "store": "s", "key": "k"},

@@ -55,7 +55,7 @@ DIGESTS = {
     "process_demo.json seed 7": "d13c747dbaafef8d1c290944c70bbe84cafe2d83f5ab0e7e8f347cdfb10c72eb",
     "process_demo.json seed 8": "fee7729728c6baeff9b0519db2714bf9d3db929019a06b6e0b6126c1392e9bbb",
     "process_demo.json seed 9": "0745ed03b73166ff753a22a00c15bffefabb4e06004967b85b30a79267bfd1a9",
-    "transfer.json sweep": "a6f823a7ee6ec88c9604919b41358e962e728f75f8131a962e2fae496c8a78be",
+    "transfer.json sweep": "d80a8c5c0099cffd0c51c1633d7cc388a47a03f7dc60ac3c8412e741310038a7",
     "cross_component.json sweep": "85ebf9d75cfb6fea7dd5ca8c93640c39c0ef13136fd80977e4d554de8a5d054d",
 }
 

@@ -377,6 +377,8 @@ def test_txn_abort_paths():
         pytest.param("store", 'PREPARED\t1\t{"writes": {"k": ["put"]}}', id="store-put-without-value"),
         pytest.param("store", 'PREPARED\t1\t{"writes": {"k": ["frob", "x"]}}', id="store-unknown-write"),
         pytest.param("queue", 'PREPARED\t1\t{"sends": [1], "receives": []}', id="queue-send-not-text"),
+        pytest.param("store", 'PREPARED\t1\t{"writes": {}, "reads": []}', id="store-payload-with-an-extra-key"),
+        pytest.param("queue", 'PREPARED\t1\t{"sends": [], "receives": [], "x": 1}', id="queue-payload-with-an-extra-key"),
     ],
 )
 def test_malformed_rm_log_record_is_log_corruption(tmp_path, rm, record):
