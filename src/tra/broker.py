@@ -199,20 +199,13 @@ ENDPOINT = Obj({"endpoint_id": NAME}, {"budget": UINT, "script": Each(LIST, Obj(
 
 
 class LegacyEndpoint:
-    """Scripted stand-in for a legacy application."""
+    """Scripted stand-in for a legacy application, shared by every broker that serves it."""
 
     def __init__(self, endpoint_id: str, script: list[ScriptRule] | None = None) -> None:
         self.endpoint_id = endpoint_id
         self.script = tuple(script or ())
-        self.down = False
         # each rule with its match values as text, built by the first `match`
         self._compiled: list[tuple[ScriptRule, tuple[tuple[str, str], ...]]] | None = None
-
-    def crash(self) -> None:
-        self.down = True
-
-    def recover(self) -> None:
-        self.down = False
 
     def match(self, request_fields: Mapping) -> ScriptRule | None:
         """The first rule whose every match value equals the request field of
@@ -268,6 +261,7 @@ class MessageBroker:
         self.tracer = tracer if tracer is not None else Tracer()
         self.rng = rng if rng is not None else random.Random(0)
         self.adapters: dict[str, Adapter] = {}
+        self.down: set[str] = set()  # ids of the endpoints that are down for this broker
         self._tables: dict[str, BrokerTable] = {}
 
     # -- registration -----------------------------------------------------
@@ -311,10 +305,10 @@ class MessageBroker:
         use for this call, and its fields are kept in `call.replies`. One
         that cannot be encoded raises again on every use; one that cannot be
         decoded is not kept, and fails with its `CodecError` as the cause."""
+        if call.endpoint in self.down:
+            return 0, "broker_error", InvokeError(f"call {call.call_id}: endpoint down")
         adapter = self.adapters[call.endpoint]
         ep, budget = adapter.endpoint, adapter.budget
-        if ep.down:
-            return 0, "broker_error", InvokeError(f"call {call.call_id}: endpoint down")
         rule = ep.match(decode_record(call.request_spec, record))
         if rule is None:
             return _timeout(call, budget, "no script rule matched")

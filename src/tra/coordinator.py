@@ -131,6 +131,12 @@ class Coordinator:
     def bind_service(self, component: str, service: str, handler) -> None:
         self.services[(component, service)] = handler
 
+    def participant_crashed(self, rm_id: str) -> None:
+        """Each live transaction that enlisted a crashed participant lost its work there."""
+        for ctx in self.contexts.values():
+            if rm_id in ctx.enlisted:
+                ctx.lost.add(rm_id)
+
     # -- helpers --------------------------------------------------------
 
     def _scan_next_id(self) -> int:
@@ -182,9 +188,9 @@ class Coordinator:
     def commit(self, ctx: TransactionContext) -> TxnStatus:
         """Run two-phase commit. Returns the decided status.
 
-        A crashed participant does not change the decision: once COMMIT is
-        logged the transaction is committed, and the participant's phase-2
-        work is left pending for recovery.
+        A participant that crashed since it enlisted votes NO unasked: it lost
+        the work. One that crashes after COMMIT is logged does not change the
+        decision; its phase-2 work is left pending for recovery.
         """
         self._guard()
         ctx.require_active("commit")
@@ -200,6 +206,8 @@ class Coordinator:
             started = self.tracer.clock.now
             reason = None
             try:
+                if rm_id in ctx.lost:
+                    raise ResourceCrashed(f"{rm_id} crashed in txn {ctx.id}")
                 vote = rm.prepare(ctx.id)
             except ResourceCrashed:
                 vote = Vote.NO

@@ -23,7 +23,7 @@ import tempfile
 from contextlib import ExitStack
 from dataclasses import asdict, replace
 
-from .broker import Adapter, LegacyEndpoint, MessageBroker
+from .broker import MessageBroker
 from .coordinator import Coordinator, replay_log
 from .errors import ScenarioError, TraError
 from .faults import ALL_POINTS, COORDINATOR_TARGET, CoordinatorCrash, FaultInjector, FaultSpec
@@ -121,11 +121,8 @@ class Runner:
                     into[decl.name] = rm
 
             self.broker = MessageBroker(tracer=self.tracer, rng=self.rng)
-            self.endpoints: dict[str, LegacyEndpoint] = {}
-            for template in scenario.endpoints:
-                ep = LegacyEndpoint(template.endpoint_id, template.endpoint.script)
-                self.endpoints[ep.endpoint_id] = ep
-                self.broker.register_adapter(Adapter(ep, template.budget))
+            for adapter in scenario.endpoints:
+                self.broker.register_adapter(adapter)
             for table in scenario.tables:
                 self.broker.register_table(table)
 
@@ -243,12 +240,11 @@ class Runner:
 
     def _op_crash(self, ctx, action):
         target = action["target"]
-        crashable = {
-            COORDINATOR_TARGET: self.coordinator, **self.stores, **self.queues, **self.endpoints
-        }
-        crashable[target].crash()
-        if target in self.endpoints:
+        if self.scenario.names[target] == "endpoint":  # down in this run's broker until recover
+            self.broker.down.add(target)
             self.tracer.emit("crash", target)
+        else:
+            {COORDINATOR_TARGET: self.coordinator, **self.stores, **self.queues}[target].crash()
 
     def _op_recover(self, ctx, action):
         self._recover_all()
@@ -316,8 +312,7 @@ class Runner:
             self.broker.drain(self.coordinator, self.queues[name], self.queues.__getitem__)
 
     def _recover_all(self) -> None:
-        for ep in self.endpoints.values():
-            ep.recover()
+        self.broker.down.clear()
         for rm in list(self.stores.values()) + list(self.queues.values()):
             rm.recover()
         if self.coordinator.crashed:

@@ -141,6 +141,8 @@ class ResourceManager:
             self._discard(txn_id)
         self._writer.close()
         self.crashed = True
+        if self._coordinator is not None:  # no live transaction may commit on the work lost here
+            self._coordinator.participant_crashed(self.rm_id)
         self.tracer.emit("crash", self.rm_id)
 
     def close(self) -> None:

@@ -130,7 +130,7 @@ class Scenario:
     model: ComponentModel | None  # read-only during a run, so every run shares it
     stores: list[ResourceDecl]
     queues: list[ResourceDecl]
-    endpoints: list[Adapter]  # templates: each run builds endpoints of its own from them
+    endpoints: list[Adapter]  # every run registers these; its broker keeps its own outages
     tables: list[BrokerTable]
     processes: dict[str, Plan]  # read-only during a run, like tables
     bindings: list[BindingDecl]

@@ -43,8 +43,8 @@ class Vote(Enum):
 class TransactionContext:
     """Handle threaded through every transactional call.
 
-    `enlisted` preserves enlistment order; `pending` holds rm ids still owed a
-    phase-2 call after a participant crash (emptied by recovery).
+    `enlisted` keeps enlistment order; `pending` holds rm ids owed a phase-2 call
+    after a crash (emptied by recovery), `lost` those that crashed while enlisted.
     """
 
     id: int
@@ -52,6 +52,7 @@ class TransactionContext:
     status: TxnStatus = TxnStatus.ACTIVE
     enlisted: list[str] = field(default_factory=list)
     pending: set[str] = field(default_factory=set)
+    lost: set[str] = field(default_factory=set)
 
     def transition(self, to: TxnStatus) -> None:
         if to not in _TRANSITIONS[self.status]:

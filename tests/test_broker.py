@@ -160,10 +160,10 @@ def test_error_and_down_endpoints():
 
     broker2 = make_broker()
     broker2.register_table(profile_table())
-    broker2.adapters["SEG"].endpoint.crash()
+    broker2.down.add("SEG")
     with pytest.raises(InvokeError, match="endpoint down"):
         broker2.invoke("profile", {"userId": "U1"})
-    broker2.adapters["SEG"].endpoint.recover()
+    broker2.down.discard("SEG")
     assert broker2.invoke("profile", {"userId": "U1"})["segment"] == "GOLD"
 
 

@@ -215,6 +215,26 @@ def test_recovery_brings_a_crashed_endpoint_back():
     assert report["errors"] == [] and report["ok"] is True
 
 
+def test_an_endpoint_outage_lasts_only_as_long_as_its_run():
+    with open(tra.fixture_path("broker_demo.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    invoke = {"op": "invoke", "service": "getCustomer360", "request": {"custId": "C0000042"}}
+    doc["actions"] = [{"op": "crash", "target": "POLADM"}, {**invoke, "expect_error": "endpoint down"}]
+    scenario = load_scenario(doc, base_dir=tra.fixture_path(""))
+    runner = Runner(scenario)
+    try:  # a run serves the scenario's own adapters
+        assert list(map(id, runner.broker.adapters.values())) == list(map(id, scenario.endpoints))
+        first = runner.run()
+    finally:
+        runner.close()
+    assert first["ok"] is True and first["recovery"] is None  # POLADM is never recovered
+    assert [e["who"] for e in first["events"] if e["ev"] == "crash"] == ["POLADM"]
+    expect = {"name": "HELEN OSEI", "policyCount": 3, "balance": "1204.50"}
+    second = run_scenario(replace(scenario, actions=[{**invoke, "expect": expect}]))
+    assert second["ok"] is True and second["errors"] == []
+    assert [e["ev"] for e in second["events"]][-1] == "invoked"
+
+
 def test_unknown_report_modes_are_refused():
     scenario = load_scenario_file(transfer_path())
     with pytest.raises(ScenarioError, match="unknown report mode 'xml'"):
@@ -269,6 +289,51 @@ def test_scripted_crash_and_recover_ops():
     report = run_scenario(load_scenario(doc))
     assert report["ok"] is True
     assert report["recovery"] is not None
+
+
+def _put_in_t(store, key, value="v"):
+    return {"op": "put", "txn": "t", "store": store, "key": key, "value": value}
+
+
+def _crash_and_recover(target):
+    return [{"op": "crash", "target": target}, {"op": "recover"}]
+
+
+@pytest.mark.parametrize(
+    "middle, crashed, status, stores",
+    [
+        ([_put_in_t("a", "k"), _put_in_t("b", "k"), *_crash_and_recover("a")], "a", "aborted", {}),
+        ([_put_in_t("a", "k1"), *_crash_and_recover("a"), _put_in_t("a", "k2")], "a", "aborted", {}),
+        (
+            [{"op": "receive", "txn": "t", "queue": "q", "expect": "m1"}, _put_in_t("a", "got", "m1"),
+             *_crash_and_recover("q")],
+            "q", "aborted", {},
+        ),
+        ([_put_in_t("a", "k"), *_crash_and_recover("b")], None, "committed", {"k": "v"}),
+    ],
+    ids=["lost-write", "half-transaction", "consumed-and-still-queued", "untouched-participant"],
+)
+def test_a_participant_that_crashes_inside_a_live_transaction_votes_no(middle, crashed, status, stores):
+    """A crash loses the workspaces of the live transactions the manager joined,
+    so each of them must abort everywhere, even after the manager recovers; a
+    crash of a manager the transaction never touched changes nothing."""
+    doc = {
+        "name": "lost-work",
+        "stores": ["a", "b"],
+        "queues": [{"name": "q", "initial": ["m1"]}],
+        "actions": [{"op": "begin", "txn": "t"}, *middle, {"op": "commit", "txn": "t", "expect": status}],
+    }
+    report = run_scenario(load_scenario(doc))
+    assert report["ok"] is True and report["errors"] == []
+    assert report["transactions"]["t"]["status"] == status
+    assert report["log"] == {"1": status}
+    assert report["stores"] == {"a": stores, "b": {}}
+    assert report["queues"] == {"q": ["m1"]}
+    assert report["queue_conservation"] == {"q": True}
+    no_votes = [(e["rm"], e["reason"]) for e in report["events"] if e["ev"] == "vote" and e["vote"] == "no"]
+    assert no_votes == ([] if crashed is None else [(crashed, "crashed")])
+    # the lost participant is not asked to prepare
+    assert crashed not in [e["rm"] for e in report["events"] if e["ev"] == "rm_vote"]
 
 
 def test_sweep_on_bundled_transfer():
