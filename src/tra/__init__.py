@@ -26,7 +26,7 @@ from .process import ProcessDefinition, ProcessEngine, ProcessInstance, TxnPolic
 from .records import FieldSpec, MessageSpec, decode_record, encode_record
 from .resources import ManagedStore, TxnQueue
 from .scenario import Scenario, load_scenario, load_scenario_file
-from .sim import SimClock, Tracer
+from .sim import Tracer
 from .txn import TransactionContext, TxnStatus, Vote
 
 __version__ = "0.1.0"
@@ -58,7 +58,6 @@ __all__ = [
     "RecoveryOutcome",
     "Runner",
     "Scenario",
-    "SimClock",
     "Tracer",
     "TraError",
     "TransactionContext",

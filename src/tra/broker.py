@@ -226,6 +226,11 @@ class LegacyEndpoint:
     @classmethod
     def from_doc(cls, doc: Mapping) -> "LegacyEndpoint":
         check(ENDPOINT, doc, TableError, "endpoint")
+        return cls.from_checked(doc)
+
+    @classmethod
+    def from_checked(cls, doc: Mapping) -> "LegacyEndpoint":
+        """The endpoint of a document that ENDPOINT has passed."""
         rules = []
         for r in doc.get("script", ()):
             try:
@@ -353,11 +358,11 @@ class MessageBroker:
         if table is None:
             raise InvokeError(f"no broker table for service {service!r}")
         scopes = {"req": self._typed_request(table.service, request), "call": {}}
-        results, clock, emit = scopes["call"], self.tracer.clock, self.tracer.emit
+        results, tracer, emit = scopes["call"], self.tracer, self.tracer.emit
         mode = "staged" if staged else "sequential"
         stages = table.stages if staged else [(call,) for stage in table.stages for call in stage]
         for stage in stages:
-            t0 = clock.now
+            t0 = tracer.now
             exchanges = []
             for call in stage:
                 record = self._encode_request(call, scopes)
@@ -367,7 +372,7 @@ class MessageBroker:
                 exchanges.append((t0 + delay, tie, call, event, outcome))
             # settle in completion order: the first failure fails the invoke
             for at, _, call, event, outcome in sorted(exchanges, key=lambda x: (x[0], x[1])):
-                clock.advance_to(at)
+                tracer.now = max(tracer.now, at)  # simultaneous completions share a tick
                 emit(event, call.call_id, call.endpoint, at)
                 if event != "broker_reply":
                     raise outcome

@@ -203,7 +203,7 @@ class Coordinator:
         all_yes = True
         for rm_id in ctx.enlisted:
             rm = self.registry[rm_id]
-            started = self.tracer.clock.now
+            started = self.tracer.now
             reason = None
             try:
                 if rm_id in ctx.lost:
@@ -215,7 +215,7 @@ class Coordinator:
             except Exception:  # e.g. its PREPARED append failed: settle, then report it
                 self._abort(ctx)
                 raise
-            if vote is Vote.YES and self.tracer.clock.now - started > self.prepare_budget:
+            if vote is Vote.YES and self.tracer.now - started > self.prepare_budget:
                 vote = Vote.NO
                 reason = "timeout"
             self.tracer.emit("vote", ctx.id, rm_id, vote._value_, reason)  # not the slower .value

@@ -30,7 +30,7 @@ from .faults import ALL_POINTS, COORDINATOR_TARGET, CoordinatorCrash, FaultInjec
 from .model import load_manifest  # noqa: F401 -- unused; bench/spans.py wraps this name here
 from .process import ProcessEngine
 from .resources import ManagedStore, TxnQueue
-from .scenario import ACTION, SOURCE_FIELDS, BindingDecl, Scenario, load_scenario_file
+from .scenario import SOURCE_FIELDS, BindingDecl, Scenario, load_scenario_file
 from .sim import Tracer
 from .source import MISSING, resolve
 
@@ -164,13 +164,12 @@ class Runner:
     # -- the script -------------------------------------------------------------
 
     def run(self) -> dict:
-        stopped_by_fault = False
         for idx, action in enumerate(self.scenario.actions):
             op, expect_error = action["op"], action.get("expect_error")
             try:
-                # load_scenario admits only the ops and assert kinds of scenario.ACTION
+                # scenario.ACTION declares txn only as required, on the ops that act in a transaction
                 ctx = None
-                if op != "begin" and "txn" in ACTION.pick(action).required:
+                if op != "begin" and "txn" in action:
                     if action["txn"] not in self.txns:
                         raise ScenarioError(f"unknown transaction name {action['txn']!r}")
                     ctx = self.txns[action["txn"]]
@@ -196,11 +195,9 @@ class Runner:
                     self.errors.append(f"action {idx} ({op}): {exc}")
             if self.injector.any_fired():
                 # a crash point was hit: the rest of the script is off
-                stopped_by_fault = True
+                self._recover_all()
                 break
-        if stopped_by_fault:
-            self._recover_all()
-        return self._report(stopped_by_fault)
+        return self._report()
 
     def close(self) -> None:
         """Close every log, then remove the run's directory."""
@@ -330,7 +327,7 @@ class Runner:
             return entry.status
         return ctx.status.value
 
-    def _report(self, stopped_by_fault: bool) -> dict:
+    def _report(self) -> dict:
         replayed = replay_log(self.coordinator.log_path)
         transactions = {}
         for name, ctx in sorted(self.txns.items()):
@@ -346,7 +343,7 @@ class Runner:
             "seed": self.seed,
             "faults": [str(f) for f in self.faults],
             "fired": [str(f) for f in self.injector.fired],
-            "stopped_by_fault": stopped_by_fault,
+            "stopped_by_fault": self.injector.any_fired(),
             "ok": ok,
             "errors": list(self.errors),
             "asserts": list(self.asserts),

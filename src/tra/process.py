@@ -106,6 +106,11 @@ PROCESS = Obj(
 
 def load_definition(doc: dict) -> ProcessDefinition:
     check(PROCESS, doc, ProcessError, "process")
+    return definition_from_checked(doc)
+
+
+def definition_from_checked(doc: dict) -> ProcessDefinition:
+    """The definition of a document that PROCESS has passed."""
     steps = [
         Step(
             s["name"], s.get("component"), s.get("service"), s.get("subprocess"),

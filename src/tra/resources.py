@@ -97,7 +97,7 @@ class ResourceManager:
         if txn_id in self._done or txn_id in self._prepared:
             raise TxnStateError(f"{self.rm_id}: txn {txn_id} already prepared or finished")
         if self.prepare_delay:
-            self.tracer.clock.advance(self.prepare_delay)
+            self.tracer.now += self.prepare_delay
         payload = self._validate_and_stage(txn_id, self._work.get(txn_id) or self._Work())
         if payload is None:  # the workspace goes with the abort's rollback, a recovery's or a crash
             self.tracer.emit("rm_vote", self.rm_id, txn_id, "no")

@@ -20,7 +20,7 @@ from .coordinator import DEFAULT_PREPARE_BUDGET
 from .errors import ScenarioError
 from .faults import COORDINATOR_TARGET
 from .model import ComponentModel, resolve_transactional
-from .process import PROCESS, Plan, load_definition, load_processes
+from .process import PROCESS, Plan, definition_from_checked, load_definition, load_processes
 from .resources import _check_keys, _check_values
 from .shape import INT, JSON, LIST, NAME, OBJECT, STR, UINT, Each, Either, Kind, Obj, Tagged, check, read_json
 from .source import parse
@@ -211,14 +211,18 @@ def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
 
     stores = _resource_decls(doc.get("stores", ()), "store")
     queues = _resource_decls(doc.get("queues", ()), "queue")
+    # SCENARIO has checked the endpoints and inline processes; a process file is checked here
     endpoints = [
-        Adapter(LegacyEndpoint.from_doc(e), e.get("budget", DEFAULT_REPLY_BUDGET))
+        Adapter(LegacyEndpoint.from_checked(e), e.get("budget", DEFAULT_REPLY_BUDGET))
         for e in doc.get("endpoints", ())
     ]
-    definitions = [_inline_or_file(p, base_dir, "process") for p in doc.get("processes", ())]
+    entries = doc.get("processes", ())
+    definitions = [_inline_or_file(p, base_dir, "process") for p in entries]
     if definitions and model_doc is None:
         raise ScenarioError("processes need a component model")
-    definitions = [load_definition(p) for p in definitions]
+    definitions = [
+        load_definition(d) if type(p) is str else definition_from_checked(d) for p, d in zip(entries, definitions)
+    ]
     model = component_model.load_manifest(model_doc) if model_doc is not None else None
     names = _name_table(stores, queues, endpoints, definitions)
 

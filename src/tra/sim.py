@@ -1,11 +1,11 @@
 """Simulated time and event tracing.
 
-The whole runtime is single-threaded and deterministic: one integer clock,
-advanced explicitly, and one tracer that stamps every observable event with the
-current tick. Reports are built from the tracer's events, so two runs with the
-same inputs produce identical traces byte for byte. A run's tracer keeps every
-event; any other tracer keeps only the last `RECENT_EVENTS`, so a long-lived
-runtime's memory does not grow with its history.
+The whole runtime is single-threaded and deterministic: one tracer holds the
+integer clock, `Tracer.now`, and stamps every observable event with it.
+Reports are built from the tracer's events, so two runs with the same inputs
+produce identical traces byte for byte. A run's tracer keeps every event; any
+other tracer keeps only the last `RECENT_EVENTS`, so a long-lived runtime's
+memory does not grow with its history.
 
 `EVENTS` declares each event kind's field names once, as a log declares its
 schema. `Tracer.emit(ev, *values)` takes the values in that order, and a run
@@ -20,23 +20,6 @@ from collections.abc import Sequence
 
 # how many of the newest events a tracer keeps unless it is made with keep_all
 RECENT_EVENTS = 4096
-
-
-class SimClock:
-    """Integer event clock. Never goes backwards."""
-
-    def __init__(self) -> None:
-        self.now = 0
-
-    def advance(self, ticks: int = 1) -> None:
-        if ticks < 0:
-            raise ValueError("clock cannot move backwards")
-        self.now += ticks
-
-    def advance_to(self, t: int) -> None:
-        # No-op when t is in the past; simultaneous completions share a tick.
-        if t > self.now:
-            self.now = t
 
 
 # event kind -> its field names, in the order `Tracer.emit` takes the values
@@ -104,19 +87,19 @@ class Events(Sequence):
 
 
 class Tracer:
-    """Collects timestamped events. Each emitted event consumes one tick so
-    that distinct events never share a timestamp unless the caller moved the
-    clock itself (broker completions do). `events` is a read-only view that
-    gives each kept event as a fresh dict. It holds the last `RECENT_EVENTS`
-    events, or every one with `keep_all`, which a run's report needs."""
+    """Collects timestamped events and holds the simulated clock, `now`, which
+    only moves forward. Each emitted event consumes one tick, so no two events
+    share a timestamp; a store's prepare delay and a broker call's completion
+    move the clock further. `events` is a read-only view that gives each kept
+    event as a fresh dict. It holds the last `RECENT_EVENTS` events, or every
+    one with `keep_all`, which a run's report needs."""
 
-    def __init__(self, clock: SimClock | None = None, keep_all: bool = False) -> None:
-        self.clock = clock if clock is not None else SimClock()
+    def __init__(self, keep_all: bool = False) -> None:
+        self.now = 0
         self._records: deque[tuple] = deque(maxlen=None if keep_all else RECENT_EVENTS)
         self.events = Events(self._records)
 
     def emit(self, ev: str, *values) -> None:
         """Keep one `ev` event; `values` come in the order `EVENTS[ev]` names."""
-        clock = self.clock
-        self._records.append((clock.now, ev, *values))
-        clock.now += 1
+        self._records.append((self.now, ev, *values))
+        self.now += 1

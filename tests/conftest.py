@@ -5,7 +5,7 @@ from hypothesis import settings
 
 from tra.coordinator import Coordinator
 from tra.resources import ManagedStore, TxnQueue
-from tra.sim import SimClock, Tracer
+from tra.sim import Tracer
 
 # Tier-1 runs the same examples every time; HYPOTHESIS_PROFILE=deep searches
 # further with fresh random examples on each run.
@@ -16,7 +16,7 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 @pytest.fixture
 def tracer():
-    return Tracer(SimClock())
+    return Tracer()
 
 
 @pytest.fixture

@@ -25,7 +25,6 @@ from tra import (
     MessageBroker,
     MessageSpec,
     Runner,
-    SimClock,
     Tracer,
     TxnQueue,
     TxnStatus,
@@ -69,7 +68,7 @@ def _drive_queue_scenario(seed: int, workdir: str) -> int:
     """Random send/receive/commit/rollback script against one queue, checked
     after every action against a plain python list kept by the same rules."""
     rng = random.Random(seed)
-    tracer = Tracer(SimClock())
+    tracer = Tracer()
     coord = Coordinator(os.path.join(workdir, f"coord-{seed}.log"), tracer=tracer)
     queue = TxnQueue("q", os.path.join(workdir, f"queue-{seed}.log"), tracer=tracer)
     coord.register(queue)
@@ -140,7 +139,7 @@ def _drive_store_seed(seed: int, workdir: str) -> bool:
     order, then replay every permutation of the committed write logs on a
     plain dict. Some permutation must reproduce the store exactly."""
     rng = random.Random(seed)
-    tracer = Tracer(SimClock())
+    tracer = Tracer()
     coord = Coordinator(os.path.join(workdir, f"coord-{seed}.log"), tracer=tracer)
     store = ManagedStore("kv", os.path.join(workdir, f"store-{seed}.log"), tracer=tracer)
     coord.register(store)
@@ -402,7 +401,7 @@ def test_dispatch_order_and_codec_round_trip():
     dispatch_bad = 0
     for idx in range(200):
         doc, endpoints, request = _random_table(rng, idx)
-        broker = MessageBroker(tracer=Tracer(SimClock()), rng=random.Random(idx))
+        broker = MessageBroker(tracer=Tracer(), rng=random.Random(idx))
         for ep in endpoints:
             broker.register_adapter(Adapter(ep))
         broker.register_table(load_table(doc))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from tra.coordinator import LOG_SCHEMA, Coordinator
 from tra.resources import ManagedStore, TxnQueue
-from tra.sim import SimClock, Tracer
+from tra.sim import Tracer
 from tra.wal import LogWriter
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -35,7 +35,7 @@ def test_counted_log_bytes_equal_the_file_growth(tmp_path, monkeypatch):
         kinds.add(fields[0])
 
     monkeypatch.setattr(LogWriter, "append", checked_append)
-    tracer = Tracer(SimClock())
+    tracer = Tracer()
     coord = Coordinator(str(tmp_path / "c.log"), tracer=tracer)
     store = ManagedStore("störe", str(tmp_path / "s.log"), tracer=tracer)
     queue = TxnQueue("queue", str(tmp_path / "q.log"), tracer=tracer)

@@ -18,7 +18,7 @@ from tra.broker import (
 )
 from tra.errors import CodecError, InvokeError, TableError
 from tra.records import FieldSpec, MessageSpec, decode_record, encode_record
-from tra.sim import SimClock, Tracer
+from tra.sim import Tracer
 
 
 def profile_doc(aggregate=None):
@@ -76,7 +76,7 @@ def profile_table(aggregate=None):
 
 
 def make_broker(script_overrides=None, budget=100):
-    broker = MessageBroker(tracer=Tracer(SimClock()), rng=random.Random(7))
+    broker = MessageBroker(tracer=Tracer(), rng=random.Random(7))
     scripts = {
         "DIR": [ScriptRule(match={"uid": "U1"}, delay=3, reply={"acct": "A42", "rc": "OK"})],
         "SEG": [ScriptRule(match={"acct": "A42"}, delay=1, reply={"segment": "GOLD", "limit": 9})],
@@ -103,7 +103,7 @@ def test_staged_and_sequential_agree():
 
 
 def test_bundled_table_round_trip():
-    broker = MessageBroker(tracer=Tracer(SimClock()), rng=random.Random(1))
+    broker = MessageBroker(tracer=Tracer(), rng=random.Random(1))
     broker.register_adapter(
         Adapter(
             LegacyEndpoint(
@@ -430,7 +430,7 @@ def test_drain_pass_stops_when_the_reply_cannot_commit(rig):
 
 
 def quote_broker(reply_total="1.50"):
-    broker = MessageBroker(tracer=Tracer(SimClock()), rng=random.Random(1))
+    broker = MessageBroker(tracer=Tracer(), rng=random.Random(1))
     rule = ScriptRule(match={}, delay=1, reply={"total": reply_total})
     broker.register_adapter(Adapter(LegacyEndpoint("Q", [rule])))
     decimal_field = {"name": "v", "offset": 0, "length": 8, "kind": "decimal", "scale": 2}
@@ -575,7 +575,7 @@ def trio_broker():
     takes the first call's reply, so an invoke encodes three requests and
     meets three script replies."""
     text8 = {"record_length": 8, "fields": [{"name": "v", "offset": 0, "length": 8, "kind": "text"}]}
-    broker = MessageBroker(tracer=Tracer(SimClock()), rng=random.Random(3))
+    broker = MessageBroker(tracer=Tracer(), rng=random.Random(3))
     for ep_id in ("E0", "E1", "E2"):
         script = [
             ScriptRule(match={"v": "U1"}, delay=2, reply={"v": f"{ep_id}-U1"}),
@@ -707,6 +707,18 @@ def test_first_matching_rule_wins():
     assert LegacyEndpoint("E", [specific, general]).match({}) is general
     assert LegacyEndpoint("E", [ScriptRule(match={"a": None})]).match({}) is not None
     assert LegacyEndpoint("E", []).match({"a": 1}) is None
+
+
+def test_an_endpoint_document_builds_its_script():
+    ep = LegacyEndpoint.from_doc({"endpoint_id": "E", "script": [
+        {"match": {"a": 1}, "delay": 3, "reply": {"rc": "OK"}},
+        {"error": True},
+    ]})
+    assert ep.endpoint_id == "E"
+    hit = ep.match({"a": "1"})
+    assert (hit.match, hit.delay, hit.reply, hit.error) == ({"a": 1}, 3, {"rc": "OK"}, False)
+    fallback = ep.match({})
+    assert (fallback.match, fallback.delay, fallback.reply, fallback.error) == ({}, 0, None, True)
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from tra.errors import (
 from tra.faults import CoordinatorCrash, CrashPoint, FaultInjector, FaultSpec
 from tra.model import load_manifest, load_manifest_file
 from tra.resources import ManagedStore, TxnQueue
-from tra.sim import SimClock, Tracer
+from tra.sim import Tracer
 from tra.txn import TxnStatus
 from tra.wal import read_records
 
@@ -284,7 +284,7 @@ def test_commit_with_crashed_participant_stays_committed(rig):
 
 
 def test_full_crash_recovery_redrives_and_presumes_abort(tmp_path):
-    tracer = Tracer(SimClock())
+    tracer = Tracer()
     coord = Coordinator(str(tmp_path / "c.log"), tracer=tracer)
     store = ManagedStore("store", str(tmp_path / "s.log"), tracer=tracer)
     queue = TxnQueue("queue", str(tmp_path / "q.log"), tracer=tracer)
@@ -332,7 +332,7 @@ def test_recovery_skips_live_active_transactions(rig):
 
 
 def test_recovery_counts_only_finished_redrives_and_writes_end_once_all_answer(tmp_path):
-    tracer = Tracer(SimClock())
+    tracer = Tracer()
     coord = Coordinator(str(tmp_path / "c.log"), tracer=tracer)
     a = ManagedStore("a", str(tmp_path / "a.log"), tracer=tracer)
     b = ManagedStore("b", str(tmp_path / "b.log"), tracer=tracer)

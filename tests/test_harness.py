@@ -1156,9 +1156,13 @@ TOO_LARGE = "v" * (64 * 1024 + 1)
         "store-value-65537-bytes-in-21847-chars",
     ],
 )
-def test_initial_entries_over_the_store_limits_are_refused_at_load(changes, message):
+def test_initial_entries_over_the_store_limits_are_refused_at_load(tmp_path, capsys, changes, message):
     with pytest.raises(StoreLimitError, match=f"^{re.escape(message)}$"):
         load_scenario(_world(**changes))
+    path = tmp_path / "initial.json"
+    path.write_text(json.dumps(_world(**changes)), encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_processes_and_tables_are_parsed_once_at_load():

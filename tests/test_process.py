@@ -20,13 +20,13 @@ from tra.process import (
     load_processes,
 )
 from tra.resources import ManagedStore
-from tra.sim import SimClock, Tracer
+from tra.sim import Tracer
 from tra.wal import read_records
 
 
 @pytest.fixture
 def world(tmp_path):
-    tracer = Tracer(SimClock())
+    tracer = Tracer()
     model = load_manifest_file(tra.fixture_path("model.json"))
     coord = Coordinator(str(tmp_path / "c.log"), tracer=tracer, model=model)
     store = ManagedStore("db", str(tmp_path / "db.log"), tracer=tracer)

@@ -4,12 +4,12 @@ import pytest
 
 from tra.errors import StoreLimitError
 from tra.resources import TxnQueue
-from tra.sim import SimClock, Tracer
+from tra.sim import Tracer
 from tra.txn import TransactionContext, TxnStatus, Vote
 
 
 def standalone(tmp_path, name="q"):
-    return TxnQueue(name, str(tmp_path / f"{name}.log"), tracer=Tracer(SimClock()))
+    return TxnQueue(name, str(tmp_path / f"{name}.log"), tracer=Tracer())
 
 
 def test_send_is_invisible_until_commit(rig):

@@ -6,13 +6,13 @@ import json
 import pytest
 
 import tra
-from tra.broker import LegacyEndpoint, load_table
+from tra.broker import ENDPOINT, LegacyEndpoint, load_table
 from tra.errors import CodecError, EdgeError, ManifestError, ProcessError, ScenarioError, TableError
 from tra.harness import EXPECT_DESC
 from tra.model import load_edges, load_manifest
-from tra.process import load_definition
+from tra.process import PROCESS, load_definition
 from tra.records import MessageSpec
-from tra.scenario import ACTION, load_scenario
+from tra.scenario import ACTION, load_scenario, load_scenario_file
 from tra.shape import OBJECT, STR, Either, check, read_json
 
 
@@ -105,3 +105,31 @@ def test_expect_is_declared_on_exactly_the_ops_the_runner_compares():
 def test_a_tag_is_checked_before_the_keys_of_the_shape_it_picks(action, message):
     with pytest.raises(ScenarioError, match=f"^{message}$"):
         load_scenario({"name": "x", "stores": ["s"], "actions": [action]})
+
+
+def test_a_scenario_checks_each_endpoint_and_inline_process_once(monkeypatch):
+    checked = {"endpoint": 0, "process": 0}
+    for name, shape in (("endpoint", ENDPOINT), ("process", PROCESS)):
+        def counting(value, name=name, check=shape._check):
+            checked[name] += 1
+            check(value)
+        monkeypatch.setattr(shape, "_check", counting)
+
+    load_scenario_file(tra.fixture_path("broker_demo.json"))  # two endpoints
+    assert checked == {"endpoint": 2, "process": 0}
+
+    checked.update(endpoint=0)
+    doc = read_json(tra.fixture_path("process_demo.json"), ScenarioError, "scenario")
+    inline = {**read_json(tra.fixture_path("onboarding_process.json"), ProcessError, "process"), "name": "inline"}
+    doc.update(manifest=tra.fixture_path("model.json"), processes=[inline, tra.fixture_path("onboarding_process.json")])
+    assert sorted(load_scenario(doc).processes) == ["inline", "onboarding"]
+    assert checked == {"endpoint": 0, "process": 2}  # the inline one by the scenario, the file by its loader
+
+
+def test_a_process_file_is_checked_by_its_own_loader(tmp_path):
+    path = tmp_path / "process.json"
+    path.write_text(json.dumps({"name": "p", "steps": [{"name": "s", "subprocess": "q", "inputs": {}}]}))
+    doc = {"name": "x", "manifest": tra.fixture_path("model.json"), "processes": [str(path)]}
+    with pytest.raises(ProcessError) as exc:
+        load_scenario(doc)
+    assert str(exc.value) == "steps[0]: unknown key 'inputs'"  # the path from the top of the file

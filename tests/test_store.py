@@ -5,12 +5,12 @@ import pytest
 from tra.errors import StoreLimitError, TxnStateError
 from tra.faults import CoordinatorCrash, CrashPoint, FaultInjector, FaultSpec
 from tra.resources import MAX_KEY_LEN, MAX_VALUE_BYTES, ManagedStore
-from tra.sim import SimClock, Tracer
+from tra.sim import Tracer
 from tra.txn import TransactionContext, TxnStatus, Vote
 
 
 def standalone(tmp_path, name="s"):
-    return ManagedStore(name, str(tmp_path / f"{name}.log"), tracer=Tracer(SimClock()))
+    return ManagedStore(name, str(tmp_path / f"{name}.log"), tracer=Tracer())
 
 
 def test_read_your_writes(rig):

@@ -12,7 +12,7 @@ import tra
 from tra import sim, wal
 from tra.errors import LogCorruptError, ResourceCrashed, TxnStateError
 from tra.resources import ManagedStore, TxnQueue
-from tra.sim import RECENT_EVENTS, SimClock, Tracer
+from tra.sim import RECENT_EVENTS, Tracer
 from tra.txn import TransactionContext, TxnStatus
 from tra.coordinator import LOG_SCHEMA, Coordinator
 from tra.harness import Runner, run_scenario
@@ -20,31 +20,17 @@ from tra.scenario import load_scenario_file
 from tra.wal import NAME, PAYLOAD, LogWriter, read_records
 
 
-def test_clock_is_monotonic():
-    clock = SimClock()
-    assert clock.now == 0
-    clock.advance()
-    clock.advance(5)
-    assert clock.now == 6
-    clock.advance_to(4)  # never goes backwards
-    assert clock.now == 6
-    clock.advance_to(10)
-    assert clock.now == 10
-    with pytest.raises(ValueError):
-        clock.advance(-1)
-
-
 def test_tracer_stamps_then_ticks():
-    tracer = Tracer(SimClock())
+    tracer = Tracer()
     tracer.emit("crash", "coordinator")
     tracer.emit("restart", "coordinator")
     assert tracer.events[0] == {"t": 0, "ev": "crash", "who": "coordinator"}
     assert tracer.events[1] == {"t": 1, "ev": "restart", "who": "coordinator"}
-    assert tracer.clock.now == 2
+    assert tracer.now == 2
 
 
 def test_tracer_events_read_back_as_the_emitted_fields():
-    tracer = Tracer(SimClock())
+    tracer = Tracer()
     tracer.emit("enlist", 1, "x")
     tracer.emit("crash", "coordinator")
     tracer.emit("wal", "ENLIST", ("1", "v"))
@@ -68,7 +54,7 @@ def test_tracer_events_read_back_as_the_emitted_fields():
 
 
 def test_a_kept_event_is_read_back_only_as_its_declaration():
-    tracer = Tracer(SimClock())
+    tracer = Tracer()
     tracer.emit("enlist", 1)
     tracer.emit("enlist", 1, "x", "extra")
     tracer.emit("undeclared", 1)
@@ -80,7 +66,7 @@ def test_a_kept_event_is_read_back_only_as_its_declaration():
 
 
 def test_tracer_events_are_a_read_only_view_of_copies():
-    tracer = Tracer(SimClock())
+    tracer = Tracer()
     tracer.emit("crash", "coordinator")
     tracer.events[0]["who"] = "s"
     tracer.events[0:1][0].clear()
@@ -130,7 +116,7 @@ def test_the_trace_keeps_an_event_in_under_180_bytes(tmp_path):
     its size per event is pinned. Keeping each event as one tuple
     `(t, ev, *values)` measured 154 B per event on Python 3.11 (with a shared
     field-name tuple in it: 162 B; a dict per event: 273 B)."""
-    tracer = Tracer(SimClock(), keep_all=True)
+    tracer = Tracer(keep_all=True)
     commits, managers = _put_send_commits(tmp_path, tracer)
     commits(50)  # the first commits fill caches that later ones share
     gc.collect()
@@ -148,7 +134,7 @@ def test_the_trace_keeps_an_event_in_under_180_bytes(tmp_path):
 
 
 def test_a_tracer_keeps_the_newest_events_unless_it_keeps_all():
-    window, full = Tracer(SimClock()), Tracer(SimClock(), keep_all=True)
+    window, full = Tracer(), Tracer(keep_all=True)
     for i in range(RECENT_EVENTS + 100):
         for tracer in (window, full):
             tracer.emit("crash", f"rm{i}")
@@ -168,7 +154,7 @@ def test_a_tracer_keeps_the_newest_events_unless_it_keeps_all():
 def test_a_default_trace_does_not_grow_with_history(tmp_path):
     """20,000 put+send commits emit 460,000 events; a default tracer keeps
     the memory of at most its window of them."""
-    tracer = Tracer(SimClock())
+    tracer = Tracer()
     commits, managers = _put_send_commits(tmp_path, tracer)
     commits(500)  # fill the window and the caches first
     gc.collect()
@@ -386,7 +372,7 @@ def test_malformed_rm_log_record_is_log_corruption(tmp_path, rm, record):
 
     path = tmp_path / "q.log"
     path.write_text(record + "\n", encoding="utf-8")
-    manager = {"queue": TxnQueue, "store": ManagedStore}[rm]("q", str(path), tracer=Tracer(SimClock()))
+    manager = {"queue": TxnQueue, "store": ManagedStore}[rm]("q", str(path), tracer=Tracer())
     manager.crash()
     with pytest.raises(LogCorruptError, match="bad record"):
         manager.recover()
@@ -398,7 +384,7 @@ def test_a_kept_payload_is_checked_in_full(tmp_path):
     path = tmp_path / "s.log"
     bad = 'PREPARED\t{}\t{{"writes": {{"k": ["put", 7]}}}}\n'
     path.write_text(bad.format(1) + "DONE\t1\n" + bad.format(2), encoding="utf-8")
-    store = ManagedStore("s", str(path), tracer=Tracer(SimClock()))
+    store = ManagedStore("s", str(path), tracer=Tracer())
     store.crash()
     # txn 1 finished, so its payload is never used again; txn 2's is kept
     message = f'{path}: bad record for txn 2: writes.k must be ["put", <string>] or ["del"], got [\'put\', 7]'
@@ -413,7 +399,7 @@ def test_a_corrupt_log_leaves_the_manager_crashed(tmp_path):
     path = tmp_path / "s.log"
     text = 'PREPARED\t1\t{"writes": {"k": ["put", "v"]}}\nPREPARED\t2\t{"writes": {"k": ["put", 7]}}\n'
     path.write_text(text, encoding="utf-8")
-    store = ManagedStore("s", str(path), tracer=Tracer(SimClock()))
+    store = ManagedStore("s", str(path), tracer=Tracer())
     store.crash()
     for _ in range(2):  # a second recover reads the same log and fails the same way
         with pytest.raises(LogCorruptError, match="bad record for txn 2"):
@@ -448,7 +434,7 @@ def test_a_torn_last_line_was_never_written(tmp_path):
 def test_a_torn_prepared_record_recovers_with_nothing_prepared(tmp_path):
     from tra.resources import ManagedStore
 
-    store = ManagedStore("s", str(tmp_path / "s.log"), tracer=Tracer(SimClock()))
+    store = ManagedStore("s", str(tmp_path / "s.log"), tracer=Tracer())
     t = TransactionContext(id=1, originator="t")
     store.put(t, "k", "v")
     assert store.prepare(1).value == "yes"
