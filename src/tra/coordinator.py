@@ -41,13 +41,8 @@ class TxnLogRecord:
 
     txn_id: int
     enlisted: list[str]
-    decision: str | None = None  # "commit" | "abort"
+    status: str = "active"  # a TxnStatus value: "committed" or "aborted" once decided
     ended: bool = False
-
-    @property
-    def status(self) -> str:
-        decided = {"commit": TxnStatus.COMMITTED, "abort": TxnStatus.ABORTED}
-        return decided.get(self.decision, TxnStatus.ACTIVE).value
 
 
 def replay_log(path: str) -> dict[int, TxnLogRecord]:
@@ -69,17 +64,17 @@ def replay_log(path: str) -> dict[int, TxnLogRecord]:
         if entry is None:
             raise LogCorruptError(f"{path}: {kind} for txn {txn_id} before BEGIN")
         if kind == "ENLIST":
-            if entry.decision is not None:
+            if entry.status != "active":
                 raise LogCorruptError(f"{path}: ENLIST after decision for txn {txn_id}")
             entry.enlisted.append(rec[2])
         elif kind == "END":
-            if entry.decision is None or entry.ended:
+            if entry.status == "active" or entry.ended:
                 raise LogCorruptError(f"{path}: stray END for txn {txn_id}")
             entry.ended = True
         else:
-            if entry.decision is not None:
+            if entry.status != "active":
                 raise LogCorruptError(f"{path}: duplicate decision for txn {txn_id}")
-            entry.decision = "commit" if kind == "COMMIT" else "abort"
+            entry.status = "committed" if kind == "COMMIT" else "aborted"
     return txns
 
 
@@ -197,7 +192,7 @@ class Coordinator:
         self._known(ctx)
 
         self._fire(CrashPoint.BEFORE_PREPARE, ctx)
-        ctx.transition(TxnStatus.PREPARING)
+        ctx.status = TxnStatus.PREPARING
         self.tracer.emit("phase", ctx.id, "prepare")
 
         all_yes = True
@@ -229,7 +224,7 @@ class Coordinator:
             return self._abort(ctx)
 
         self._log("COMMIT", ctx.id)
-        ctx.transition(TxnStatus.COMMITTING)
+        ctx.status = TxnStatus.COMMITTED
         self.tracer.emit("decision", ctx.id, "commit")
         self._fire(CrashPoint.AFTER_COMMIT_RECORD, ctx)
 
@@ -243,7 +238,7 @@ class Coordinator:
                 self._fire(CrashPoint.MID_PHASE2, ctx)
         self._fire(CrashPoint.AFTER_PHASE2, ctx)
 
-        self._finish(ctx, TxnStatus.COMMITTED)
+        self._finish(ctx)
         return ctx.status
 
     def rollback(self, ctx: TransactionContext) -> TxnStatus:
@@ -256,7 +251,7 @@ class Coordinator:
         """Decide abort and roll back every participant; a crashed one is
         left pending for recover()."""
         self._log("ABORT", ctx.id)
-        ctx.transition(TxnStatus.ABORTING)
+        ctx.status = TxnStatus.ABORTED
         self.tracer.emit("decision", ctx.id, "abort")
         for rm_id in ctx.enlisted:
             try:
@@ -264,18 +259,17 @@ class Coordinator:
             except ResourceCrashed:
                 ctx.pending.add(rm_id)
                 self.tracer.emit("phase2_pending", ctx.id, rm_id)
-        self._finish(ctx, TxnStatus.ABORTED)
+        self._finish(ctx)
         return ctx.status
 
-    def _finish(self, ctx: TransactionContext, terminal: TxnStatus) -> None:
+    def _finish(self, ctx: TransactionContext) -> None:
         # END only when every participant finished phase 2, and then the
         # context is dropped; otherwise the decision record stays open for
         # recover(), which settles the live context.
         if not ctx.pending:
             self._log("END", ctx.id)
             del self.contexts[ctx.id]
-        ctx.transition(terminal)
-        self.tracer.emit("outcome", ctx.id, terminal._value_, tuple(sorted(ctx.pending)))
+        self.tracer.emit("outcome", ctx.id, ctx.status._value_, tuple(sorted(ctx.pending)))
 
     # -- cross-component dispatch ------------------------------------------
 
@@ -333,15 +327,16 @@ class Coordinator:
             if entry.ended:
                 continue
             live = self.contexts.get(txn_id)
-            commit = entry.decision == "commit"
-            if entry.decision is None:
+            undecided = entry.status == "active"
+            commit = entry.status == "committed"
+            if undecided:
                 if live is not None and live.status is TxnStatus.ACTIVE:
                     continue
                 self._log("ABORT", txn_id)
             finished = self._redrive(txn_id, entry.enlisted, "commit" if commit else "rollback")
             if finished:
                 self._log("END", txn_id)
-            if entry.decision is None:
+            if undecided:
                 outcome.presumed_aborted += 1
             elif not finished:
                 continue  # a participant is still down: the next recover() retries

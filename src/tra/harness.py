@@ -30,7 +30,7 @@ from .faults import ALL_POINTS, COORDINATOR_TARGET, CoordinatorCrash, FaultInjec
 from .model import load_manifest  # noqa: F401 -- unused; bench/spans.py wraps this name here
 from .process import ProcessEngine
 from .resources import ManagedStore, TxnQueue
-from .scenario import SOURCE_FIELDS, BindingDecl, Scenario, load_scenario_file
+from .scenario import NEVER_RAN, SOURCE_FIELDS, BindingDecl, Scenario, load_scenario_file
 from .sim import Tracer
 from .source import MISSING, resolve
 
@@ -286,7 +286,7 @@ class Runner:
             self._assert(f"txn {action['txn']} is {action['status']}", status == action["status"])
         elif kind == "process":
             instance = self.instances.get(action["process"])
-            state = instance.state.value if instance is not None else "never-ran"
+            state = instance.state.value if instance is not None else NEVER_RAN
             self._assert(
                 f"process {action['process']} is {action['state']}",
                 state == action["state"],
@@ -323,7 +323,7 @@ class Runner:
         """Prefer the durable log's view of a transaction's outcome; fall
         back to the live context for undecided ones."""
         entry = replayed.get(ctx.id)
-        if entry is not None and entry.decision is not None:
+        if entry is not None and entry.status != "active":
             return entry.status
         return ctx.status.value
 

@@ -20,10 +20,11 @@ from .coordinator import DEFAULT_PREPARE_BUDGET
 from .errors import ScenarioError
 from .faults import COORDINATOR_TARGET
 from .model import ComponentModel, resolve_transactional
-from .process import PROCESS, Plan, definition_from_checked, load_definition, load_processes
+from .process import PROCESS, InstanceState, Plan, definition_from_checked, load_definition, load_processes
 from .resources import _check_keys, _check_values
-from .shape import INT, JSON, LIST, NAME, OBJECT, STR, UINT, Each, Either, Kind, Obj, Tagged, check, read_json
+from .shape import INT, JSON, LIST, NAME, OBJECT, STR, UINT, Each, Either, Kind, Obj, Tagged, check, one_of, read_json
 from .source import parse
+from .txn import TxnStatus
 
 
 def _op(required: dict, optional: dict | None = None) -> Obj:
@@ -33,6 +34,7 @@ def _op(required: dict, optional: dict | None = None) -> Obj:
 
 _TXN = {"txn": STR}
 _EXPECT = {"expect": JSON}  # compared with what the op observed, as harness.EXPECT_DESC reads
+NEVER_RAN = "never-ran"  # the state a process assert reads for a process the script has not run
 
 # an action's op (an assert's kind) picks the fields its runner handler reads
 ACTION = Tagged("op", {
@@ -55,8 +57,8 @@ ACTION = Tagged("op", {
     "assert": Tagged("kind", {
         "store": _op({"store": STR, "key": STR}, {"value": STR}),
         "queue": _op({"queue": STR}, {"messages": LIST}),
-        "txn": _op({**_TXN, "status": STR}),
-        "process": _op({"process": STR, "state": STR}),
+        "txn": _op({**_TXN, "status": one_of(*(s.value for s in TxnStatus))}),
+        "process": _op({"process": STR, "state": one_of(*(s.value for s in InstanceState), NEVER_RAN)}),
         "process_var": _op({"process": STR, "var": STR}, {"value": JSON}),
     }),
 })

@@ -9,27 +9,16 @@ from .errors import TxnStateError
 
 
 class TxnStatus(Enum):
-    """Coordinator-side lifecycle of a transaction."""
+    """Coordinator-side lifecycle of a transaction: ACTIVE until commit starts
+    prepare, PREPARING until the votes are in, then the decision the coordinator
+    has logged, COMMITTED or ABORTED, from the moment its record is appended."""
 
     ACTIVE = "active"
     PREPARING = "preparing"
-    COMMITTING = "committing"
     COMMITTED = "committed"
-    ABORTING = "aborting"
     ABORTED = "aborted"
 
     __hash__ = object.__hash__  # members compare by identity; Enum.__hash__ is Python code
-
-
-# status -> statuses it may move to
-_TRANSITIONS = {
-    TxnStatus.ACTIVE: {TxnStatus.PREPARING, TxnStatus.ABORTING},
-    TxnStatus.PREPARING: {TxnStatus.COMMITTING, TxnStatus.ABORTING},
-    TxnStatus.COMMITTING: {TxnStatus.COMMITTED},
-    TxnStatus.ABORTING: {TxnStatus.ABORTED},
-    TxnStatus.COMMITTED: set(),
-    TxnStatus.ABORTED: set(),
-}
 
 
 class Vote(Enum):
@@ -45,6 +34,7 @@ class TransactionContext:
 
     `enlisted` keeps enlistment order; `pending` holds rm ids owed a phase-2 call
     after a crash (emptied by recovery), `lost` those that crashed while enlisted.
+    Only the coordinator sets `status`; every entry point calls `require_active`.
     """
 
     id: int
@@ -53,13 +43,6 @@ class TransactionContext:
     enlisted: list[str] = field(default_factory=list)
     pending: set[str] = field(default_factory=set)
     lost: set[str] = field(default_factory=set)
-
-    def transition(self, to: TxnStatus) -> None:
-        if to not in _TRANSITIONS[self.status]:
-            raise TxnStateError(
-                f"txn {self.id}: illegal transition {self.status.value} -> {to.value}"
-            )
-        self.status = to
 
     def require_active(self, op: str) -> None:
         if self.status is not TxnStatus.ACTIVE:

@@ -371,7 +371,7 @@ def test_recovery_counts_only_finished_redrives_and_writes_end_once_all_answer(t
     assert b.committed_value(f"b{committed.id}") == "v"
     assert b.committed_value(f"b{aborted.id}") is None
     # the live Active transaction was skipped: no decision was logged for it
-    assert replay_log(coord.log_path)[live.id].decision is None
+    assert replay_log(coord.log_path)[live.id].status == "active"
 
     stuck = coord.begin("s")
     b.put(stuck, "stuck", "v")
@@ -598,3 +598,51 @@ def test_a_failed_commit_append_leaves_the_transaction_for_recovery_to_abort(rig
     assert coord.recover().presumed_aborted == 1
     assert t.status is TxnStatus.ABORTED and coord.contexts == {}
     assert store.committed_value("k") is None
+
+
+def test_the_logged_decision_is_the_status_from_the_moment_it_is_logged(rig, monkeypatch):
+    coord, store, queue = rig
+    seen = []
+
+    def spy(op):
+        phase2 = getattr(store, op)
+
+        def call(txn_id):
+            seen.append((op, coord.contexts[txn_id].status))
+            return phase2(txn_id)
+
+        return call
+
+    monkeypatch.setattr(store, "commit", spy("commit"))
+    monkeypatch.setattr(store, "rollback", spy("rollback"))
+    yes = coord.begin("c")
+    store.put(yes, "k", "v")
+    assert coord.commit(yes) is TxnStatus.COMMITTED
+    no = coord.begin("c")
+    store.put(no, "k", "w")
+    queue.send(no, "m")
+    queue.crash()  # the queue lost its work: it votes NO after the store's YES
+    assert coord.commit(no) is TxnStatus.ABORTED
+    assert seen == [("commit", TxnStatus.COMMITTED), ("rollback", TxnStatus.ABORTED)]
+
+
+def test_a_failed_end_append_leaves_the_committed_transaction_for_recovery_to_finish(rig, monkeypatch):
+    coord, store, _ = rig
+    t = coord.begin("c")
+    store.put(t, "k", "v")
+    append = coord._writer.append
+
+    def fail_end(kind, *fields):
+        if kind == "END":
+            raise OSError("disk full")
+        append(kind, *fields)
+
+    monkeypatch.setattr(coord._writer, "append", fail_end)
+    with pytest.raises(OSError, match="disk full"):
+        coord.commit(t)
+    monkeypatch.undo()
+    assert t.status is TxnStatus.COMMITTED and coord.contexts == {t.id: t}  # the decision is logged
+    assert store.committed_value("k") == "v"
+    outcome = coord.recover()
+    assert (outcome.recommitted, outcome.presumed_aborted, outcome.aborts_completed) == (1, 0, 0)
+    assert coord.contexts == {} and kinds(coord.log_path)[-1] == "END"

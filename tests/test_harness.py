@@ -173,7 +173,7 @@ def test_expected_and_observed_values_compare_as_json_text():
 def test_a_transaction_the_log_has_not_decided_reports_its_live_status(tmp_path):
     coord = Coordinator(str(tmp_path / "c.log"))
     ctx = coord.begin("c")
-    ctx.transition(TxnStatus.PREPARING)  # as a commit does before its decision is logged
+    ctx.status = TxnStatus.PREPARING  # as a commit does before its decision is logged
     assert Runner._txn_status(ctx, replay_log(coord.log_path)) == "preparing"
     coord.close()
 
@@ -968,7 +968,7 @@ def _world(**changes):
             r"action 0 \(run_process\) process: no process is declared as 'ghost'",
         ),
         (
-            {"actions": [{"op": "assert", "kind": "process", "process": "q", "state": "x"}]},
+            {"actions": [{"op": "assert", "kind": "process", "process": "q", "state": "completed"}]},
             r"action 0 \(assert\) process: 'q' is declared as queue, not as process",
         ),
         (
@@ -1095,13 +1095,25 @@ def test_expect_is_one_rule_over_what_each_op_observed():
             {"actions": [{"op": "begin", "txn": "t"}, {"op": "commit", "txn": "t", "expected": "committed"}]},
             "actions[1]: unknown key 'expected'",
         ),
+        (  # an assert that names a status the runtime never gives could never pass
+            {"actions": [
+                {"op": "begin", "txn": "t"},
+                {"op": "assert", "kind": "txn", "txn": "t", "status": "committing"},
+            ]},
+            "actions[1].status must be one of 'active', 'preparing', 'committed', 'aborted', got 'committing'",
+        ),
+        (
+            {"actions": [{"op": "assert", "kind": "process", "process": "p", "state": "done"}]},
+            "actions[0].state must be one of 'running', 'completed', 'failed', 'never-ran', got 'done'",
+        ),
     ],
     ids=[
         "manifest-a-number", "seed-a-string", "seed-a-bool", "budget-a-float", "prepare-delay-negative",
         "stores-a-string", "queues-an-object", "actions-a-string", "process-steps-a-string",
         "binding-component-a-list", "binding-effects-an-int", "begin-txn-a-list",
         "endpoint-script-an-int", "process-variables-a-list", "expect-error-an-int",
-        "script-error-a-string", "commit-expected-misspelt",
+        "script-error-a-string", "commit-expected-misspelt", "assert-txn-status-unknown",
+        "assert-process-state-unknown",
     ],
 )
 def test_wrongly_typed_scenario_fields_end_in_exit_2(tmp_path, capsys, changes, message):

@@ -259,9 +259,7 @@ def test_access_after_finish_rejected(tmp_path):
     store.put(ctx, "k", "v")
     store.prepare(1)
     store.commit(1)
-    ctx.transition(TxnStatus.PREPARING)
-    ctx.transition(TxnStatus.COMMITTING)
-    ctx.transition(TxnStatus.COMMITTED)
+    ctx.status = TxnStatus.COMMITTED
     with pytest.raises(TxnStateError):
         store.put(ctx, "k", "w")
 
