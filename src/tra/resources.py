@@ -181,6 +181,23 @@ class ResourceManager:
 
 
 def _check_keys(keys: Iterable) -> None:
+    """Each key is a non-empty string of at most MAX_KEY_LEN characters.
+
+    The batch is checked whole first, by string operations in C: joining it
+    (one temporary copy of its text) refuses a non-string, and the joined
+    length, or failing that the longest key's, bounds every key. A batch this
+    pass does not accept runs the per-entry loop, which names the first bad
+    key.
+    """
+    if iter(keys) is keys:  # a one-shot iterable: both passes must see the same keys
+        keys = list(keys)
+    try:
+        joined = "".join(keys)
+    except TypeError:
+        pass
+    else:
+        if "" not in keys and (len(joined) <= MAX_KEY_LEN or max(map(len, keys)) <= MAX_KEY_LEN):
+            return
     for key in keys:
         if not isinstance(key, str) or not key:
             raise StoreLimitError("keys must be non-empty strings")
@@ -189,7 +206,27 @@ def _check_keys(keys: Iterable) -> None:
 
 
 def _check_values(values: Iterable, empty: bool = True) -> None:
-    """Text of at most MAX_VALUE_BYTES in UTF-8; a message (empty=False) is also non-empty."""
+    """Text of at most MAX_VALUE_BYTES in UTF-8; a message (empty=False) is also non-empty.
+
+    The batch is checked whole first, as in _check_keys (the join makes one
+    temporary copy of its text): ASCII text is its own UTF-8 with no lone
+    surrogate, so each value's size is its length. A batch this pass does not
+    accept, a bad one or valid non-ASCII text, runs the per-entry loop, which
+    names the first bad value.
+    """
+    if iter(values) is values:
+        values = list(values)
+    try:
+        joined = "".join(values)
+    except TypeError:
+        pass
+    else:
+        if (
+            (empty or "" not in values)
+            and joined.isascii()
+            and (len(joined) <= MAX_VALUE_BYTES or max(map(len, values)) <= MAX_VALUE_BYTES)
+        ):
+            return
     for value in values:
         if not isinstance(value, str):
             raise StoreLimitError("values must be strings")

@@ -1,7 +1,10 @@
 """Transactional queue semantics and the conservation invariant."""
 
+import builtins
+
 import pytest
 
+from tra import resources
 from tra.errors import StoreLimitError
 from tra.resources import TxnQueue
 from tra.sim import Tracer
@@ -116,9 +119,9 @@ def test_empty_receive_returns_none(rig):
 def test_message_limits(rig):
     coord, _, queue = rig
     t = coord.begin("p")
-    with pytest.raises(StoreLimitError):
+    with pytest.raises(StoreLimitError, match="^messages must be non-empty$"):
         queue.send(t, "")
-    with pytest.raises(StoreLimitError):
+    with pytest.raises(StoreLimitError, match="^value larger than 65536 bytes$"):
         queue.send(t, "x" * (64 * 1024 + 1))
     with pytest.raises(StoreLimitError, match="lone surrogate"):
         queue.send(t, "\ud800")
@@ -141,23 +144,58 @@ def test_a_message_is_sized_in_utf8_bytes(rig):
     assert queue.peek() == (EDGE, EDGE)
 
 
+GOOD = [f"m{i}" for i in range(2000)]
+
+
 @pytest.mark.parametrize(
     "bad, message",
     [
-        ("", "messages must be non-empty"),
-        ("\udfff", "values must be valid Unicode text, with no lone surrogates"),
-        (EDGE + "b", "value larger than 65536 bytes"),
-        (7, "values must be strings"),
+        ([""], "messages must be non-empty"),
+        (["\udfff"], "values must be valid Unicode text, with no lone surrogates"),
+        ([EDGE + "b"], "value larger than 65536 bytes"),
+        (["v" * (64 * 1024 + 1)], "value larger than 65536 bytes"),
+        ([7], "values must be strings"),
+        # two bad messages: the first in iteration order is named, whatever its kind
+        (["v" * (64 * 1024 + 1), 7], "value larger than 65536 bytes"),
+        ([7, "v" * (64 * 1024 + 1)], "values must be strings"),
+        (["", 7], "messages must be non-empty"),
+        ([7, ""], "values must be strings"),
     ],
-    ids=["empty", "surrogate", "too-large", "not-a-string"],
+    ids=[
+        "empty",
+        "surrogate",
+        "too-large",
+        "ascii-too-large",
+        "not-a-string",
+        "large-then-non-string",
+        "non-string-then-large",
+        "empty-then-non-string",
+        "non-string-then-empty",
+    ],
 )
 def test_a_refused_seed_appends_nothing(rig, bad, message):
     _, _, queue = rig
     queue.seed(["a", "b"])
     with pytest.raises(StoreLimitError, match=f"^{message}$"):
-        queue.seed([*(f"m{i}" for i in range(2000)), bad])  # the bad message comes after 2,000 good ones
+        queue.seed([*GOOD, *bad])  # the bad messages come after 2,000 good ones
     assert queue.peek() == ("a", "b")
     assert queue.initial_depth == 2
+
+
+def test_only_a_batch_the_bulk_pass_refuses_is_checked_entry_by_entry(rig, monkeypatch):
+    """The per-entry loop is spied on through its isinstance calls."""
+    _, _, queue = rig
+    seen = []
+    monkeypatch.setattr(
+        resources, "isinstance", lambda obj, kind: seen.append(obj) or builtins.isinstance(obj, kind), raising=False
+    )
+    full = [*GOOD, "v" * (64 * 1024)]  # its joined text is over the limit, each message is not
+    queue.seed(full)
+    assert seen == []
+    assert queue.peek() == tuple(full)
+    queue.seed([EDGE])  # valid, but not ASCII
+    assert seen == [EDGE]
+    assert queue.depth() == 2002
 
 
 def test_a_second_seed_counts_only_its_own_messages(rig):

@@ -1,10 +1,13 @@
 """Versioned store semantics: optimistic validation, versions, limits."""
 
+import builtins
+
 import pytest
 
+from tra import resources
 from tra.errors import StoreLimitError, TxnStateError
 from tra.faults import CoordinatorCrash, CrashPoint, FaultInjector, FaultSpec
-from tra.resources import MAX_KEY_LEN, MAX_VALUE_BYTES, ManagedStore
+from tra.resources import MAX_KEY_LEN, MAX_VALUE_BYTES, ManagedStore, _check_keys, _check_values
 from tra.sim import Tracer
 from tra.txn import TransactionContext, TxnStatus, Vote
 
@@ -199,13 +202,13 @@ def test_stale_read_after_delete_aborts(rig):
 def test_limits(rig):
     coord, store, _ = rig
     t = coord.begin("c")
-    with pytest.raises(StoreLimitError):
+    with pytest.raises(StoreLimitError, match=f"^key longer than {MAX_KEY_LEN} characters$"):
         store.put(t, "k" * (MAX_KEY_LEN + 1), "v")
-    with pytest.raises(StoreLimitError):
+    with pytest.raises(StoreLimitError, match=f"^value larger than {MAX_VALUE_BYTES} bytes$"):
         store.put(t, "k", "v" * (MAX_VALUE_BYTES + 1))
-    with pytest.raises(StoreLimitError):
+    with pytest.raises(StoreLimitError, match="^keys must be non-empty strings$"):
         store.get(t, "")
-    with pytest.raises(StoreLimitError):
+    with pytest.raises(StoreLimitError, match=f"^key longer than {MAX_KEY_LEN} characters$"):
         store.delete(t, "k" * (MAX_KEY_LEN + 1))
     with pytest.raises(StoreLimitError, match="lone surrogate"):
         store.put(t, "k", "a\ud800")
@@ -239,10 +242,28 @@ ASCII = {f"acct{i:04d}": str(i) for i in range(2000)}
         ({7: "v"}, "keys must be non-empty strings"),
         ({"k": "\ud800"}, "values must be valid Unicode text, with no lone surrogates"),
         ({"k": EDGE + "b"}, f"value larger than {MAX_VALUE_BYTES} bytes"),
+        ({"k": "v" * (MAX_VALUE_BYTES + 1)}, f"value larger than {MAX_VALUE_BYTES} bytes"),
         ({"k": 7}, "values must be strings"),
         ({"k": "\ud800", "": "v"}, "keys must be non-empty strings"),  # every key is checked before any value
+        # two bad entries: the first in iteration order is named, whatever its kind
+        ({"k" * (MAX_KEY_LEN + 1): "v", 7: "v"}, f"key longer than {MAX_KEY_LEN} characters"),
+        ({7: "v", "k" * (MAX_KEY_LEN + 1): "v"}, "keys must be non-empty strings"),
+        ({"k": "v" * (MAX_VALUE_BYTES + 1), "j": 7}, f"value larger than {MAX_VALUE_BYTES} bytes"),
+        ({"k": 7, "j": "v" * (MAX_VALUE_BYTES + 1)}, "values must be strings"),
     ],
-    ids=["key-too-long", "key-not-a-string", "value-surrogate", "value-too-large", "value-not-a-string", "key-first"],
+    ids=[
+        "key-too-long",
+        "key-not-a-string",
+        "value-surrogate",
+        "value-too-large",
+        "ascii-value-too-large",
+        "value-not-a-string",
+        "key-first",
+        "long-key-then-non-string",
+        "non-string-then-long-key",
+        "large-value-then-non-string",
+        "non-string-then-large-value",
+    ],
 )
 def test_a_refused_seed_installs_nothing(rig, bad, message):
     _, store, _ = rig
@@ -251,6 +272,29 @@ def test_a_refused_seed_installs_nothing(rig, bad, message):
     with pytest.raises(StoreLimitError, match=f"^{message}$"):
         store.seed({**ASCII, **bad})  # the bad entry comes after 2,000 good ones
     assert store.committed_snapshot() == before
+
+
+def test_only_a_batch_the_bulk_pass_refuses_is_checked_entry_by_entry(rig, monkeypatch):
+    """The per-entry loops are spied on through their isinstance calls."""
+    _, store, _ = rig
+    seen = []
+    monkeypatch.setattr(
+        resources, "isinstance", lambda obj, kind: seen.append(obj) or builtins.isinstance(obj, kind), raising=False
+    )
+    full = {**ASCII, "full": "v" * MAX_VALUE_BYTES}  # its joined text is over the limit, each value is not
+    store.seed(full)
+    assert seen == []
+    assert store.committed_snapshot() == full
+    store.seed({"edge": EDGE})  # valid, but not ASCII
+    assert seen == [EDGE]
+    assert store.committed_value("edge") == EDGE
+
+
+def test_a_one_shot_iterable_is_checked_whole():
+    with pytest.raises(StoreLimitError, match="^keys must be non-empty strings$"):
+        _check_keys(iter(["k", 7]))
+    with pytest.raises(StoreLimitError, match="^values must be strings$"):
+        _check_values(iter(["v", 7]))
 
 
 def test_access_after_finish_rejected(tmp_path):
