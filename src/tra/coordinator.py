@@ -4,7 +4,7 @@ The coordinator owns transaction identity and outcome. Every decision is
 written to an append-only log before anyone acts on it (presumed abort: a
 transaction with no decision record aborts at recovery). Phase 2 tolerates
 crashed participants: the decision stands, the participant finishes the work
-when recovery re-drives it.
+when recovery re-drives it through the same phase-2 loop as commit and abort.
 
 The log holds BEGIN, ENLIST (naming the participant), COMMIT, ABORT and END
 records per transaction id, declared in LOG_SCHEMA. END marks that phase 2
@@ -91,7 +91,8 @@ class Coordinator:
     `services` maps (component, service) to a handler taking (ctx, request)
     so propagate() can dispatch work into another logical component inside
     the caller's transaction. `contexts` holds the transactions begun here
-    whose END is not yet logged; a finished context is refused by its status.
+    whose decision is not yet logged; a decided context is refused by its
+    status, and the log alone says which participants still owe phase 2.
     """
 
     def __init__(
@@ -195,7 +196,7 @@ class Coordinator:
         ctx.status = TxnStatus.PREPARING
         self.tracer.emit("phase", ctx.id, "prepare")
 
-        all_yes = True
+        vote = Vote.YES  # a transaction with no participants commits
         for rm_id in ctx.enlisted:
             rm = self.registry[rm_id]
             started = self.tracer.now
@@ -208,68 +209,60 @@ class Coordinator:
                 vote = Vote.NO
                 reason = "crashed"
             except Exception:  # e.g. its PREPARED append failed: settle, then report it
-                self._abort(ctx)
+                self._decide(ctx, False)
                 raise
             if vote is Vote.YES and self.tracer.now - started > self.prepare_budget:
                 vote = Vote.NO
                 reason = "timeout"
             self.tracer.emit("vote", ctx.id, rm_id, vote._value_, reason)  # not the slower .value
             if vote is Vote.NO:
-                all_yes = False
                 break
 
         self._fire(CrashPoint.AFTER_VOTE, ctx)
-
-        if not all_yes:
-            return self._abort(ctx)
-
-        self._log("COMMIT", ctx.id)
-        ctx.status = TxnStatus.COMMITTED
-        self.tracer.emit("decision", ctx.id, "commit")
-        self._fire(CrashPoint.AFTER_COMMIT_RECORD, ctx)
-
-        for idx, rm_id in enumerate(ctx.enlisted):
-            try:
-                self.registry[rm_id].commit(ctx.id)
-            except ResourceCrashed:
-                ctx.pending.add(rm_id)
-                self.tracer.emit("phase2_pending", ctx.id, rm_id)
-            if idx == 0:
-                self._fire(CrashPoint.MID_PHASE2, ctx)
-        self._fire(CrashPoint.AFTER_PHASE2, ctx)
-
-        self._finish(ctx)
-        return ctx.status
+        return self._decide(ctx, vote is Vote.YES)
 
     def rollback(self, ctx: TransactionContext) -> TxnStatus:
         self._guard()
         ctx.require_active("rollback")
         self._known(ctx)
-        return self._abort(ctx)
+        return self._decide(ctx, False)
 
-    def _abort(self, ctx: TransactionContext) -> TxnStatus:
-        """Decide abort and roll back every participant; a crashed one is
-        left pending for recover()."""
-        self._log("ABORT", ctx.id)
-        ctx.status = TxnStatus.ABORTED
-        self.tracer.emit("decision", ctx.id, "abort")
-        for rm_id in ctx.enlisted:
-            try:
-                self.registry[rm_id].rollback(ctx.id)
-            except ResourceCrashed:
-                ctx.pending.add(rm_id)
-                self.tracer.emit("phase2_pending", ctx.id, rm_id)
-        self._finish(ctx)
+    def _decide(self, ctx: TransactionContext, commit: bool) -> TxnStatus:
+        """Log the decision, drop the context and drive every participant
+        through phase 2; END is logged only when none of them is down, so
+        recover() re-drives the rest from the log."""
+        self._log("COMMIT" if commit else "ABORT", ctx.id)
+        ctx.status = TxnStatus.COMMITTED if commit else TxnStatus.ABORTED
+        del self.contexts[ctx.id]
+        self.tracer.emit("decision", ctx.id, "commit" if commit else "abort")
+        op = "commit" if commit else "rollback"
+        if commit:
+            self._fire(CrashPoint.AFTER_COMMIT_RECORD, ctx)
+        down = self._drive(ctx.id, ctx.enlisted[:1], op)
+        if commit and ctx.enlisted:  # after the first participant's phase-2 call
+            self._fire(CrashPoint.MID_PHASE2, ctx)
+        down += self._drive(ctx.id, ctx.enlisted[1:], op)
+        if commit:
+            self._fire(CrashPoint.AFTER_PHASE2, ctx)
+        if not down:
+            self._log("END", ctx.id)
+        self.tracer.emit("outcome", ctx.id, ctx.status._value_, tuple(sorted(down)))
         return ctx.status
 
-    def _finish(self, ctx: TransactionContext) -> None:
-        # END only when every participant finished phase 2, and then the
-        # context is dropped; otherwise the decision record stays open for
-        # recover(), which settles the live context.
-        if not ctx.pending:
-            self._log("END", ctx.id)
-            del self.contexts[ctx.id]
-        self.tracer.emit("outcome", ctx.id, ctx.status._value_, tuple(sorted(ctx.pending)))
+    def _drive(self, txn_id: int, rm_ids: list[str], op: str) -> list[str]:
+        """Issue phase 2's `op` ("commit" or "rollback") to each participant
+        in order. Returns those that are down; each is left pending."""
+        down = []
+        for rm_id in rm_ids:
+            rm = self.registry.get(rm_id)
+            if rm is None:
+                raise UnknownResourceError(f"log names unregistered resource {rm_id!r}")
+            try:
+                getattr(rm, op)(txn_id)
+            except ResourceCrashed:
+                down.append(rm_id)
+                self.tracer.emit("phase2_pending", txn_id, rm_id)
+        return down
 
     # -- cross-component dispatch ------------------------------------------
 
@@ -316,8 +309,9 @@ class Coordinator:
 
         A transaction with no decision is presumed aborted (ABORT is logged
         first) unless it is live and Active here: an rm-only crash does not
-        doom unrelated work. Then the decision is re-driven (participants are
-        idempotent), and END is logged once every participant answered.
+        doom unrelated work. Then the decision is driven through phase 2 again
+        (participants are idempotent), and END is logged once every
+        participant answered.
         """
         self._guard()
         outcome = RecoveryOutcome()
@@ -326,44 +320,25 @@ class Coordinator:
             entry = replayed[txn_id]
             if entry.ended:
                 continue
-            live = self.contexts.get(txn_id)
-            undecided = entry.status == "active"
-            commit = entry.status == "committed"
-            if undecided:
+            if entry.status == "active":
+                live = self.contexts.get(txn_id)
                 if live is not None and live.status is TxnStatus.ACTIVE:
                     continue
                 self._log("ABORT", txn_id)
-            finished = self._redrive(txn_id, entry.enlisted, "commit" if commit else "rollback")
-            if finished:
-                self._log("END", txn_id)
-            if undecided:
                 outcome.presumed_aborted += 1
-            elif not finished:
-                continue  # a participant is still down: the next recover() retries
-            elif commit:
-                outcome.recommitted += 1
-            else:
-                outcome.aborts_completed += 1
-            if live is not None:
-                live.status = TxnStatus.COMMITTED if commit else TxnStatus.ABORTED
-                live.pending.clear()
-                if finished:
+                if live is not None:  # its decision append failed
+                    live.status = TxnStatus.ABORTED
                     del self.contexts[txn_id]
+            op = "commit" if entry.status == "committed" else "rollback"
+            if self._drive(txn_id, entry.enlisted, op):
+                continue  # a participant is still down: the next recover() retries
+            self._log("END", txn_id)
+            if entry.status == "committed":
+                outcome.recommitted += 1
+            elif entry.status == "aborted":
+                outcome.aborts_completed += 1
         self.tracer.emit("recovered", *astuple(outcome))
         return outcome
-
-    def _redrive(self, txn_id: int, rm_ids: list[str], op: str) -> bool:
-        """Re-issue phase 2. False when a participant is still down."""
-        ok = True
-        for rm_id in rm_ids:
-            rm = self.registry.get(rm_id)
-            if rm is None:
-                raise UnknownResourceError(f"log names unregistered resource {rm_id!r}")
-            try:
-                getattr(rm, op)(txn_id)
-            except ResourceCrashed:
-                ok = False
-        return ok
 
     def close(self) -> None:
         self._writer.close()

@@ -195,7 +195,10 @@ class Runner:
                     self.errors.append(f"action {idx} ({op}): {exc}")
             if self.injector.any_fired():
                 # a crash point was hit: the rest of the script is off
-                self._recover_all()
+                try:
+                    self._recover_all()
+                except TraError as exc:
+                    self.errors.append(f"recovery: {exc}")
                 break
         return self._report()
 

@@ -115,8 +115,9 @@ class ResourceManager:
             return  # phase-2 retry after recovery
         if txn_id not in self._prepared:
             raise TxnStateError(f"{self.rm_id}: commit of txn {txn_id} without prepare")
-        self._apply(txn_id, self._prepared.pop(txn_id))
+        # DONE first: a failed append leaves the payload prepared, so the re-drive applies it
         self._writer.append("DONE", str(txn_id))
+        self._apply(txn_id, self._prepared.pop(txn_id))
         self._done.add(txn_id)
         self.tracer.emit("rm_commit", self.rm_id, txn_id)
 
@@ -125,8 +126,8 @@ class ResourceManager:
         if txn_id in self._done:
             return
         if txn_id in self._prepared:
+            self._writer.append("DONE", str(txn_id))  # first, as in commit
             self._unstage(txn_id, self._prepared.pop(txn_id))
-            self._writer.append("DONE", str(txn_id))
             self._done.add(txn_id)
         else:  # idempotent: there may be no workspace here for this txn
             self._discard(txn_id)

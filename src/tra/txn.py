@@ -32,16 +32,15 @@ class Vote(Enum):
 class TransactionContext:
     """Handle threaded through every transactional call.
 
-    `enlisted` keeps enlistment order; `pending` holds rm ids owed a phase-2 call
-    after a crash (emptied by recovery), `lost` those that crashed while enlisted.
-    Only the coordinator sets `status`; every entry point calls `require_active`.
+    `enlisted` keeps enlistment order; `lost` holds the rm ids that crashed while
+    enlisted. Only the coordinator sets `status`, and it drops the context once
+    the decision is logged; every entry point calls `require_active`.
     """
 
     id: int
     originator: str
     status: TxnStatus = TxnStatus.ACTIVE
     enlisted: list[str] = field(default_factory=list)
-    pending: set[str] = field(default_factory=set)
     lost: set[str] = field(default_factory=set)
 
     def require_active(self, op: str) -> None:

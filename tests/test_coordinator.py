@@ -209,6 +209,40 @@ def test_a_fault_fires_in_the_transaction_it_names(rig, txn, crashed_in):
     assert store.committed_value("k") == ("v1" if crashed_in == 2 else None)
 
 
+PREPARE_POINTS = {CrashPoint.BEFORE_PREPARE, CrashPoint.AFTER_VOTE}
+COMMIT_ONLY_POINTS = {CrashPoint.AFTER_COMMIT_RECORD, CrashPoint.MID_PHASE2, CrashPoint.AFTER_PHASE2}
+
+
+@pytest.mark.parametrize("point", list(CrashPoint), ids=lambda p: p.value)
+@pytest.mark.parametrize(
+    "path, fires",
+    [
+        # MID_PHASE2 follows the first participant's phase-2 call, so it needs one
+        ("commit-no-participant", PREPARE_POINTS | COMMIT_ONLY_POINTS - {CrashPoint.MID_PHASE2}),
+        ("commit-one-participant", PREPARE_POINTS | COMMIT_ONLY_POINTS),
+        ("rollback", set()),
+        ("no-vote-abort", PREPARE_POINTS),
+    ],
+)
+def test_each_coordinator_crash_point_fires_only_on_its_paths(rig, path, fires, point):
+    coord, store, _ = rig
+    spec = FaultSpec("coordinator", point)
+    coord.injector = FaultInjector([spec])
+    t = coord.begin("c")
+    if path != "commit-no-participant":
+        store.put(t, "k", "v")
+    if path == "no-vote-abort":
+        store.crash()  # the store lost its work: it votes NO unasked
+    try:
+        coord.rollback(t) if path == "rollback" else coord.commit(t)
+    except CoordinatorCrash:
+        fired = True
+    else:
+        fired = False
+    assert fired == (point in fires)
+    assert coord.injector.fired == ([spec] if fired else [])
+
+
 def test_a_store_fault_aimed_at_a_transaction_without_that_store_never_fires(rig):
     coord, store, queue = rig
     coord.injector = FaultInjector([FaultSpec("queue", CrashPoint.BEFORE_PREPARE, txn=1)])
@@ -249,7 +283,7 @@ def test_a_participant_down_at_prepare_votes_no_as_crashed(rig, tracer):
         {"ev": "phase2_pending", "txn": t.id, "rm": "store"},
         {"ev": "rm_rollback", "rm": "queue", "txn": t.id},
     ]
-    assert t.pending == {"store"}
+    assert not replay_log(coord.log_path)[t.id].ended  # the store still owes its rollback
 
 
 def test_commit_with_crashed_participant_stays_committed(rig):
@@ -268,9 +302,11 @@ def test_commit_with_crashed_participant_stays_committed(rig):
 
     queue.prepare = prepare_then_die
     assert coord.commit(t) is TxnStatus.COMMITTED
-    assert t.pending == {"queue"}
-    pending = [(e["txn"], e["rm"]) for e in coord.tracer.events if e["ev"] == "phase2_pending"]
-    assert pending == [(t.id, "queue")]
+
+    def pending():
+        return [(e["txn"], e["rm"]) for e in coord.tracer.events if e["ev"] == "phase2_pending"]
+
+    assert pending() == [(t.id, "queue")]
     assert "END" not in kinds(coord.log_path)
     assert store.committed_value("k") == "v"
     assert queue.peek() == ()
@@ -279,7 +315,7 @@ def test_commit_with_crashed_participant_stays_committed(rig):
     outcome = coord.recover()
     assert outcome.recommitted == 1
     assert queue.peek() == ("m",)
-    assert t.pending == set()
+    assert pending() == [(t.id, "queue")]  # the queue answered the re-drive
     assert kinds(coord.log_path)[-1] == "END"
 
 
@@ -345,6 +381,9 @@ def test_recovery_counts_only_finished_redrives_and_writes_end_once_all_answer(t
     def counts(outcome):
         return outcome.recommitted, outcome.aborts_completed, outcome.presumed_aborted
 
+    def pending():
+        return [(e["txn"], e["rm"]) for e in tracer.events if e["ev"] == "phase2_pending"]
+
     committed, aborted, live = coord.begin("c"), coord.begin("r"), coord.begin("l")
     for ctx in (committed, aborted):
         a.put(ctx, f"a{ctx.id}", "v")
@@ -354,20 +393,21 @@ def test_recovery_counts_only_finished_redrives_and_writes_end_once_all_answer(t
     coord.injector = FaultInjector([FaultSpec("b", CrashPoint.MID_PHASE2)])
     assert coord.commit(committed) is TxnStatus.COMMITTED
     assert coord.rollback(aborted) is TxnStatus.ABORTED
-    assert committed.pending == aborted.pending == {"b"}
+    assert pending() == [(committed.id, "b"), (aborted.id, "b")]
+    assert set(coord.contexts) == {live.id}  # a context is dropped once its decision is logged
 
-    # b still down: nothing finishes, nothing counts, no END, contexts unsettled
+    # b still down: nothing finishes, nothing counts, no END, b is still pending
     assert counts(coord.recover()) == (0, 0, 0)
     assert not ended(committed) and not ended(aborted) and not ended(live)
-    assert committed.pending == aborted.pending == {"b"}
+    assert pending() == [(committed.id, "b"), (aborted.id, "b")] * 2
     assert live.status is TxnStatus.ACTIVE
-    assert set(coord.contexts) == {committed.id, aborted.id, live.id}
+    assert set(coord.contexts) == {live.id}
 
     b.recover()
     assert counts(coord.recover()) == (1, 1, 0)
     assert ended(committed) and ended(aborted) and not ended(live)
-    assert committed.pending == aborted.pending == set()
-    assert set(coord.contexts) == {live.id}  # a context is dropped once its END is logged
+    assert pending() == [(committed.id, "b"), (aborted.id, "b")] * 2  # b answered
+    assert set(coord.contexts) == {live.id}
     assert b.committed_value(f"b{committed.id}") == "v"
     assert b.committed_value(f"b{aborted.id}") is None
     # the live Active transaction was skipped: no decision was logged for it
@@ -567,6 +607,42 @@ def test_a_failed_prepared_append_settles_the_transaction_as_aborted(rig, monkey
     assert store.committed_value("k") == "w"
 
 
+@pytest.mark.parametrize("decision", ["commit", "rollback"])
+def test_a_failed_done_append_leaves_the_payload_prepared_for_the_redrive(rig, monkeypatch, decision):
+    coord, store, queue = rig
+    t = coord.begin("c")
+    store.put(t, "k", "v")
+    queue.send(t, "m")
+    if decision == "rollback":
+        queue.crash()  # the queue lost its work: it votes NO after the store's YES
+    append = store._writer.append
+
+    def fail_done(kind, *fields):
+        if kind == "DONE":
+            raise OSError("disk full")
+        append(kind, *fields)
+
+    monkeypatch.setattr(store._writer, "append", fail_done)
+    with pytest.raises(OSError, match="disk full"):
+        coord.commit(t)
+    monkeypatch.undo()
+    assert "END" not in kinds(coord.log_path) and store.committed_value("k") is None
+
+    queue.recover()
+    outcome = coord.recover()
+    committed = decision == "commit"
+    assert (outcome.recommitted, outcome.aborts_completed) == (int(committed), int(not committed))
+    assert kinds(coord.log_path)[-1] == "END"
+    assert store.committed_value("k") == ("v" if committed else None)
+    assert queue.peek() == (("m",) if committed else ())
+    store.crash()
+    store.recover()  # the store's log holds t's DONE: no payload of t comes back to lock k
+    t2 = coord.begin("c")
+    store.put(t2, "k", "w")
+    assert coord.commit(t2) is TxnStatus.COMMITTED
+    assert store.committed_value("k") == "w"
+
+
 def test_a_transaction_that_settled_with_a_participant_down_takes_no_more_work(rig):
     coord, store, queue = rig
     t = coord.begin("c")
@@ -574,8 +650,9 @@ def test_a_transaction_that_settled_with_a_participant_down_takes_no_more_work(r
     queue.send(t, "m")
     queue.crash()
     assert coord.rollback(t) is TxnStatus.ABORTED
-    assert coord.contexts[t.id] is t and t.pending == {"queue"}  # live until recovery settles the queue
-    with pytest.raises(TxnStateError):
+    assert coord.contexts == {}  # dropped at its decision, though the queue still owes its rollback
+    assert not replay_log(coord.log_path)[t.id].ended
+    with pytest.raises(TxnStateError, match="propagate requires an active transaction, status is aborted"):
         coord.propagate(t, "Customer", "updateCustomer", {})
 
 
@@ -602,13 +679,13 @@ def test_a_failed_commit_append_leaves_the_transaction_for_recovery_to_abort(rig
 
 def test_the_logged_decision_is_the_status_from_the_moment_it_is_logged(rig, monkeypatch):
     coord, store, queue = rig
-    seen = []
+    seen, ctxs = [], {}
 
     def spy(op):
         phase2 = getattr(store, op)
 
         def call(txn_id):
-            seen.append((op, coord.contexts[txn_id].status))
+            seen.append((op, ctxs[txn_id].status))
             return phase2(txn_id)
 
         return call
@@ -616,9 +693,11 @@ def test_the_logged_decision_is_the_status_from_the_moment_it_is_logged(rig, mon
     monkeypatch.setattr(store, "commit", spy("commit"))
     monkeypatch.setattr(store, "rollback", spy("rollback"))
     yes = coord.begin("c")
+    ctxs[yes.id] = yes
     store.put(yes, "k", "v")
     assert coord.commit(yes) is TxnStatus.COMMITTED
     no = coord.begin("c")
+    ctxs[no.id] = no
     store.put(no, "k", "w")
     queue.send(no, "m")
     queue.crash()  # the queue lost its work: it votes NO after the store's YES
@@ -641,7 +720,8 @@ def test_a_failed_end_append_leaves_the_committed_transaction_for_recovery_to_fi
     with pytest.raises(OSError, match="disk full"):
         coord.commit(t)
     monkeypatch.undo()
-    assert t.status is TxnStatus.COMMITTED and coord.contexts == {t.id: t}  # the decision is logged
+    assert t.status is TxnStatus.COMMITTED and coord.contexts == {}  # the decision is logged
+    assert kinds(coord.log_path) == ["BEGIN", "ENLIST", "COMMIT"]
     assert store.committed_value("k") == "v"
     outcome = coord.recover()
     assert (outcome.recommitted, outcome.presumed_aborted, outcome.aborts_completed) == (1, 0, 0)

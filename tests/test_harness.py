@@ -18,9 +18,18 @@ import pytest
 import tra
 from tra.cli import _write, main
 from tra.coordinator import Coordinator, replay_log
-from tra.errors import BindingError, ProcessError, ScenarioError, StoreLimitError, TableError, TraError
+from tra.errors import (
+    BindingError,
+    LogCorruptError,
+    ProcessError,
+    ScenarioError,
+    StoreLimitError,
+    TableError,
+    TraError,
+)
 from tra.faults import CrashPoint, FaultSpec
 from tra.harness import Runner, _stringify, crash_sweep, render_report, render_sweep, run_scenario
+from tra.resources import ResourceManager
 from tra.scenario import ResourceDecl, load_scenario, load_scenario_file
 from tra.sim import EVENTS, RECENT_EVENTS, Tracer
 from tra.txn import TxnStatus
@@ -98,6 +107,24 @@ def test_identical_inputs_identical_reports():
     # a different seed is a different input, and it shows in the report
     c = render_report(run_scenario(transfer_path(), seed=99), mode="structured")
     assert a != c
+
+
+def test_an_error_in_recovery_after_a_fault_is_a_report_error(monkeypatch):
+    def corrupt(self):
+        raise LogCorruptError(f"{self.rm_id}: bad record")
+
+    monkeypatch.setattr(ResourceManager, "recover", corrupt)
+    report = run_scenario(
+        transfer_path(), faults=[FaultSpec.parse("coordinator@after_vote_before_decision")]
+    )
+    assert report["stopped_by_fault"] is True and report["ok"] is False
+    assert report["errors"] == ["recovery: accounts-a: bad record"]
+    assert "  error: recovery: accounts-a: bad record\n" in render_report(report, mode="text")
+
+    result = crash_sweep(transfer_path())  # the baselines run no recovery
+    rows = result["combinations"]
+    assert result["ok"] is False and len(rows) == 20
+    assert all(row["fired"] and not row["ok"] for row in rows)
 
 
 def test_coordinator_fault_aborts_and_recovers():
