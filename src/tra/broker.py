@@ -28,7 +28,7 @@ from .model import SIGNATURE, ServiceSignature, load_signature
 from .records import MESSAGE_SPEC, MessageSpec, decode_record, encode_record, typed
 from .shape import BOOL, LIST, NAME, NULL, OBJECT, STR, UINT, Each, Either, Obj, check, read_json
 from .sim import Tracer
-from .source import MISSING, Source, parse, resolve
+from .source import Source, check_source, cover, parse, resolve
 from .txn import TxnStatus
 
 DEFAULT_REPLY_BUDGET = 100
@@ -66,14 +66,6 @@ TABLE = Obj({"service": SIGNATURE, "calls": Each(LIST, Obj(
      "response_spec": MESSAGE_SPEC},
     {"depends_on": Each(LIST, NAME)},
 ))}, {"aggregate": Each(OBJECT, LIST)})
-
-
-def _check_kind(src: Source, kinds: dict, want: str, where: str) -> None:
-    kind = resolve(src, kinds)
-    if kind is MISSING:
-        raise TableError(f"{where}: source {src} does not exist")
-    if kind != want:
-        raise TableError(f"{where}: source {src} kind mismatch, want {want}")
 
 
 def _stages(name: str, calls: list[LegacyCall]) -> tuple[tuple[LegacyCall, ...], ...]:
@@ -118,19 +110,14 @@ def load_table(doc: Mapping) -> BrokerTable:
         for dep in depends_on:
             if dep not in kinds["call"]:
                 raise TableError(f"{where}: unknown dependency {dep}")
-        spec_names, mapped = set(request_spec.field_names), set(c["request_map"])
-        if mapped != spec_names:
-            raise TableError(
-                f"{where}: request map must cover the request spec exactly "
-                f"(missing {sorted(spec_names - mapped)}, extra {sorted(mapped - spec_names)})"
-            )
+        cover(c["request_map"], request_spec.fields, TableError, f"{where}: request map must cover the request spec")
         rmap = {}
         for fname, text in c["request_map"].items():
             src = parse(text, ("req", "lit", "call"), TableError, f"{where}.{fname}")
             if src.scope == "call" and src.path[0] not in depends_on:
                 raise TableError(f"{where}: {src} must name a declared dependency")
             if src.scope != "lit":
-                _check_kind(src, kinds, request_spec.field(fname).kind, f"{where}.{fname}")
+                check_source(src, kinds, TableError, f"{where}.{fname}", request_spec.field(fname).kind)
             rmap[fname] = src
         calls.append(LegacyCall(
             c["call_id"], c["endpoint"], request_spec, rmap, response_spec, frozenset(depends_on)
@@ -138,12 +125,7 @@ def load_table(doc: Mapping) -> BrokerTable:
     # every response field must be assembled from somewhere
     service_resp = {f.name: f.kind for f in service.response}
     texts_of = doc.get("aggregate", {})
-    if set(texts_of) != set(service_resp):
-        raise TableError(
-            f"{name}: aggregation must cover the response exactly "
-            f"(missing {sorted(set(service_resp) - set(texts_of))}, "
-            f"extra {sorted(set(texts_of) - set(service_resp))})"
-        )
+    cover(texts_of, service.response, TableError, f"{name}: aggregation must cover the response")
     aggregate = {}
     for rfield, texts in texts_of.items():
         where = f"{name}.aggregate.{rfield}"
@@ -151,7 +133,7 @@ def load_table(doc: Mapping) -> BrokerTable:
             raise TableError(f"{where}: response field has no sources")
         sources = [parse(text, ("call",), TableError, where) for text in texts]
         for src in sources:
-            _check_kind(src, kinds, service_resp[rfield], where)
+            check_source(src, kinds, TableError, where, service_resp[rfield])
         aggregate[rfield] = sources[0]  # the first listed source answers
     return BrokerTable(service, tuple(calls), _stages(name, calls), aggregate)
 

@@ -191,6 +191,9 @@ class Coordinator:
         self._guard()
         ctx.require_active("commit")
         self._known(ctx)
+        if ctx.rollback_only is not None:  # a failed call: abort it unprepared
+            self.tracer.emit("rollback_only", ctx.id, ctx.rollback_only)
+            return self._decide(ctx, False)
 
         self._fire(CrashPoint.BEFORE_PREPARE, ctx)
         ctx.status = TxnStatus.PREPARING
@@ -267,8 +270,8 @@ class Coordinator:
     # -- cross-component dispatch ------------------------------------------
 
     def propagate(self, ctx: TransactionContext, component: str, service: str, request: dict) -> dict:
-        """Invoke another component's exported transactional service inside
-        the caller's transaction."""
+        """Invoke another component's exported transactional service inside the caller's
+        transaction; a call that raises or breaks its reply marks it rollback-only."""
         self._guard()
         ctx.require_active("propagate")
         self._known(ctx)
@@ -282,7 +285,16 @@ class Coordinator:
         if handler is None:
             raise BindingError(f"{component}.{service} has no implementation bound")
         self.tracer.emit("propagate", ctx.id, component, internal.name, service)
-        return handler(ctx, request)
+        try:
+            response = handler(ctx, request)
+            if not isinstance(response, dict):
+                raise BindingError(f"{component}.{service}: response is not an object")
+            if missing := [f.name for f in sig.response if f.name not in response]:
+                raise BindingError(f"{component}.{service}: response missing fields {missing}")
+        except Exception as exc:  # the call may have done part of its work: commit must not keep it
+            ctx.rollback_only = str(exc)
+            raise
+        return response
 
     # -- crash and recovery ---------------------------------------------------
 

@@ -32,7 +32,7 @@ from .process import ProcessEngine
 from .resources import ManagedStore, TxnQueue
 from .scenario import NEVER_RAN, SOURCE_FIELDS, BindingDecl, Scenario, load_scenario_file
 from .sim import Tracer
-from .source import MISSING, resolve
+from .source import resolve
 
 
 def _stringify(value):
@@ -140,24 +140,15 @@ class Runner:
         ops = [getattr(self, f"_op_{EFFECT_OPS.get(e['do'], e['do'])}") for e in binding.effects]
 
         def handler(ctx, request):
-            regs: dict = {}
-
-            def fetch(src):
-                found = resolve(src, {"req": request, "eff": regs})
-                if found is MISSING and src.scope == "req":
-                    raise ScenarioError(f"binding wants missing request field {src.path[0]!r}")
-                if found is MISSING:
-                    raise ScenarioError(f"binding source {src!r} is unset")
-                return found
-
+            scopes = {"req": request, "eff": {}}
             for op, eff in zip(ops, binding.effects):
-                args = {**eff, **{f: fetch(eff[f]) for f in SOURCE_FIELDS if f in eff}}
+                args = {**eff, **{f: resolve(eff[f], scopes) for f in SOURCE_FIELDS if f in eff}}
                 if "request" in eff:
-                    args["request"] = {f: fetch(s) for f, s in eff["request"].items()}
+                    args["request"] = {f: resolve(s, scopes) for f, s in eff["request"].items()}
                 got = op(ctx, args)
                 if "into" in eff:
-                    regs[eff["into"]] = got
-            return {f: fetch(src) for f, src in binding.response.items()}
+                    scopes["eff"][eff["into"]] = got
+            return {f: resolve(src, scopes) for f, src in binding.response.items()}
 
         return handler
 

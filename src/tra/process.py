@@ -11,7 +11,8 @@ plan of service steps; an engine only starts and executes plans.
 
 Step inputs are mapped from instance variables ("var:NAME") or literals
 ("lit:TEXT"); outputs copy response fields ("resp.FIELD") back into
-variables. Both maps are parsed when the step is built.
+variables. Both maps are parsed when the step is built, and checked against
+the service's signature when the set loads; only an unset variable is left to the run.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Iterable, Mapping
 from .errors import ProcessError, TraError
 from .model import ComponentModel, resolve_transactional
 from .shape import LIST, NAME, OBJECT, Each, Obj, check, one_of
-from .source import MISSING, parse, resolve
+from .source import MISSING, check_source, cover, parse, resolve
 from .txn import TxnStatus
 
 MAX_PLAN_STEPS = 10_000  # service steps in one plan, subprocesses expanded
@@ -122,8 +123,8 @@ def definition_from_checked(doc: dict) -> ProcessDefinition:
 
 
 def load_processes(model: ComponentModel, definitions: Iterable[ProcessDefinition]) -> dict[str, Plan]:
-    """Check a process set and build each plan once, from its children's
-    plans: names are unique, step services resolve as transactional, every
+    """Check a process set and build each plan once, from its children's plans:
+    names are unique, each step calls a transactional service by its signature, every
     subprocess is defined, none closes a cycle, no plan exceeds MAX_PLAN_STEPS
     and all of them together hold at most MAX_TOTAL_PLAN_STEPS."""
     defs: dict[str, ProcessDefinition] = {}
@@ -132,7 +133,13 @@ def load_processes(model: ComponentModel, definitions: Iterable[ProcessDefinitio
             raise ProcessError(f"process {defn.name} already defined")
         for step in defn.steps:
             if step.service is not None:
-                resolve_transactional(model, step.component, step.service, f"process {defn.name} step {step.name}")
+                where = f"process {defn.name} step {step.name}"
+                _, sig = resolve_transactional(model, step.component, step.service, where)
+                what = f"{where}: input must cover the request of {step.component}.{step.service}"
+                cover(step.input_map, sig.request, ProcessError, what)
+                kinds = {"resp": {f.name: f.kind for f in sig.response}}
+                for src in step.output_map.values():
+                    check_source(src, kinds, ProcessError, f"{where}: output")
         defs[defn.name] = defn
     plans: dict[str, Plan] = {}
     total = 0
@@ -189,9 +196,11 @@ class ProcessEngine:
             for step in group:
                 try:
                     self._run_step(instance, ctx, step, outputs)
-                except TraError as exc:
+                except Exception as exc:  # the step's transaction ends here, whatever the handler raised
                     with suppress(TraError):  # already rolled back or lost; it fails either way
                         self.coordinator.rollback(ctx)
+                    if not isinstance(exc, TraError):
+                        raise
                     return self._fail(instance, step.name, str(exc))
             if self.coordinator.commit(ctx) is not TxnStatus.COMMITTED:
                 # a spanning transaction is refused as a whole, not at one step
@@ -211,11 +220,8 @@ class ProcessEngine:
                 raise ProcessError(f"step {step.name}: unset variable {src.path[0]!r}")
         self.coordinator.tracer.emit("step", instance.definition, step.name, step.component, step.service)
         response = self.coordinator.propagate(ctx, step.component, step.service, request)
-        for var, src in step.output_map.items():
-            value = resolve(src, {"resp": response})
-            if value is MISSING:
-                raise ProcessError(f"step {step.name}: response has no field {src.path[0]!r}")
-            outputs[var] = value
+        for var, src in step.output_map.items():  # propagate checked that the response has each
+            outputs[var] = resolve(src, {"resp": response})
 
     def _fail(self, instance: ProcessInstance, step: str | None, reason: str) -> ProcessInstance:
         instance.state = InstanceState.FAILED

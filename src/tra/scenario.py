@@ -23,7 +23,7 @@ from .model import ComponentModel, resolve_transactional
 from .process import PROCESS, InstanceState, Plan, definition_from_checked, load_definition, load_processes
 from .resources import _check_keys, _check_values
 from .shape import INT, JSON, LIST, NAME, OBJECT, STR, UINT, Each, Either, Kind, Obj, Tagged, check, one_of, read_json
-from .source import parse
+from .source import check_source, cover, parse
 from .txn import TxnStatus
 
 
@@ -123,8 +123,9 @@ class BindingDecl:
 @dataclass
 class Scenario:
     """A loaded scenario. `names` maps every declared name to its kind, every
-    field that names something has been checked against it, and every service,
-    process and table a run registers has been resolved, so a run only builds."""
+    field that names something has been checked against it, every service,
+    process and table a run registers has been resolved, and every call and
+    binding checked against its service's signature, so a run only builds."""
 
     name: str
     seed: int
@@ -228,13 +229,13 @@ def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
     model = component_model.load_manifest(model_doc) if model_doc is not None else None
     names = _name_table(stores, queues, endpoints, definitions)
 
-    services = []  # (component, service, where) of every call and binding; each is transactional
+    services = []  # (component, service, where, request map or None) of every call and binding
     actions = []
     for i, action in enumerate(doc.get("actions", ())):
         where = f"action {i} ({action['op']})"
         _check_fields(names, ACTION.pick(action), action, where)
         if action["op"] == "propagate":
-            services.append((action["component"], action["service"], where))
+            services.append((action["component"], action["service"], where, action.get("request", {})))
         actions.append(dict(action))
 
     bindings = []
@@ -246,7 +247,7 @@ def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
             eff = {**eff, **_sources({f: eff[f] for f in SOURCE_FIELDS if f in eff}, where)}
             if eff["do"] == "call":
                 eff["request"] = _sources(eff.get("request", {}), where)
-                services.append((eff["component"], eff["service"], f"{where}: call"))
+                services.append((eff["component"], eff["service"], f"{where}: call", eff["request"]))
             effects.append(eff)
         response = _sources(raw.get("response", {}), where)
         bindings.append(BindingDecl(raw["component"], raw["service"], effects, response))
@@ -254,20 +255,41 @@ def load_scenario(doc: Mapping, base_dir: str = ".") -> Scenario:
     for value in doc.get("serve_queues", ()):
         _check_name(names, value, ("queue",), "serve_queues")
 
-    # After the name checks, so that their refusals come first: resolve what a
-    # run registers, by the rules it registers with.
+    # After the name checks, so that their refusals come first: resolve what a run
+    # registers, by the rules it registers with, and check each call against its signature.
     bound = set()
     for b in bindings:
         where = f"binding {b.component}.{b.service}"
         if (b.component, b.service) in bound:
             raise ScenarioError(f"{where} is declared twice")
         bound.add((b.component, b.service))
-        services.append((b.component, b.service, where))
-    for component, service, where in services:
+        services.append((b.component, b.service, where, None))
+    sigs = {}
+    for component, service, where, request in services:
         if model is None:
             raise ScenarioError(f"{where}: services need a component model")
-        resolve_transactional(model, component, service, where)
+        sig = sigs[component, service] = resolve_transactional(model, component, service, where)[1]
+        if (component, service) not in bound:
+            raise ScenarioError(f"{where}: {component}.{service} has no binding")
+        if request is not None:
+            cover(request, sig.request, ScenarioError, f"{where}: request must cover the request of {component}.{service}")
+    for b in bindings:
+        where, sig = f"binding {b.component}.{b.service}", sigs[b.component, b.service]
+        kinds = {"req": {f.name: f.kind for f in sig.request}, "eff": {}}  # eff: each `into` once its effect ran
+        for eff in b.effects:
+            for src in [*(eff[f] for f in SOURCE_FIELDS if f in eff), *eff.get("request", {}).values()]:
+                check_source(src, kinds, ScenarioError, f"{where}: {eff['do']}")
+            if "into" in eff:  # a call stores its callee's reply, a get the text it read
+                reply = sigs[eff["component"], eff["service"]].response if eff["do"] == "call" else None
+                kinds["eff"][eff["into"]] = "text" if reply is None else {f.name: f.kind for f in reply}
+        cover(b.response, sig.response, ScenarioError, f"{where}: response must cover the declared response")
+        for src in b.response.values():
+            check_source(src, kinds, ScenarioError, f"{where}: response")
     processes = load_processes(model, definitions)
+    for d in definitions:  # load_processes has resolved each step; a run also needs its binding
+        for s in d.steps:
+            if s.service is not None and (s.component, s.service) not in bound:
+                raise ScenarioError(f"process {d.name} step {s.name}: {s.component}.{s.service} has no binding")
     tables = [load_table(_inline_or_file(t, base_dir, "broker table")) for t in doc.get("tables", ())]
     broker = MessageBroker()
     for adapter in endpoints:

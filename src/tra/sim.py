@@ -28,6 +28,7 @@ EVENTS = {
     "enlist": ("txn", "rm"),
     "wal": ("record", "fields"),
     "phase": ("txn", "phase"),
+    "rollback_only": ("txn", "reason"),
     "vote": ("txn", "rm", "vote", "reason"),
     "decision": ("txn", "decision"),
     "phase2_pending": ("txn", "rm"),

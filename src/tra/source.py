@@ -8,7 +8,7 @@ once, when its structure is loaded or registered; resolve() then only walks the 
     req.FIELD     a field of the incoming request
     lit:TEXT      the text itself
     call:ID.F     field F of the decoded reply of broker call ID
-    eff.NAME.K..  a value an earlier binding effect stored, then nested keys
+    eff.NAME      a value an earlier binding effect stored (eff.NAME.F: a field of its reply)
     var:NAME      a process instance variable
     resp.FIELD    a field of a process step's service response
 """
@@ -63,3 +63,20 @@ def resolve(source: Source, scopes: dict):
             return MISSING
         value = value[key]
     return value
+
+
+def cover(names, fields, error: type[Exception], what: str) -> None:
+    """Refuse a map whose keys `names` are not exactly the declared `fields`' names."""
+    names, declared = set(names), {f.name for f in fields}
+    if names != declared:
+        raise error(f"{what} exactly (missing {sorted(declared - names)}, extra {sorted(names - declared)})")
+
+
+def check_source(src: Source, kinds: dict, error: type[Exception], where: str, want: str | None = None) -> None:
+    """Refuse src unless it resolves against `kinds`, which maps each scope to
+    the kinds of the fields it declares, and, when `want` is given, to that kind."""
+    kind = resolve(src, kinds)
+    if kind is MISSING:
+        raise error(f"{where}: source {src} does not exist")
+    if want is not None and kind != want:
+        raise error(f"{where}: source {src} kind mismatch, want {want}")

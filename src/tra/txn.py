@@ -42,6 +42,7 @@ class TransactionContext:
     status: TxnStatus = TxnStatus.ACTIVE
     enlisted: list[str] = field(default_factory=list)
     lost: set[str] = field(default_factory=set)
+    rollback_only: str | None = None  # why a failed `propagate` doomed it, if one did
 
     def require_active(self, op: str) -> None:
         if self.status is not TxnStatus.ACTIVE:

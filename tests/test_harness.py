@@ -570,8 +570,8 @@ def _bundled_doc(name):
 
 
 def test_every_declared_event_kind_is_emitted_with_its_declared_fields(monkeypatch):
-    """The bundled scenarios, run and swept, emit every declared kind but five
-    failure kinds, which variants of two of them add; every event emitted
+    """The bundled scenarios, run and swept, emit every declared kind but six
+    failure kinds, which variants of three of them add; every event emitted
     holds one value per declared field."""
     emitted = []
     emit = Tracer.emit
@@ -587,6 +587,7 @@ def test_every_declared_event_kind_is_emitted_with_its_declared_fields(monkeypat
         crash_sweep(tra.fixture_path(name))
     assert set(EVENTS) - {ev for ev, _ in emitted} == {
         "broker_bad_reply", "broker_error", "broker_timeout", "broker_poison", "process_failed",
+        "rollback_only",
     }
 
     broker = _bundled_doc("broker_demo.json")
@@ -607,7 +608,7 @@ def test_every_declared_event_kind_is_emitted_with_its_declared_fields(monkeypat
     process = _bundled_doc("process_demo.json")
     process["actions"] = [{"op": "run_process", "process": "onboarding", "variables": {}, "expect": "failed"}]
     base_dir = os.path.dirname(tra.fixture_path("process_demo.json"))
-    for doc in (broker, process):
+    for doc in (broker, process, _failed_call_doc()):
         reports.append(run_scenario(load_scenario(doc, base_dir)))
     assert all(report["ok"] for report in reports)
     assert {ev for ev, _ in emitted} == set(EVENTS)
@@ -695,23 +696,6 @@ def _cross_component(**binding_changes):
 def test_bad_binding_sources_are_refused_at_load(change):
     with pytest.raises(ScenarioError, match="binding Customer.updateCustomer: bad source"):
         load_scenario(_cross_component(**change), base_dir=tra.fixture_path(""))
-
-
-@pytest.mark.parametrize(
-    "source, message",
-    [
-        ("eff.contract_reply.nope", "binding source 'eff.contract_reply.nope' is unset"),
-        ("eff.nothing", "binding source 'eff.nothing' is unset"),
-        ("req.ghost", "binding wants missing request field 'ghost'"),
-    ],
-)
-def test_binding_source_misses_fail_the_call_at_run_time(source, message):
-    scenario = load_scenario(
-        _cross_component(response__status=source), base_dir=tra.fixture_path("")
-    )
-    report = run_scenario(scenario)
-    assert report["ok"] is False
-    assert report["errors"] == [f"action 1 (propagate): {message}"]
 
 
 def _broker_demo(reply_to="replies", replies_delay=0):
@@ -948,15 +932,16 @@ def test_an_expected_error_that_is_not_raised_is_a_failed_assert():
 
 
 def test_binding_reads_effect_registers_and_nested_replies():
-    doc = _cross_component(response__status="eff.contract_reply.status")
-    binding = doc["bindings"][0]
+    # the nested call's terms read the register of a get; the response, the nested reply
+    doc = _cross_component(response__status="eff.contract_reply.status", effects__1__request__terms="eff.old")
     get_old = {"do": "get", "store": "customer-db", "key": "req.id", "into": "old"}
-    binding["effects"].insert(0, get_old)
-    binding["response"]["before"] = "eff.old"
-    doc["actions"][1]["expect"] = {"status": "written", "before": "OLD"}
+    doc["bindings"][0]["effects"].insert(0, get_old)
+    doc["actions"][1]["expect"] = {"status": "written"}
+    doc["actions"][4]["value"] = "OLD"
     report = run_scenario(load_scenario(doc, base_dir=tra.fixture_path("")))
     assert report["errors"] == []
     assert report["ok"] is True
+    assert report["stores"] == {"customer-db": {"cust-9": "NEW"}, "contract-db": {"ctr-77": "OLD"}}
 
 
 def _world(**changes):
@@ -1382,6 +1367,151 @@ def _table_with_endpoint(endpoint):
 def test_every_cross_reference_is_resolved_at_load(doc, error, message):
     with pytest.raises(error, match=re.escape(message)):
         load_scenario(doc, base_dir=tra.fixture_path(""))
+
+
+def _cover(what, missing=(), extra=()):
+    return re.escape(f"{what} exactly (missing {sorted(missing)}, extra {sorted(extra)})")
+
+
+def _process_step(index, **changes):
+    return _process_demo(lambda p: p["steps"][index].update(changes))
+
+
+@pytest.mark.parametrize(
+    "doc, error, message",
+    [
+        (
+            _changed("cross_component.json", lambda d: d["actions"][1]["request"].pop("terms")),
+            ScenarioError, _cover("action 1 (propagate): request must cover the request of Customer.updateCustomer", ["terms"]),
+        ),
+        (
+            _changed("cross_component.json", lambda d: d["actions"][1]["request"].update(bogus="x")),
+            ScenarioError,
+            _cover("action 1 (propagate): request must cover the request of Customer.updateCustomer", extra=["bogus"]),
+        ),
+        (
+            _changed("cross_component.json", lambda d: d["bindings"][0]["effects"][1]["request"].pop("terms")),
+            ScenarioError,
+            _cover("binding Customer.updateCustomer: call: request must cover the request of Contract.writeContract", ["terms"]),
+        ),
+        (
+            _cross_component(response={}),
+            ScenarioError, _cover("binding Customer.updateCustomer: response must cover the declared response", ["status"]),
+        ),
+        (
+            _cross_component(response__bogus="lit:x"),
+            ScenarioError,
+            _cover("binding Customer.updateCustomer: response must cover the declared response", extra=["bogus"]),
+        ),
+        (
+            _process_step(1, input={"contract": "var:contract"}),
+            ProcessError,
+            _cover("process onboarding step record-contract: input must cover the request of Contract.createContract", ["terms"]),
+        ),
+        (
+            _process_step(0, output={"x": "resp.bogus"}),
+            ProcessError, re.escape("process onboarding step record-customer: output: source resp.bogus does not exist"),
+        ),
+        (
+            _changed("process_demo.json", lambda d: d["bindings"].pop(1)),
+            ScenarioError, re.escape("process onboarding step record-contract: Contract.createContract has no binding"),
+        ),
+        (
+            _changed("cross_component.json", lambda d: d["bindings"].pop(1)),
+            ScenarioError, re.escape("binding Customer.updateCustomer: call: Contract.writeContract has no binding"),
+        ),
+        (
+            _changed("cross_component.json", lambda d: d["bindings"].pop(0)),
+            ScenarioError, re.escape("action 1 (propagate): Customer.updateCustomer has no binding"),
+        ),
+        (
+            _cross_component(response__status="eff.contract_reply.status.x"),
+            ScenarioError,
+            re.escape("binding Customer.updateCustomer: response: source eff.contract_reply.status.x does not exist"),
+        ),
+        (
+            _cross_component(response__status="eff.contract_reply.nope"),
+            ScenarioError, re.escape("binding Customer.updateCustomer: response: source eff.contract_reply.nope does not exist"),
+        ),
+        (
+            _cross_component(response__status="eff.nothing"),
+            ScenarioError, re.escape("binding Customer.updateCustomer: response: source eff.nothing does not exist"),
+        ),
+        (
+            # an effect's register is set once it ran, so an earlier effect cannot read it
+            _cross_component(effects__0__value="eff.contract_reply.status"),
+            ScenarioError, re.escape("binding Customer.updateCustomer: put: source eff.contract_reply.status does not exist"),
+        ),
+        (
+            _cross_component(response__status="req.ghost"),
+            ScenarioError, re.escape("binding Customer.updateCustomer: response: source req.ghost does not exist"),
+        ),
+    ],
+    ids=[
+        "propagate-request-missing", "propagate-request-extra", "call-request-missing", "binding-response-missing",
+        "binding-response-extra", "step-input-missing", "step-output-undeclared", "step-unbound", "call-unbound",
+        "propagate-unbound", "eff-field-of-text", "eff-undeclared-reply-field", "eff-unset-register",
+        "eff-register-before-its-effect", "req-undeclared-field",
+    ],
+)
+def test_a_call_that_breaks_its_signature_is_refused_at_load(doc, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        load_scenario(doc, base_dir=tra.fixture_path(""))
+
+
+def test_cli_refuses_a_call_that_breaks_its_signature_with_one_error_line(tmp_path, capsys):
+    doc = _changed("cross_component.json", lambda d: d["actions"][1]["request"].pop("terms"))
+    doc["manifest"] = _fixture("model.json")
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "error: action 1 (propagate): request must cover the request of Customer.updateCustomer "
+        "exactly (missing ['terms'], extra [])"
+    ]
+
+
+def _failed_call_doc():
+    """cross_component.json with a propagate whose nested call fails its put,
+    after the outer binding's put succeeded, then a commit of the same txn."""
+    doc = _fixture("cross_component.json")
+    propagate = doc["actions"][1]
+    propagate["request"]["contract"] = ""
+    propagate["expect_error"] = "keys must be non-empty strings"
+    del propagate["expect"]
+    doc["actions"][2:] = [
+        {"op": "commit", "txn": "t1", "expect": "aborted"},
+        {"op": "assert", "kind": "txn", "txn": "t1", "status": "aborted"},
+    ]
+    return doc
+
+
+def test_a_failed_call_dooms_its_transaction():
+    report = run_scenario(load_scenario(_failed_call_doc(), base_dir=tra.fixture_path("")))
+    assert report["ok"] is True and report["errors"] == []
+    assert report["stores"] == {"customer-db": {"cust-9": "OLD"}, "contract-db": {}}
+    assert report["log"] == {"1": "aborted"}
+    kinds = [e["ev"] for e in report["events"] if e.get("txn") == 1]
+    assert "rollback_only" in kinds and "vote" not in kinds and "phase" not in kinds  # never prepared
+    doomed = next(e for e in report["events"] if e["ev"] == "rollback_only")
+    assert doomed["reason"] == "keys must be non-empty strings"
+
+
+def test_a_per_step_process_whose_second_call_fails_keeps_the_first_step():
+    doc = _process_demo(lambda p: p.update(policy="per_step"))
+    doc["actions"] = [{
+        "op": "run_process", "process": "onboarding", "variables": {**ONBOARDING_VARIABLES, "contract": ""},
+        "expect": "failed",
+    }]
+    report = run_scenario(load_scenario(doc, base_dir=tra.fixture_path("")))
+    assert report["ok"] is True
+    assert report["stores"] == {"customer-db": {"cust-1": "ADA LOVELACE"}, "contract-db": {}}
+    assert report["log"] == {"1": "committed", "2": "aborted"}
+    proc = report["processes"]["onboarding"]
+    assert (proc["failed_step"], proc["reason"]) == ("record-contract", "keys must be non-empty strings")
+    assert proc["variables"] == {**ONBOARDING_VARIABLES, "contract": "", "update_status": "ok"}
 
 
 @pytest.mark.parametrize(

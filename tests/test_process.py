@@ -1,5 +1,6 @@
 """Process engine: policies, subprocess composition, failure shapes."""
 
+import re
 import time
 
 import pytest
@@ -21,6 +22,7 @@ from tra.process import (
 )
 from tra.resources import ManagedStore
 from tra.sim import Tracer
+from tra.txn import TxnStatus
 from tra.wal import read_records
 
 
@@ -253,7 +255,8 @@ def test_a_subprocess_step_takes_no_maps():
             Step(name="go", subprocess="onboard", **maps)
 
 
-LEAF = ProcessDefinition("leaf", TxnPolicy.PER_STEP, [Step("s", "Customer", "updateCustomer")])
+LEAF_INPUT = {"id": "lit:c9", "data": "lit:D", "contract": "lit:k", "terms": "lit:t"}  # updateCustomer's request
+LEAF = ProcessDefinition("leaf", TxnPolicy.PER_STEP, [Step("s", "Customer", "updateCustomer", input_map=LEAF_INPUT)])
 
 
 def test_a_plan_holds_at_most_max_plan_steps(world):
@@ -353,20 +356,90 @@ def test_duplicate_step_names_are_refused_when_the_definition_is_built():
         ProcessDefinition("p", TxnPolicy.PER_STEP, steps)
 
 
-def test_missing_response_field_fails_the_step(world):
-    load, _, store = world
-    step = Step(
-        name="s",
-        component="Customer",
-        service="updateCustomer",
-        input_map={"id": "lit:c9", "data": "lit:D", "contract": "lit:k", "terms": "lit:t"},
-        output_map={"st": "resp.nope"},
-    )
+@pytest.mark.parametrize(
+    "maps, message",
+    [
+        (
+            {"output_map": {"st": "resp.nope"}},
+            "process p step s: output: source resp.nope does not exist",
+        ),
+        (
+            {"input_map": {k: v for k, v in LEAF_INPUT.items() if k != "terms"}},
+            r"process p step s: input must cover the request of Customer.updateCustomer exactly "
+            r"\(missing \['terms'\], extra \[\]\)",
+        ),
+        (
+            {"input_map": {**LEAF_INPUT, "bogus": "lit:x"}},
+            r"process p step s: input must cover the request of Customer.updateCustomer exactly "
+            r"\(missing \[\], extra \['bogus'\]\)",
+        ),
+    ],
+    ids=["output-undeclared", "input-missing", "input-extra"],
+)
+def test_a_step_that_breaks_its_signature_is_refused_when_the_set_loads(world, maps, message):
+    load, _, _ = world
+    step = Step(name="s", component="Customer", service="updateCustomer", **{"input_map": LEAF_INPUT, **maps})
+    with pytest.raises(ProcessError, match=f"^{message}$"):
+        load(ProcessDefinition(name="p", policy=TxnPolicy.PER_STEP, steps=[step]))
+
+
+@pytest.mark.parametrize("error", [ProcessError("refused"), KeyError("id")], ids=["tra-error", "other-error"])
+def test_a_handler_that_raises_dooms_its_transaction(world, error):
+    load, coord, store = world
+
+    def update_customer(ctx, request):
+        store.put(ctx, request["id"], request["data"])
+        raise error
+
+    coord.bind_service("Customer", "updateCustomer", update_customer)
+    ctx = coord.begin("t")
+    with pytest.raises(type(error)):
+        coord.propagate(ctx, "Customer", "updateCustomer", {"id": "c9", "data": "D", "contract": "k", "terms": "t"})
+    assert ctx.rollback_only == str(error)
+    assert coord.commit(ctx) is TxnStatus.ABORTED
+    assert store.committed_value("c9") is None
+
+    # a process step ends its transaction, then fails on a TraError and re-raises any other
+    engine = load(LEAF)
+    inst = engine.start("leaf")
+    if isinstance(error, ProcessError):
+        assert (engine.execute(inst).failed_step, inst.reason) == ("s", str(error))
+    else:
+        with pytest.raises(KeyError):
+            engine.execute(inst)
+    assert coord.contexts == {}
+    assert [r[0] for r in read_records(coord.log_path, LOG_SCHEMA)][-2:] == ["ABORT", "END"]
+    assert store.committed_value("c9") is None
+
+
+@pytest.mark.parametrize(
+    "answer, reason",
+    [
+        ({}, "Customer.updateCustomer: response missing fields ['status']"),
+        (None, "Customer.updateCustomer: response is not an object"),
+    ],
+    ids=["empty-object", "not-an-object"],
+)
+def test_a_handler_whose_response_breaks_the_signature_fails_the_call(world, answer, reason):
+    load, coord, store = world
+
+    def update_customer(ctx, request):
+        store.put(ctx, request["id"], request["data"])
+        return answer
+
+    coord.bind_service("Customer", "updateCustomer", update_customer)
+    ctx = coord.begin("t")
+    with pytest.raises(BindingError, match=re.escape(reason)):
+        coord.propagate(ctx, "Customer", "updateCustomer", {"id": "c9", "data": "D", "contract": "k", "terms": "t"})
+    assert ctx.rollback_only == reason
+    assert coord.commit(ctx) is TxnStatus.ABORTED
+
+    step = Step("s", "Customer", "updateCustomer", input_map=LEAF_INPUT, output_map={"st": "resp.status"})
     engine = load(ProcessDefinition(name="p", policy=TxnPolicy.PER_STEP, steps=[step]))
     inst = engine.execute(engine.start("p"))
     assert inst.state is InstanceState.FAILED
-    assert inst.reason == "step s: response has no field 'nope'"
-    assert "st" not in inst.variables
+    assert (inst.failed_step, inst.reason) == ("s", reason)
+    assert inst.variables == {}
     assert store.committed_value("c9") is None
 
 
