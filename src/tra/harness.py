@@ -33,6 +33,7 @@ from .resources import ManagedStore, TxnQueue
 from .scenario import NEVER_RAN, SOURCE_FIELDS, BindingDecl, Scenario, load_scenario_file
 from .sim import Tracer
 from .source import resolve
+from .txn import TxnStatus
 
 
 def _stringify(value):
@@ -191,6 +192,9 @@ class Runner:
                 except TraError as exc:
                     self.errors.append(f"recovery: {exc}")
                 break
+        for ctx in list(self.coordinator.contexts.values()):  # settle what the script left open
+            if ctx.status is TxnStatus.ACTIVE:
+                self.coordinator.rollback(ctx)
         return self._report()
 
     def close(self) -> None:

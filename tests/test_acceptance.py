@@ -32,6 +32,7 @@ from tra import (
     decode_record,
     encode_record,
     fixture_path,
+    load_scenario,
     load_scenario_file,
     load_table,
     render_report,
@@ -239,6 +240,53 @@ def test_log_replay_matches_reported_outcomes():
                     mismatches.append(f"{target}@{point.value}: {name} drifted")
     ok = not mismatches and combos == 15
     detail = f"independent log replay agrees with all {combos} faulted-run reports"
+    if mismatches:
+        detail = "; ".join(mismatches[:3])
+    _criterion(4, ok, detail)
+
+
+# t1 is still open when a fault in t2 stops the script
+_LEFT_OPEN = {
+    "name": "left-open",
+    "stores": ["a", "b"],
+    "actions": [
+        {"op": "begin", "txn": "t1"},
+        {"op": "put", "txn": "t1", "store": "a", "key": "k", "value": "1"},
+        {"op": "begin", "txn": "t2"},
+        {"op": "put", "txn": "t2", "store": "b", "key": "k", "value": "2"},
+        {"op": "commit", "txn": "t2"},
+        {"op": "commit", "txn": "t1"},
+    ],
+}
+
+
+def test_every_faulted_run_settles_every_logged_transaction():
+    """Criterion 4 over every bundled scenario and one that a fault stops
+    with a transaction open: under each declared target and crash point, the
+    independent parser finds an END for every logged transaction, and the
+    log agrees with the report."""
+    bundled = ("transfer", "cross_component", "process_demo", "broker_demo")
+    scenarios = [load_scenario_file(fixture_path(f"{name}.json")) for name in bundled]
+    scenarios.append(load_scenario(_LEFT_OPEN))
+    mismatches = []
+    runs = 0
+    for scenario in scenarios:
+        for target in (COORDINATOR_TARGET, *(r.name for r in scenario.stores + scenario.queues)):
+            for point in ALL_POINTS:
+                runs += 1
+                where = f"{scenario.name} {target}@{point.value}"
+                runner = Runner(scenario, faults=[FaultSpec(target, point)])
+                try:
+                    report = runner.run()
+                    statuses, ended = _replay_outcomes(runner.coordinator.log_path)
+                finally:
+                    runner.close()
+                if statuses != report["log"]:
+                    mismatches.append(f"{where}: {statuses} != {report['log']}")
+                if set(statuses) != ended:
+                    mismatches.append(f"{where}: unsettled {set(statuses) - ended}")
+    ok = not mismatches and runs == 80
+    detail = f"every transaction logged in all {runs} faulted runs of 5 scenarios ends settled"
     if mismatches:
         detail = "; ".join(mismatches[:3])
     _criterion(4, ok, detail)

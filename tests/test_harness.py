@@ -644,7 +644,59 @@ def test_a_transaction_left_open_reports_active():
     }
     report = run_scenario(load_scenario(doc))
     assert report["ok"] is True
-    assert report["transactions"]["t"]["status"] == "active"
+    assert report["transactions"]["t"]["status"] == "aborted"  # the run rolls back what it left open
+
+
+def test_a_fault_that_stops_the_script_settles_its_other_open_transactions():
+    """t1 is open when a crash of b in t2 stops the script: the run rolls t1
+    back too, so the log decides and ends both, and neither write lands."""
+    doc = {
+        "name": "stopped",
+        "stores": ["a", "b"],
+        "actions": [
+            {"op": "begin", "txn": "t1"},
+            {"op": "put", "txn": "t1", "store": "a", "key": "k", "value": "1"},
+            {"op": "begin", "txn": "t2"},
+            {"op": "put", "txn": "t2", "store": "b", "key": "k", "value": "2"},
+            {"op": "commit", "txn": "t2"},
+            {"op": "commit", "txn": "t1"},
+        ],
+    }
+    runner = Runner(load_scenario(doc), faults=[FaultSpec("b", CrashPoint.BEFORE_PREPARE)])
+    try:
+        report = runner.run()
+        replayed = replay_log(runner.coordinator.log_path)
+    finally:
+        runner.close()
+    assert report["ok"] is True and report["errors"] == []
+    assert report["log"] == {"1": "aborted", "2": "aborted"}
+    assert all(entry.ended for entry in replayed.values())
+    assert report["stores"] == {"a": {}, "b": {}}
+
+
+def test_a_transaction_the_script_never_commits_leaves_the_sweep_atomic():
+    """t0 stays open beside the swept t1: every run aborts it at its end, the
+    baseline and each faulted run alike, so each row is judged on t1 alone."""
+    doc = {
+        "name": "never-committed",
+        "stores": ["a", "b"],
+        "actions": [
+            {"op": "begin", "txn": "t0"},
+            {"op": "put", "txn": "t0", "store": "a", "key": "x", "value": "0"},
+            {"op": "begin", "txn": "t1"},
+            {"op": "put", "txn": "t1", "store": "a", "key": "k", "value": "1"},
+            {"op": "put", "txn": "t1", "store": "b", "key": "k", "value": "1"},
+            {"op": "commit", "txn": "t1"},
+        ],
+    }
+    report = run_scenario(load_scenario(doc))
+    assert report["log"] == {"1": "aborted", "2": "committed"}
+    assert report["stores"] == {"a": {"k": "1"}, "b": {"k": "1"}}
+    result = crash_sweep(load_scenario(doc))
+    assert result["abort_state"]["stores"] == {"a": {}, "b": {}}
+    rows = result["combinations"]
+    assert result["ok"] is True and len(rows) == 15 and all(row["ok"] for row in rows)
+    assert {row["outcome"] for row in rows if row["target"] == "coordinator"} == {"aborted", "committed"}
 
 
 def test_process_and_broker_demo_scenarios():

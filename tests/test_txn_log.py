@@ -299,7 +299,7 @@ def test_the_block_reader_reads_as_if_it_split_the_whole_log(tmp_path_factory, b
                 for record in records:
                     got.append(record)
             assert (got, str(exc.value)) == (expected, error)
-        LogWriter(str(path)).close()  # cuts the torn tail off, scanning back a block at a time
+        LogWriter(str(path)).close()  # cuts the torn tail off, reading the log forward a block at a time
     assert path.read_bytes() == data[: data.rfind(b"\n") + 1]
     assert len(read_records(str(path), _MIXED)) == len(lines)
 
