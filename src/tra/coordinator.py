@@ -37,10 +37,9 @@ LOG_SCHEMA = {"BEGIN": None, "ENLIST": NAME, "COMMIT": None, "ABORT": None, "END
 
 @dataclass(slots=True)
 class TxnLogRecord:
-    """Replayed per-transaction view of the coordinator log."""
+    """Replayed per-transaction view of the coordinator log; its id is its table key."""
 
-    txn_id: int
-    enlisted: list[str]
+    enlisted: list[str] | tuple[()]
     status: str = "active"  # a TxnStatus value: "committed" or "aborted" once decided
     ended: bool = False
 
@@ -50,15 +49,22 @@ def replay_log(path: str) -> dict[int, TxnLogRecord]:
 
     Interleaved records from concurrent transactions are fine; per
     transaction the record order must be legal. The log streams through
-    once, and only this table of transactions stays alive.
+    once, and only this table of transactions stays alive. A finished
+    transaction (its END logged) is its outcome alone: one of two records the
+    table shares, committed or aborted, with no participants, since nothing
+    owes it phase 2.
     """
     txns: dict[int, TxnLogRecord] = {}
+    ended = {
+        "committed": TxnLogRecord((), "committed", True),
+        "aborted": TxnLogRecord((), "aborted", True),
+    }
     for rec in read_records(path, LOG_SCHEMA):
         kind, txn_id = rec[0], rec[1]
         if kind == "BEGIN":
             if txn_id in txns:
                 raise LogCorruptError(f"{path}: duplicate BEGIN for txn {txn_id}")
-            txns[txn_id] = TxnLogRecord(txn_id, [])
+            txns[txn_id] = TxnLogRecord([])
             continue
         entry = txns.get(txn_id)
         if entry is None:
@@ -70,7 +76,7 @@ def replay_log(path: str) -> dict[int, TxnLogRecord]:
         elif kind == "END":
             if entry.status == "active" or entry.ended:
                 raise LogCorruptError(f"{path}: stray END for txn {txn_id}")
-            entry.ended = True
+            txns[txn_id] = ended[entry.status]
         else:
             if entry.status != "active":
                 raise LogCorruptError(f"{path}: duplicate decision for txn {txn_id}")
@@ -112,8 +118,8 @@ class Coordinator:
         self.registry: dict[str, object] = {}
         self.contexts: dict[int, TransactionContext] = {}
         self.crashed = False
+        self._next_id = self._scan_next_id()  # first: a corrupt log opens no writer
         self._writer = LogWriter(log_path)
-        self._next_id = self._scan_next_id()
 
     # -- setup ----------------------------------------------------------
 
@@ -311,9 +317,9 @@ class Coordinator:
         """Come back up with empty memory; does not run recovery by itself."""
         if not self.crashed:
             return
-        self.crashed = False
+        self._next_id = self._scan_next_id()  # a corrupt log leaves the coordinator crashed
         self._writer = LogWriter(self.log_path)
-        self._next_id = self._scan_next_id()
+        self.crashed = False
         self.tracer.emit("restart", "coordinator")
 
     def recover(self) -> RecoveryOutcome:
@@ -328,10 +334,8 @@ class Coordinator:
         self._guard()
         outcome = RecoveryOutcome()
         replayed = replay_log(self.log_path)
-        for txn_id in sorted(replayed):
+        for txn_id in sorted(t for t, entry in replayed.items() if not entry.ended):
             entry = replayed[txn_id]
-            if entry.ended:
-                continue
             if entry.status == "active":
                 live = self.contexts.get(txn_id)
                 if live is not None and live.status is TxnStatus.ACTIVE:

@@ -45,8 +45,8 @@ class ResourceManager:
     (roll back a prepared payload) and `_discard` (drop a workspace) where
     they must give something back. A prepared transaction holds nothing but
     its payload in `_prepared`. The subclasses' committed image stands in for
-    durable state; a crash only drops the workspaces, and recover() replaces
-    the prepared and finished sets with what the log holds.
+    durable state; a crash drops the workspaces and the prepared and finished
+    sets, and recover() rebuilds both sets from the log.
     """
 
     def __init__(
@@ -134,12 +134,14 @@ class ResourceManager:
         self.tracer.emit("rm_rollback", self.rm_id, txn_id)
 
     def crash(self) -> None:
-        """Drop every workspace and close the log; recover() rebuilds the rest from it."""
+        """Drop every workspace, the prepared and finished sets and the log
+        handle; recover() rebuilds the sets from the log."""
         if self.crashed:
             return
         # latest first, so a queue's earliest receive lands back at the head
         for txn_id in reversed(list(self._work)):
             self._discard(txn_id)
+        self._prepared, self._done = {}, set()
         self._writer.close()
         self.crashed = True
         if self._coordinator is not None:  # no live transaction may commit on the work lost here

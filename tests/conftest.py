@@ -1,3 +1,4 @@
+import contextlib
 import os
 
 import pytest
@@ -27,4 +28,13 @@ def rig(tmp_path, tracer):
     queue = TxnQueue("queue", str(tmp_path / "queue.log"), tracer=tracer)
     coord.register(store)
     coord.register(queue)
-    return coord, store, queue
+    yield coord, store, queue
+    for owner in (coord, *coord.registry.values()):  # with any manager a test registered
+        owner.close()
+
+
+@pytest.fixture
+def closing():
+    """Hands back each log owner it is given, and closes them all when the test ends."""
+    with contextlib.ExitStack() as stack:
+        yield lambda owner: stack.enter_context(contextlib.closing(owner))

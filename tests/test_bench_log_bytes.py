@@ -22,7 +22,7 @@ def _appended_bytes():
     return module._appended_bytes
 
 
-def test_counted_log_bytes_equal_the_file_growth(tmp_path, monkeypatch):
+def test_counted_log_bytes_equal_the_file_growth(closing, tmp_path, monkeypatch):
     counted_bytes = _appended_bytes()
     append = LogWriter.append
     kinds = set()
@@ -36,9 +36,9 @@ def test_counted_log_bytes_equal_the_file_growth(tmp_path, monkeypatch):
 
     monkeypatch.setattr(LogWriter, "append", checked_append)
     tracer = Tracer()
-    coord = Coordinator(str(tmp_path / "c.log"), tracer=tracer)
-    store = ManagedStore("störe", str(tmp_path / "s.log"), tracer=tracer)
-    queue = TxnQueue("queue", str(tmp_path / "q.log"), tracer=tracer)
+    coord = closing(Coordinator(str(tmp_path / "c.log"), tracer=tracer))
+    store = closing(ManagedStore("störe", str(tmp_path / "s.log"), tracer=tracer))
+    queue = closing(TxnQueue("queue", str(tmp_path / "q.log"), tracer=tracer))
     coord.register(store)
     coord.register(queue)
     queue.seed(["m0"])

@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import tracemalloc
 import types
 
 import pytest
@@ -85,7 +86,7 @@ def test_rollback_then_commit_rejected(rig):
     assert store.committed_value("k") is None
 
 
-def test_enlist_validation(rig, tmp_path):
+def test_enlist_validation(closing, rig, tmp_path):
     coord, _, _ = rig
     t = coord.begin("c")
     with pytest.raises(UnknownResourceError):
@@ -97,7 +98,7 @@ def test_enlist_validation(rig, tmp_path):
     coord.rollback(t)
     # a resource id registers once
     with pytest.raises(ValueError, match="resource id 'store' already registered"):
-        coord.register(ManagedStore("store", str(tmp_path / "again.log")))
+        coord.register(closing(ManagedStore("store", str(tmp_path / "again.log"))))
 
 
 def test_a_refused_register_leaves_the_registry_unchanged(rig, tmp_path):
@@ -110,9 +111,9 @@ def test_a_refused_register_leaves_the_registry_unchanged(rig, tmp_path):
     assert coord.registry["plain"].rm_id == "plain"
 
 
-def test_foreign_context_rejected(rig, tmp_path, tracer):
+def test_foreign_context_rejected(closing, rig, tmp_path, tracer):
     coord, _, _ = rig
-    other = Coordinator(str(tmp_path / "other.log"), tracer=tracer)
+    other = closing(Coordinator(str(tmp_path / "other.log"), tracer=tracer))
     foreign = other.begin("x")
     with pytest.raises(TxnStateError):
         coord.commit(foreign)
@@ -255,9 +256,9 @@ def test_a_store_fault_aimed_at_a_transaction_without_that_store_never_fires(rig
     assert coord.injector.fired == [] and not queue.crashed
 
 
-def test_prepare_timeout_flips_vote(tmp_path, tracer):
-    coord = Coordinator(str(tmp_path / "c.log"), tracer=tracer, prepare_budget=5)
-    slow = ManagedStore("slow", str(tmp_path / "slow.log"), tracer=tracer, prepare_delay=50)
+def test_prepare_timeout_flips_vote(closing, tmp_path, tracer):
+    coord = closing(Coordinator(str(tmp_path / "c.log"), tracer=tracer, prepare_budget=5))
+    slow = closing(ManagedStore("slow", str(tmp_path / "slow.log"), tracer=tracer, prepare_delay=50))
     coord.register(slow)
     t = coord.begin("c")
     slow.put(t, "k", "v")
@@ -319,11 +320,11 @@ def test_commit_with_crashed_participant_stays_committed(rig):
     assert kinds(coord.log_path)[-1] == "END"
 
 
-def test_full_crash_recovery_redrives_and_presumes_abort(tmp_path):
+def test_full_crash_recovery_redrives_and_presumes_abort(closing, tmp_path):
     tracer = Tracer()
-    coord = Coordinator(str(tmp_path / "c.log"), tracer=tracer)
-    store = ManagedStore("store", str(tmp_path / "s.log"), tracer=tracer)
-    queue = TxnQueue("queue", str(tmp_path / "q.log"), tracer=tracer)
+    coord = closing(Coordinator(str(tmp_path / "c.log"), tracer=tracer))
+    store = closing(ManagedStore("store", str(tmp_path / "s.log"), tracer=tracer))
+    queue = closing(TxnQueue("queue", str(tmp_path / "q.log"), tracer=tracer))
     coord.register(store)
     coord.register(queue)
 
@@ -367,11 +368,11 @@ def test_recovery_skips_live_active_transactions(rig):
     assert store.committed_value("k") == "v"
 
 
-def test_recovery_counts_only_finished_redrives_and_writes_end_once_all_answer(tmp_path):
+def test_recovery_counts_only_finished_redrives_and_writes_end_once_all_answer(closing, tmp_path):
     tracer = Tracer()
-    coord = Coordinator(str(tmp_path / "c.log"), tracer=tracer)
-    a = ManagedStore("a", str(tmp_path / "a.log"), tracer=tracer)
-    b = ManagedStore("b", str(tmp_path / "b.log"), tracer=tracer)
+    coord = closing(Coordinator(str(tmp_path / "c.log"), tracer=tracer))
+    a = closing(ManagedStore("a", str(tmp_path / "a.log"), tracer=tracer))
+    b = closing(ManagedStore("b", str(tmp_path / "b.log"), tracer=tracer))
     coord.register(a)
     coord.register(b)
 
@@ -434,19 +435,47 @@ def test_recovery_counts_only_finished_redrives_and_writes_end_once_all_answer(t
 def test_replay_log_shapes(tmp_path):
     p = tmp_path / "log"
     p.write_text(
-        "BEGIN\t1\nENLIST\t1\tstore\nBEGIN\t2\nCOMMIT\t1\nABORT\t2\nEND\t1\n",
+        "BEGIN\t1\nENLIST\t1\tstore\nBEGIN\t2\nENLIST\t2\tstore\nENLIST\t2\tqueue\n"
+        "COMMIT\t1\nABORT\t2\nEND\t1\n",
         encoding="utf-8",
     )
     txns = replay_log(str(p))
     assert txns[1].status == "committed" and txns[1].ended
-    assert txns[1].enlisted == ["store"]
     assert txns[2].status == "aborted" and not txns[2].ended
+    assert txns[2].enlisted == ["store", "queue"]  # unfinished: recover() re-drives these
 
 
-def test_recovery_refuses_a_log_that_names_an_unregistered_resource(tmp_path):
+def test_a_replayed_finished_transaction_is_its_outcome_alone(tmp_path):
+    """Each finished transaction's entry is one of two records the table
+    shares, with no participants: the table holds a slot and an id per
+    transaction, not a record and a participant list each."""
+    n = 3000
+    path = tmp_path / "c.log"
+    with open(path, "w", encoding="utf-8") as fh:
+        for txn_id in range(1, n + 1):
+            decision = "ABORT" if txn_id % 3 == 0 else "COMMIT"
+            fh.write(f"BEGIN\t{txn_id}\nENLIST\t{txn_id}\tstore\nENLIST\t{txn_id}\tqueue\n")
+            fh.write(f"{decision}\t{txn_id}\nEND\t{txn_id}\n")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        txns = replay_log(str(path))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held / n < 120  # bytes per transaction; a record and a participant list each take about 230
+    assert sorted(txns) == list(range(1, n + 1))
+    outcomes = {id(entry): (entry.status, entry.ended, entry.enlisted) for entry in txns.values()}
+    assert sorted(outcomes.values()) == [("aborted", True, ()), ("committed", True, ())]
+    assert [txn_id for txn_id, entry in txns.items() if entry.status == "aborted"] == list(range(3, n + 1, 3))
+    # and a fresh table each replay: nothing one caller holds is another's
+    assert replay_log(str(path))[1] is not txns[1]
+
+
+def test_recovery_refuses_a_log_that_names_an_unregistered_resource(closing, tmp_path):
     path = tmp_path / "c.log"
     path.write_text("BEGIN\t1\nENLIST\t1\tghost\nCOMMIT\t1\n", encoding="utf-8")
-    coord = Coordinator(str(path))
+    coord = closing(Coordinator(str(path)))
     with pytest.raises(UnknownResourceError, match="log names unregistered resource 'ghost'"):
         coord.recover()
 
@@ -476,6 +505,33 @@ def test_a_log_with_a_torn_last_record_restarts_and_recovers(rig):
     assert kinds(coord.log_path)[-4:] == ["ENLIST", "ABORT", "END", "BEGIN"]
 
 
+def test_a_corrupt_log_leaves_a_restarting_coordinator_crashed(rig):
+    coord, _, _ = rig
+    coord.begin("c")
+    coord.crash()
+    with open(coord.log_path, "a", encoding="utf-8") as fh:
+        fh.write("BOGUS\t9\n")
+    with open(coord.log_path, "rb") as fh:
+        before = fh.read()
+    with pytest.raises(LogCorruptError, match="BOGUS"):
+        coord.restart()
+    assert coord.crashed
+    with pytest.raises(CoordinatorDown):
+        coord.begin("c")
+    with open(coord.log_path, "rb") as fh:
+        assert fh.read() == before
+
+
+def test_a_coordinator_over_a_corrupt_log_opens_no_writer(tmp_path, monkeypatch):
+    path = tmp_path / "c.log"
+    path.write_text("BEGIN\t1\nBOGUS\t9\n", encoding="utf-8")
+    opened = []
+    monkeypatch.setattr("tra.coordinator.LogWriter", opened.append)
+    with pytest.raises(LogCorruptError, match="BOGUS"):
+        Coordinator(str(path))
+    assert opened == []
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -494,7 +550,7 @@ def test_replay_log_rejects_corruption(tmp_path, text):
         replay_log(str(p))
 
 
-def test_propagate_requires_model_and_binding(rig, tmp_path, tracer):
+def test_propagate_requires_model_and_binding(closing, rig, tmp_path, tracer):
     coord, store, _ = rig
     from tra.errors import BindingError
 
@@ -504,8 +560,8 @@ def test_propagate_requires_model_and_binding(rig, tmp_path, tracer):
     coord.rollback(t)
 
     model = load_manifest_file(tra.fixture_path("model.json"))
-    coord2 = Coordinator(str(tmp_path / "c2.log"), tracer=tracer, model=model)
-    store2 = ManagedStore("s2", str(tmp_path / "s2.log"), tracer=tracer)
+    coord2 = closing(Coordinator(str(tmp_path / "c2.log"), tracer=tracer, model=model))
+    store2 = closing(ManagedStore("s2", str(tmp_path / "s2.log"), tracer=tracer))
     coord2.register(store2)
 
     def handler(ctx, request):
@@ -534,7 +590,7 @@ def test_propagate_requires_model_and_binding(rig, tmp_path, tracer):
     assert store2.committed_value("c1") == "D"
 
 
-def test_propagate_refuses_a_service_that_is_not_transactional(tmp_path):
+def test_propagate_refuses_a_service_that_is_not_transactional(closing, tmp_path):
     # load_scenario refuses such a call at load; a library caller meets it here
     with open(tra.fixture_path("model.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -542,7 +598,7 @@ def test_propagate_refuses_a_service_that_is_not_transactional(tmp_path):
         for service in internal["provides"]:
             if service["name"] == "updateCustomer":
                 service["transactional"] = False
-    coord = Coordinator(str(tmp_path / "c.log"), model=load_manifest(doc))
+    coord = closing(Coordinator(str(tmp_path / "c.log"), model=load_manifest(doc)))
     coord.bind_service("Customer", "updateCustomer", lambda ctx, request: {"status": "ok"})
     t = coord.begin("c")
     request = {"id": "c1", "data": "D", "contract": "x", "terms": "y"}

@@ -50,7 +50,9 @@ def world(tmp_path):
     def load(*definitions):
         return ProcessEngine(coord, load_processes(model, definitions))
 
-    return load, coord, store
+    yield load, coord, store
+    coord.close()
+    store.close()
 
 
 def two_step(policy):

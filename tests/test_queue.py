@@ -11,8 +11,8 @@ from tra.sim import Tracer
 from tra.txn import TransactionContext, TxnStatus, Vote
 
 
-def standalone(tmp_path, name="q"):
-    return TxnQueue(name, str(tmp_path / f"{name}.log"), tracer=Tracer())
+def standalone(closing, tmp_path, name="q"):
+    return closing(TxnQueue(name, str(tmp_path / f"{name}.log"), tracer=Tracer()))
 
 
 def test_send_is_invisible_until_commit(rig):
@@ -52,8 +52,8 @@ def test_rollback_reinserts_receives_at_front_in_order(rig):
     assert queue.conservation_holds()
 
 
-def test_prepared_receives_go_back_to_the_front_in_order_on_rollback(tmp_path):
-    queue = standalone(tmp_path)
+def test_prepared_receives_go_back_to_the_front_in_order_on_rollback(closing, tmp_path):
+    queue = standalone(closing, tmp_path)
     queue.seed(["a", "b", "c"])
     t = TransactionContext(id=1, originator="r")
     assert [queue.receive(t), queue.receive(t)] == ["a", "b"]
@@ -73,10 +73,10 @@ def test_committed_receive_consumes(rig):
     assert queue.conservation_holds()
 
 
-def test_crash_unwinds_multiple_receivers_front_first(tmp_path):
+def test_crash_unwinds_multiple_receivers_front_first(closing, tmp_path):
     """Two in-flight receivers crash with the queue: both hand their messages
     back, earliest receiver's messages closest to the head."""
-    queue = standalone(tmp_path)
+    queue = standalone(closing, tmp_path)
     queue.seed(["a", "b", "c", "d"])
     t1 = TransactionContext(id=1, originator="r1")
     t2 = TransactionContext(id=2, originator="r2")
@@ -90,8 +90,8 @@ def test_crash_unwinds_multiple_receivers_front_first(tmp_path):
     assert queue.conservation_holds()
 
 
-def test_prepared_receives_survive_crash_and_commit(tmp_path):
-    queue = standalone(tmp_path)
+def test_prepared_receives_survive_crash_and_commit(closing, tmp_path):
+    queue = standalone(closing, tmp_path)
     queue.seed(["a", "b"])
     t = TransactionContext(id=1, originator="r")
     assert queue.receive(t) == "a"
@@ -239,8 +239,8 @@ def _failing_prepare(queue, monkeypatch, txn_id):
     monkeypatch.undo()
 
 
-def test_a_prepare_whose_log_append_fails_gives_its_receives_back_on_rollback(tmp_path, monkeypatch):
-    queue = standalone(tmp_path)
+def test_a_prepare_whose_log_append_fails_gives_its_receives_back_on_rollback(closing, tmp_path, monkeypatch):
+    queue = standalone(closing, tmp_path)
     queue.seed(["m0", "m1"])
     assert queue.receive(TransactionContext(id=1, originator="r")) == "m0"
     _failing_prepare(queue, monkeypatch, 1)
@@ -250,8 +250,8 @@ def test_a_prepare_whose_log_append_fails_gives_its_receives_back_on_rollback(tm
     assert queue.conservation_holds()
 
 
-def test_a_prepare_whose_log_append_fails_keeps_its_place_for_a_crash(tmp_path, monkeypatch):
-    queue = standalone(tmp_path)
+def test_a_prepare_whose_log_append_fails_keeps_its_place_for_a_crash(closing, tmp_path, monkeypatch):
+    queue = standalone(closing, tmp_path)
     queue.seed(["m0", "m1", "m2"])
     assert queue.receive(TransactionContext(id=1, originator="r")) == "m0"
     assert queue.receive(TransactionContext(id=2, originator="r")) == "m1"

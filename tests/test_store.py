@@ -12,8 +12,8 @@ from tra.sim import Tracer
 from tra.txn import TransactionContext, TxnStatus, Vote
 
 
-def standalone(tmp_path, name="s"):
-    return ManagedStore(name, str(tmp_path / f"{name}.log"), tracer=Tracer())
+def standalone(closing, tmp_path, name="s"):
+    return closing(ManagedStore(name, str(tmp_path / f"{name}.log"), tracer=Tracer()))
 
 
 def test_read_your_writes(rig):
@@ -83,10 +83,10 @@ def test_blind_write_conflict_second_aborts(rig):
     assert store.version("k") == 2
 
 
-def test_write_skew_rejected_between_prepared_transactions(tmp_path):
+def test_write_skew_rejected_between_prepared_transactions(closing, tmp_path):
     """r1 reads x and writes y while r2 (already prepared) wrote x: the read
     lock check must refuse r1 even though versions still match."""
-    store = standalone(tmp_path)
+    store = standalone(closing, tmp_path)
     store.seed({"x": "1", "y": "1"})
 
     t1 = TransactionContext(id=1, originator="a")
@@ -108,8 +108,8 @@ def test_write_skew_rejected_between_prepared_transactions(tmp_path):
     assert store.committed_snapshot() == {"x": "0", "y": "1"}
 
 
-def test_write_lock_blocks_second_preparer(tmp_path):
-    store = standalone(tmp_path)
+def test_write_lock_blocks_second_preparer(closing, tmp_path):
+    store = standalone(closing, tmp_path)
     t1 = TransactionContext(id=1, originator="a")
     t2 = TransactionContext(id=2, originator="b")
     store.put(t1, "k", "1")
@@ -126,8 +126,8 @@ def test_write_lock_blocks_second_preparer(tmp_path):
 
 
 @pytest.mark.parametrize("cause", ["moved-read-version", "held-key"])
-def test_a_no_vote_is_the_newest_event_of_a_default_trace(tmp_path, cause):
-    store = standalone(tmp_path)
+def test_a_no_vote_is_the_newest_event_of_a_default_trace(closing, tmp_path, cause):
+    store = standalone(closing, tmp_path)
     store.seed({"k": "0"})
     t1 = TransactionContext(id=1, originator="a")
     t2 = TransactionContext(id=2, originator="b")
@@ -297,8 +297,8 @@ def test_a_one_shot_iterable_is_checked_whole():
         _check_values(iter(["v", 7]))
 
 
-def test_access_after_finish_rejected(tmp_path):
-    store = standalone(tmp_path)
+def test_access_after_finish_rejected(closing, tmp_path):
+    store = standalone(closing, tmp_path)
     ctx = TransactionContext(id=1, originator="a")
     store.put(ctx, "k", "v")
     store.prepare(1)
@@ -321,8 +321,8 @@ def test_an_rm_id_that_is_not_a_name_is_refused(tmp_path, rm_id):
         ManagedStore(rm_id, str(tmp_path / "s.log"))
 
 
-def test_a_finished_transaction_answers_a_redrive_quietly_before_and_after_a_crash(tmp_path):
-    store = standalone(tmp_path)
+def test_a_finished_transaction_answers_a_redrive_quietly_before_and_after_a_crash(closing, tmp_path):
+    store = standalone(closing, tmp_path)
     for txn_id, finish in ((1, store.commit), (2, store.rollback)):
         store.put(TransactionContext(id=txn_id, originator="a"), f"k{txn_id}", "v")
         assert store.prepare(txn_id) is Vote.YES
@@ -343,8 +343,8 @@ def test_a_finished_transaction_answers_a_redrive_quietly_before_and_after_a_cra
 
 
 @pytest.mark.parametrize("settle", ["commit", "rollback"])
-def test_recovered_prepared_transactions_keep_their_locks(tmp_path, settle):
-    store = standalone(tmp_path)
+def test_recovered_prepared_transactions_keep_their_locks(closing, tmp_path, settle):
+    store = standalone(closing, tmp_path)
     store.seed({"j": "0", "k": "0"})
     store.put(TransactionContext(id=1, originator="a"), "k", "1")
     store.put(TransactionContext(id=2, originator="a"), "j", "1")
@@ -370,8 +370,22 @@ def test_recovered_prepared_transactions_keep_their_locks(tmp_path, settle):
         assert store.prepare(txn_id) is Vote.YES
 
 
-def test_a_prepare_whose_log_append_fails_holds_no_locks(tmp_path, monkeypatch):
-    store = standalone(tmp_path)
+def test_a_crash_drops_the_prepared_and_finished_sets_and_recover_rebuilds_them(rig):
+    coord, store, _ = rig
+    done, prepared = coord.begin("c"), coord.begin("c")
+    store.put(done, "d", "v")
+    assert coord.commit(done) is TxnStatus.COMMITTED
+    store.put(prepared, "p", "v")
+    assert store.prepare(prepared.id) is Vote.YES
+    store.crash()
+    assert store._prepared == {} and store._done == set()
+    store.recover()
+    assert store._prepared == {prepared.id: {"writes": {"p": ["put", "v"]}}}
+    assert store._done == {done.id}
+
+
+def test_a_prepare_whose_log_append_fails_holds_no_locks(closing, tmp_path, monkeypatch):
+    store = standalone(closing, tmp_path)
     store.put(TransactionContext(id=1, originator="a"), "x", "1")
 
     def fail(*fields):

@@ -416,10 +416,10 @@ def test_a_torn_last_line_was_never_written(tmp_path):
         list(read_records(str(path), LOG_SCHEMA))
 
 
-def test_a_torn_prepared_record_recovers_with_nothing_prepared(tmp_path):
+def test_a_torn_prepared_record_recovers_with_nothing_prepared(closing, tmp_path):
     from tra.resources import ManagedStore
 
-    store = ManagedStore("s", str(tmp_path / "s.log"), tracer=Tracer())
+    store = closing(ManagedStore("s", str(tmp_path / "s.log"), tracer=Tracer()))
     t = TransactionContext(id=1, originator="t")
     store.put(t, "k", "v")
     assert store.prepare(1).value == "yes"
